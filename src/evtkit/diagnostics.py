@@ -9,7 +9,7 @@ import numpy as np
 
 from .distributions import FAMILIES, Distribution, clamp_probability
 from .errors import DegenerateSampleError, DomainError, EmptyInputError
-from .sample import Sample
+from .sample import Sample, scaled_deviations
 
 __all__ = [
     "DescriptiveStats",
@@ -102,22 +102,21 @@ def describe(sample: Sample) -> DescriptiveStats:
     if n < 2:
         raise DegenerateSampleError("need at least two observations to describe")
     x = sample.values
-    mean = float(np.mean(x))
-    variance = float(np.var(x, ddof=1))
-    std_dev = math.sqrt(variance)
+    # The shape estimators are scale-free, so the scaled deviations give them.
+    mean, std_dev, scaled = scaled_deviations(x)
+    variance = std_dev * std_dev  # inf, not OverflowError, past the float range
     std_error = std_dev / math.sqrt(n)
     coef_variation_pct = 100.0 * std_dev / mean if mean != 0.0 else math.nan
 
-    centered = x - mean
-    m2 = float(np.mean(centered**2))
+    m2 = float(np.mean(scaled**2))
     skewness = math.nan
     excess_kurtosis = math.nan
     if m2 > 0.0:
         if n > 2:
-            g1 = float(np.mean(centered**3)) / m2**1.5
+            g1 = float(np.mean(scaled**3)) / m2**1.5
             skewness = g1 * math.sqrt(n * (n - 1.0)) / (n - 2.0)
         if n > 3:
-            g2 = float(np.mean(centered**4)) / m2**2 - 3.0
+            g2 = float(np.mean(scaled**4)) / m2**2 - 3.0
             excess_kurtosis = ((n + 1.0) * g2 + 6.0) * (n - 1.0) / ((n - 2.0) * (n - 3.0))
 
     return DescriptiveStats(

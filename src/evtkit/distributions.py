@@ -14,6 +14,7 @@ arguments, safe for concurrent use.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from typing import ClassVar, Union
 
@@ -80,7 +81,12 @@ def _set(obj, **fields):
 
 
 class _EvdFamily:
-    """Shared array handling; subclasses implement the closed forms."""
+    """Shared array handling; subclasses implement the closed forms.
+
+    A family's static ``log_density`` is its one likelihood formula, used by
+    ``_log_pdf`` and summed by the fitter. It takes scales (and Frechet and
+    Weibull shapes) as logarithms and validates nothing.
+    """
 
     family: ClassVar[str]
 
@@ -107,14 +113,14 @@ class _EvdFamily:
     def log_pdf(self, x):
         """Natural log of the density; -inf wherever the density is zero."""
         arr = np.atleast_1d(np.asarray(x, dtype=float))
-        with np.errstate(over="ignore", under="ignore", divide="ignore"):
+        with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
             out = self._log_pdf(arr)
         return _match_shape(out, x)
 
     def pdf(self, x):
         """Probability density, evaluated in log space to avoid underflow."""
         arr = np.atleast_1d(np.asarray(x, dtype=float))
-        with np.errstate(over="ignore", under="ignore", divide="ignore"):
+        with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
             out = np.exp(self._log_pdf(arr))
         return _match_shape(out, x)
 
@@ -173,15 +179,16 @@ class Gumbel(_EvdFamily):
     def support(self) -> tuple[float, float]:
         return (-np.inf, np.inf)
 
-    def _z(self, x):
-        return (x - self.location) / self.scale
-
     def _cdf(self, x):
-        return np.exp(-np.exp(-self._z(x)))
+        return np.exp(-np.exp(-(x - self.location) / self.scale))
+
+    @staticmethod
+    def log_density(x, location, log_scale):
+        z = (x - location) / np.exp(log_scale)
+        return -log_scale - z - np.exp(-z)
 
     def _log_pdf(self, x):
-        z = self._z(x)
-        return -np.log(self.scale) - z - np.exp(-z)
+        return self.log_density(x, self.location, math.log(self.scale))
 
     def _quantile(self, p):
         return self.location - self.scale * np.log(-np.log(p))
@@ -219,13 +226,18 @@ class Frechet(_EvdFamily):
         out[inside] = np.exp(-np.power(z, -self.shape))
         return out
 
+    @staticmethod
+    def log_density(log_x, log_shape, log_scale):
+        """Log density with lower endpoint 0, at ``exp(log_x)``."""
+        shape = np.exp(log_shape)
+        lz = log_x - log_scale
+        return log_shape - log_scale - (1.0 + shape) * lz - np.exp(-shape * lz)
+
     def _log_pdf(self, x):
         out = np.full_like(x, -np.inf)
         inside = x > self.location
-        z = (x[inside] - self.location) / self.scale
-        lz = np.log(z)
-        out[inside] = (
-            np.log(self.shape / self.scale) - (1.0 + self.shape) * lz - np.exp(-self.shape * lz)
+        out[inside] = self.log_density(
+            np.log(x[inside] - self.location), math.log(self.shape), math.log(self.scale)
         )
         return out
 
@@ -263,14 +275,17 @@ class Weibull(_EvdFamily):
         out[inside] = -np.expm1(-np.power(z, self.shape))
         return out
 
+    @staticmethod
+    def log_density(log_x, log_shape, log_scale):
+        """Log density at ``exp(log_x)``."""
+        shape = np.exp(log_shape)
+        lz = log_x - log_scale
+        return log_shape - log_scale + (shape - 1.0) * lz - np.exp(shape * lz)
+
     def _log_pdf(self, x):
         out = np.full_like(x, -np.inf)
         inside = x > 0.0
-        z = x[inside] / self.scale
-        lz = np.log(z)
-        out[inside] = (
-            np.log(self.shape / self.scale) + (self.shape - 1.0) * lz - np.exp(self.shape * lz)
-        )
+        out[inside] = self.log_density(np.log(x[inside]), math.log(self.shape), math.log(self.scale))
         return out
 
     def _quantile(self, p):
@@ -316,29 +331,26 @@ class GEV(_EvdFamily):
             return (edge, np.inf)
         return (-np.inf, edge)
 
-    def _t(self, x):
-        return 1.0 + self.shape * (x - self.location) / self.scale
-
     def _cdf(self, x):
         if self.is_gumbel_limit:
             return self._gumbel()._cdf(x)
-        t = self._t(x)
+        t = 1.0 + self.shape * (x - self.location) / self.scale
         out = np.full_like(x, 0.0 if self.shape > 0 else 1.0)
         inside = t > 0.0
         out[inside] = np.exp(-np.exp(-np.log(t[inside]) / self.shape))
         return out
 
+    @staticmethod
+    def log_density(x, location, log_scale, shape):
+        """Log density; -inf off the support."""
+        if abs(shape) < GUMBEL_SHAPE_EPS:
+            return Gumbel.log_density(x, location, log_scale)
+        t = 1.0 + shape * (x - location) / np.exp(log_scale)
+        lt = np.log(t)
+        return np.where(t > 0.0, -log_scale - (1.0 + 1.0 / shape) * lt - np.exp(-lt / shape), -np.inf)
+
     def _log_pdf(self, x):
-        if self.is_gumbel_limit:
-            return self._gumbel()._log_pdf(x)
-        t = self._t(x)
-        out = np.full_like(x, -np.inf)
-        inside = t > 0.0
-        lt = np.log(t[inside])
-        out[inside] = (
-            -np.log(self.scale) - (1.0 + 1.0 / self.shape) * lt - np.exp(-lt / self.shape)
-        )
-        return out
+        return self.log_density(x, self.location, math.log(self.scale), self.shape)
 
     def _quantile(self, p):
         if self.is_gumbel_limit:

@@ -6,6 +6,11 @@ shapes are optimized on the log scale so positivity holds by construction,
 and the GEV shape is unconstrained. Points where an observation falls
 outside the candidate support evaluate to a log-likelihood of -inf, which
 the simplex treats as worst-vertex.
+
+Fits run on standardized data, Gumbel and GEV on ``(x - mean) / sd`` and
+Frechet and Weibull on ``log x``, so initial steps and tolerances mean the
+same at every data scale (Coles 2001, section 3.3). The objective sums the
+family's ``log_density``; the parameters are mapped back to data units.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from .distributions import (
     Weibull,
 )
 from .errors import DegenerateSampleError, DomainError
-from .sample import Sample
+from .sample import Sample, scaled_deviations
 from .simplex import nelder_mead
 
 __all__ = [
@@ -70,6 +75,7 @@ class FitResult:
     log_likelihood: float
     converged: bool
     iterations: int
+    n_evaluations: int
     initial_params: Distribution
 
 
@@ -94,6 +100,44 @@ def log_likelihood(dist: Distribution, sample: Sample) -> float:
     return float(np.sum(dist.log_pdf(sample.values)))
 
 
+def _fit_data(family: str, sample: Sample, min_size: int) -> tuple[np.ndarray, float, float]:
+    """The values a family is fitted on (x, or log x), with their mean and standard deviation."""
+    if family not in FAMILIES:
+        raise DomainError(f"unknown family {family!r}; expected one of {FAMILIES}")
+    if sample.n < min_size:
+        raise DegenerateSampleError(f"need at least {min_size} observations to fit, got {sample.n}")
+
+    if family in ("frechet", "weibull"):
+        if np.any(sample.values <= 0.0):
+            raise DomainError(
+                f"{family} supports only positive values; sample minimum is "
+                f"{float(sample.values.min())}"
+            )
+        work = np.log(sample.values)
+    else:
+        work = sample.values
+
+    mean, sd, _ = scaled_deviations(work)
+    if sd == 0.0:
+        raise DegenerateSampleError("sample standard deviation is zero")
+    return work, mean, sd
+
+
+def _moment_start(family: str, mean: float, sd: float) -> Distribution:
+    gumbel_scale = sd * math.sqrt(6.0) / math.pi
+    if family == "gumbel":
+        return Gumbel(location=mean - EULER_GAMMA * gumbel_scale, scale=gumbel_scale)
+    if family == "gev":
+        return GEV(
+            location=mean - EULER_GAMMA * gumbel_scale,
+            scale=gumbel_scale,
+            shape=INITIAL_GEV_SHAPE,
+        )
+    if family == "frechet":
+        return Frechet(shape=1.0 / gumbel_scale, scale=math.exp(mean - EULER_GAMMA * gumbel_scale))
+    return Weibull(shape=1.0 / gumbel_scale, scale=math.exp(mean + EULER_GAMMA * gumbel_scale))
+
+
 def initial_params(family: str, sample: Sample) -> Distribution:
     """Deterministic moment-matching starting point for ``family``.
 
@@ -109,38 +153,8 @@ def initial_params(family: str, sample: Sample) -> Distribution:
     DomainError
         Frechet/Weibull requested for data with non-positive values.
     """
-    if family not in FAMILIES:
-        raise DomainError(f"unknown family {family!r}; expected one of {FAMILIES}")
-    if sample.n < 2:
-        raise DegenerateSampleError("need at least two observations to initialize a fit")
-
-    if family in ("frechet", "weibull"):
-        if np.any(sample.values <= 0.0):
-            raise DomainError(
-                f"{family} supports only positive values; sample minimum is "
-                f"{float(sample.values.min())}"
-            )
-        work = np.log(sample.values)
-    else:
-        work = sample.values
-
-    sd = float(np.std(work, ddof=1))
-    if sd == 0.0:
-        raise DegenerateSampleError("sample standard deviation is zero")
-    mean = float(np.mean(work))
-    gumbel_scale = sd * math.sqrt(6.0) / math.pi
-
-    if family == "gumbel":
-        return Gumbel(location=mean - EULER_GAMMA * gumbel_scale, scale=gumbel_scale)
-    if family == "gev":
-        return GEV(
-            location=mean - EULER_GAMMA * gumbel_scale,
-            scale=gumbel_scale,
-            shape=INITIAL_GEV_SHAPE,
-        )
-    if family == "frechet":
-        return Frechet(shape=1.0 / gumbel_scale, scale=math.exp(mean - EULER_GAMMA * gumbel_scale))
-    return Weibull(shape=1.0 / gumbel_scale, scale=math.exp(mean + EULER_GAMMA * gumbel_scale))
+    _, mean, sd = _fit_data(family, sample, 2)
+    return _moment_start(family, mean, sd)
 
 
 def _pack(dist: Distribution) -> tuple[np.ndarray, np.ndarray]:
@@ -157,51 +171,52 @@ def _pack(dist: Distribution) -> tuple[np.ndarray, np.ndarray]:
     return np.asarray(theta, dtype=float), np.asarray(steps, dtype=float)
 
 
-def _unpack(family: str, theta: np.ndarray) -> Distribution | None:
-    """Inverse of :func:`_pack`; None when the coordinates are infeasible."""
+def _unpack(family: str, theta: np.ndarray, mean: float, sd: float) -> Distribution | None:
+    """Inverse of :func:`_pack` (Gumbel/GEV on ``(x - mean) / sd``); None when infeasible."""
     try:
-        with np.errstate(over="ignore"):
-            if family == "gumbel":
-                return Gumbel(location=theta[0], scale=math.exp(theta[1]))
-            if family == "gev":
-                return GEV(location=theta[0], scale=math.exp(theta[1]), shape=theta[2])
-            if family == "frechet":
-                return Frechet(shape=math.exp(theta[0]), scale=math.exp(theta[1]))
-            return Weibull(shape=math.exp(theta[0]), scale=math.exp(theta[1]))
+        if family == "gumbel":
+            return Gumbel(location=mean + sd * theta[0], scale=sd * math.exp(theta[1]))
+        if family == "gev":
+            return GEV(location=mean + sd * theta[0], scale=sd * math.exp(theta[1]), shape=theta[2])
+        if family == "frechet":
+            return Frechet(shape=math.exp(theta[0]), scale=math.exp(theta[1]))
+        return Weibull(shape=math.exp(theta[0]), scale=math.exp(theta[1]))
     except (DomainError, OverflowError):
         return None
 
 
-def _run_simplex(family, sample, config, theta0, steps):
-    values = sample.values
+def _search(log_density, data, config, theta0, steps):
+    def nll(theta):
+        value = -log_density(data, *theta).sum()
+        return value if math.isfinite(value) else math.inf
 
-    def objective(theta):
-        dist = _unpack(family, theta)
-        if dist is None:
-            return np.inf
-        ll = float(np.sum(dist.log_pdf(values)))
-        return -ll if np.isfinite(ll) else np.inf
-
-    result = nelder_mead(
-        objective,
-        theta0,
-        initial_steps=steps,
-        max_iterations=config.max_iterations,
-        function_tolerance=config.function_tolerance,
-        parameter_tolerance=config.parameter_tolerance,
-    )
-    dist = _unpack(family, result.x) if np.isfinite(result.fun) else None
-    return dist, result
+    with np.errstate(all="ignore"):
+        return nelder_mead(
+            nll,
+            theta0,
+            initial_steps=steps,
+            max_iterations=config.max_iterations,
+            function_tolerance=config.function_tolerance,
+            parameter_tolerance=config.parameter_tolerance,
+        )
 
 
-def fit_mle(family: str, sample: Sample, config: OptimizerConfig = DEFAULT_CONFIG) -> FitResult:
+def fit_mle(
+    family: str,
+    sample: Sample,
+    config: OptimizerConfig = DEFAULT_CONFIG,
+    *,
+    _gumbel_fit: FitResult | None = None,
+) -> FitResult:
     """Fit ``family`` to ``sample`` by maximum likelihood.
 
     The search starts from :func:`initial_params`. For the GEV a second,
     deterministic search is run from the fitted Gumbel solution with shape 0,
     and the better of the two maxima is kept; this guarantees the fitted GEV
-    log-likelihood never falls below the fitted Gumbel one. ``iterations``
-    counts simplex steps over all searches performed.
+    log-likelihood never falls below the fitted Gumbel one. :func:`fit_all`
+    passes in the Gumbel fit it has already made. ``iterations`` and
+    ``n_evaluations`` count over the family's own searches, not that fit.
+    The fitted parameters follow any change of units of the data.
 
     A result with ``converged=False`` (rather than an exception) is returned
     when the iteration budget runs out before the simplex collapses.
@@ -213,56 +228,51 @@ def fit_mle(family: str, sample: Sample, config: OptimizerConfig = DEFAULT_CONFI
     DomainError
         Unknown family, or data outside the family support.
     """
-    if family not in FAMILIES:
-        raise DomainError(f"unknown family {family!r}; expected one of {FAMILIES}")
-    if sample.n < _MIN_FIT_SIZE:
-        raise DegenerateSampleError(
-            f"need at least {_MIN_FIT_SIZE} observations to fit, got {sample.n}"
-        )
-    init = initial_params(family, sample)
-    theta0, steps = _pack(init)
-    best_dist, run = _run_simplex(family, sample, config, theta0, steps)
-    iterations = run.iterations
-    converged = run.converged
-    if best_dist is None:
-        # No feasible point found; report the start, flagged unconverged.
-        best_dist, converged = init, False
+    work, mean, sd = _fit_data(family, sample, _MIN_FIT_SIZE)
+    init = _moment_start(family, mean, sd)
+    if family in ("frechet", "weibull"):
+        data, start = work, init
+    else:
+        data, start = (work - mean) / sd, _moment_start(family, 0.0, 1.0)
+    theta0, steps = _pack(start)
+    runs = [_search(type(init).log_density, data, config, theta0, steps)]
 
     if family == "gev":
-        gumbel_init = initial_params("gumbel", sample)
-        g_theta0, g_steps = _pack(gumbel_init)
-        gumbel_dist, gumbel_run = _run_simplex("gumbel", sample, config, g_theta0, g_steps)
-        iterations += gumbel_run.iterations
-        if gumbel_dist is not None:
-            anchor = np.array(
-                [gumbel_dist.location, math.log(gumbel_dist.scale), 0.0]
-            )
-            alt_dist, alt_run = _run_simplex("gev", sample, config, anchor, steps)
-            iterations += alt_run.iterations
-            if alt_dist is not None and (
-                log_likelihood(alt_dist, sample) > log_likelihood(best_dist, sample)
-            ):
-                best_dist, converged = alt_dist, alt_run.converged
+        gumbel = (_gumbel_fit or fit_mle("gumbel", sample, config)).params
+        anchor = np.array([(gumbel.location - mean) / sd, math.log(gumbel.scale / sd), 0.0])
+        runs.append(_search(GEV.log_density, data, config, anchor, steps))
+
+    best = min(runs, key=lambda run: run.fun)  # the first search wins ties
+    params = _unpack(family, best.x, mean, sd) if math.isfinite(best.fun) else None
+    converged = best.converged
+    if params is None:
+        # No feasible point found; report the start, flagged unconverged.
+        params, converged = init, False
 
     return FitResult(
-        params=best_dist,
-        log_likelihood=log_likelihood(best_dist, sample),
+        params=params,
+        log_likelihood=log_likelihood(params, sample),
         converged=converged,
-        iterations=iterations,
+        iterations=sum(run.iterations for run in runs),
+        n_evaluations=sum(run.n_evaluations for run in runs),
         initial_params=init,
     )
 
 
 def fit_all(sample: Sample, config: OptimizerConfig = DEFAULT_CONFIG) -> list[FitOutcome]:
-    """Fit all four families independently, in the fixed family order.
+    """Fit all four families, in the fixed family order.
+
+    The Gumbel fit also serves as the shape-0 anchor of the GEV fit.
 
     Per-family failures (support violations, degenerate input) are captured
     in the returned entries instead of aborting the batch.
     """
     outcomes = []
     for family in FAMILIES:
+        gumbel = outcomes[0].result if family == "gev" else None  # FAMILIES starts with gumbel
         try:
-            outcomes.append(FitOutcome(family, result=fit_mle(family, sample, config)))
+            result = fit_mle(family, sample, config, _gumbel_fit=gumbel)
+            outcomes.append(FitOutcome(family, result=result))
         except (DomainError, DegenerateSampleError) as exc:
             outcomes.append(FitOutcome(family, error=str(exc)))
     return outcomes

@@ -60,7 +60,7 @@ def _is_numeric(token: str) -> bool:
 
 
 def load_csv(path, columns: str = "auto", label: str | None = None) -> Dataset:
-    """Load a block-maxima series from a comma-delimited UTF-8 file.
+    """Load a block-maxima series from a comma-delimited UTF-8 file (BOM ignored).
 
     Two layouts are accepted: one value per line, or ``year,value`` rows.
     ``columns`` may pin the layout to ``"value"`` or ``"year_value"``;
@@ -81,7 +81,7 @@ def load_csv(path, columns: str = "auto", label: str | None = None) -> Dataset:
     if columns not in ("auto", "value", "year_value"):
         raise DomainError(f"unknown column spec {columns!r}")
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
+    text = path.read_text(encoding="utf-8-sig")
 
     years: list[int] = []
     values: list[float] = []

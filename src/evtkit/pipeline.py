@@ -134,6 +134,7 @@ def fit_outcome_to_dict(fit: FitOutcome) -> dict:
             "log_likelihood": result.log_likelihood,
             "converged": result.converged,
             "iterations": result.iterations,
+            "n_evaluations": result.n_evaluations,
             "initial_params": params_to_dict(result.initial_params),
         },
     }
@@ -164,6 +165,7 @@ def _fit_from_dict(entry: dict) -> FitOutcome:
         log_likelihood=float(payload["log_likelihood"]),
         converged=bool(payload["converged"]),
         iterations=int(payload["iterations"]),
+        n_evaluations=int(payload["n_evaluations"]),
         initial_params=params_from_dict(payload["initial_params"]),
     )
     return FitOutcome(family=entry["family"], result=result)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,3 +43,16 @@ class Sample:
 
     def __repr__(self) -> str:
         return f"Sample(n={self.n})"
+
+
+def scaled_deviations(values: np.ndarray) -> tuple[float, float, np.ndarray]:
+    """Mean, n-1 standard deviation, and deviations from the mean over their largest magnitude.
+
+    Only deviations scaled into [-1, 1] are squared, so nothing overflows or
+    underflows at data scales such as 1e300 or 1e-300. Needs two values.
+    """
+    mean = float(np.mean(values))
+    deviations = values - mean
+    largest = float(np.max(np.abs(deviations)))
+    scaled = deviations / largest if largest > 0.0 else deviations
+    return mean, largest * math.sqrt(float(np.dot(scaled, scaled)) / (values.size - 1)), scaled

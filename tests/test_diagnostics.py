@@ -56,6 +56,16 @@ class TestDescribe:
         assert d.skewness == 0.0
         assert d.range == 2.0
 
+    @pytest.mark.parametrize("factor", [1e300, 1e-300])
+    def test_extreme_scales(self, factor):
+        base = describe(Sample(np.array([1.0, 2.0, 3.0])))
+        d = describe(Sample(factor * np.array([1.0, 2.0, 3.0])))
+        for name in ("mean", "range", "std_dev", "std_error"):
+            assert getattr(d, name) == pytest.approx(factor * getattr(base, name), rel=1e-12), name
+        assert d.coef_variation_pct == pytest.approx(base.coef_variation_pct, rel=1e-12)
+        assert d.skewness == pytest.approx(base.skewness, abs=1e-12)
+        assert d.variance == d.std_dev * d.std_dev
+
     def test_matches_scipy_adjusted_estimators(self):
         rng = np.random.default_rng(99)
         for _ in range(5):

@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import evtkit.fitting
 from evtkit import (
     FAMILIES,
     GEV,
@@ -164,6 +167,40 @@ class TestFitMle:
         assert moved.params.scale == pytest.approx(a * base.params.scale, rel=1e-4)
 
 
+# The repository's 51-value fixture, data/synthetic_annual_maxima.csv.
+FIXTURE = GEV_MM.sample(51, 22)
+FIXTURE_SD = float(np.std(FIXTURE.values, ddof=1))
+FIXTURE_FITS = {o.family: o.result.params for o in fit_all(FIXTURE)}
+
+
+class TestUnitEquivariance:
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(
+        log10_factor=st.floats(-9.0, 9.0),
+        relative_shift=st.floats(-1e6, 1e6),
+    )
+    @example(log10_factor=-9.0, relative_shift=-1e6)
+    @example(log10_factor=9.0, relative_shift=1e6)
+    @example(log10_factor=6.0, relative_shift=0.0)
+    def test_fits_follow_the_units_of_the_data(self, log10_factor, relative_shift):
+        a = 10.0**log10_factor
+        c = relative_shift * a * FIXTURE_SD
+        shifted = {o.family: o.result for o in fit_all(Sample(a * FIXTURE.values + c))}
+        scaled = {o.family: o.result for o in fit_all(Sample(a * FIXTURE.values))}
+        for family in ("gumbel", "gev"):
+            fit, base = shifted[family], FIXTURE_FITS[family]
+            assert fit.converged, family
+            scale = a * base.scale
+            assert abs(fit.params.location - (a * base.location + c)) <= 1e-6 * scale, family
+            assert abs(fit.params.scale - scale) <= 1e-6 * scale, family
+        assert abs(shifted["gev"].params.shape - FIXTURE_FITS["gev"].shape) <= 1e-6
+        for family in ("frechet", "weibull"):
+            fit, base = scaled[family], FIXTURE_FITS[family]
+            assert fit.converged, family
+            assert fit.params.scale == pytest.approx(a * base.scale, rel=1e-6), family
+            assert fit.params.shape == pytest.approx(base.shape, rel=1e-6), family
+
+
 class TestFitAll:
     def test_four_results_fixed_order(self):
         s = GEV_MM.sample(500, 19)
@@ -184,6 +221,22 @@ class TestFitAll:
         assert outcomes["gumbel"].ok and outcomes["gev"].ok
         assert not outcomes["frechet"].ok and "positive" in outcomes["frechet"].error
         assert not outcomes["weibull"].ok and "positive" in outcomes["weibull"].error
+
+    def test_gumbel_fit_anchors_gev(self, monkeypatch):
+        runs = []
+        search = evtkit.fitting.nelder_mead
+
+        def counted(*args, **kwargs):
+            runs.append(search(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(evtkit.fitting, "nelder_mead", counted)
+        results = [o.result for o in fit_all(FIXTURE)]
+        # one search each for Gumbel, Frechet and Weibull, two for the GEV
+        assert len(runs) == 5
+        assert sum(r.n_evaluations for r in results) == sum(r.n_evaluations for r in runs)
+        assert results[3].iterations == runs[3].iterations + runs[4].iterations
+        assert results[3] == fit_mle("gev", FIXTURE)
 
     def test_degenerate_sample_captured_per_family(self):
         outcomes = fit_all(Sample(np.full(5, 3.0)))

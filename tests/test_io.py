@@ -32,6 +32,12 @@ class TestLoadCsv:
         ds = load_csv(f)
         assert ds.years == (1970, 1971)
 
+    def test_byte_order_mark_keeps_first_row(self, tmp_path):
+        f = tmp_path / "bom.csv"
+        f.write_bytes(b"\xef\xbb\xbf1.5\n2.5\n3.5\n4.5\n")
+        ds = load_csv(f)
+        assert np.array_equal(ds.sample.values, [1.5, 2.5, 3.5, 4.5])
+
     def test_blank_lines_ignored_but_counted(self, tmp_path):
         f = tmp_path / "gaps.csv"
         f.write_text("1.0\n\n2.0\n")

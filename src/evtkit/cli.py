@@ -8,12 +8,13 @@ error, 3 numerical failure (no family converged).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
 
 from .diagnostics import AD_CRITICAL_VALUES, anderson_darling, select_best
-from .distributions import FAMILIES, FAMILY_LABELS, params_from_sequence, params_to_dict
+from .distributions import FAMILIES, FAMILY_LABELS, params_from_sequence
 from .errors import (
     DegenerateSampleError,
     DomainError,
@@ -25,6 +26,7 @@ from .errors import (
 from .fitting import FitOutcome, fit_all, fit_mle
 from .io import load_csv, simulate_to_csv, write_text_atomic
 from .pipeline import emit_plot_data, emit_report, fit_outcome_to_dict, run_pipeline
+from .pipeline import render_fit_table, render_gof_table
 from .returns import DEFAULT_RETURN_PERIODS, ReturnSpec, return_level_table
 
 EXIT_OK = 0
@@ -184,30 +186,12 @@ def _fit_rows(outcomes):
     return [fit_outcome_to_dict(o) for o in outcomes]
 
 
-def _print_fit_text(outcomes):
-    print(f"{'family':<9}{'location':>10}{'scale':>10}{'shape':>10}{'log-lik':>12}{'converged':>11}")
-    for o in outcomes:
-        label = FAMILY_LABELS[o.family]
-        if o.result is None:
-            print(f"{label:<9}ERROR: {o.error}")
-            continue
-        p = params_to_dict(o.result.params)
-
-        def cell(key):
-            return f"{p[key]:.2f}" if key in p else "-"
-
-        print(
-            f"{label:<9}{cell('location'):>10}{cell('scale'):>10}{cell('shape'):>10}"
-            f"{o.result.log_likelihood:>12.2f}{('yes' if o.result.converged else 'NO'):>11}"
-        )
-
-
 def _cmd_fit(args) -> int:
     dataset, outcomes = _fit_selected(args)
     if args.format == "json":
         print(json.dumps({"dataset": dataset.label, "fits": _fit_rows(outcomes)}, indent=2))
     else:
-        _print_fit_text(outcomes)
+        print("\n".join(render_fit_table(outcomes)))
     return EXIT_NUMERICAL if _no_usable_fit(outcomes) else EXIT_OK
 
 
@@ -223,33 +207,13 @@ def _cmd_gof(args) -> int:
         payload = {
             "dataset": dataset.label,
             "fits": _fit_rows(outcomes),
-            "gof": [
-                None
-                if g is None
-                else {
-                    "family": g.family,
-                    "statistic": g.statistic,
-                    "alpha": g.alpha,
-                    "critical_value": g.critical_value,
-                    "passed": g.passed,
-                }
-                for g in gofs
-            ],
+            "gof": [None if g is None else dataclasses.asdict(g) for g in gofs],
         }
         fitted = [g for g in gofs if g is not None]
         payload["best_family"] = select_best(fitted) if fitted else None
         print(json.dumps(payload, indent=2))
     else:
-        print(f"{'family':<9}{'statistic':>11}{'critical':>10}{'result':>8}")
-        for o, g in zip(outcomes, gofs):
-            label = FAMILY_LABELS[o.family]
-            if g is None:
-                print(f"{label:<9}{'ERROR':>11}{'-':>10}{'-':>8}")
-            else:
-                print(
-                    f"{label:<9}{g.statistic:>11.3f}{g.critical_value:>10.3f}"
-                    f"{('PASS' if g.passed else 'FAIL'):>8}"
-                )
+        print("\n".join(render_gof_table(outcomes, gofs)))
         fitted = [g for g in gofs if g is not None]
         if len(fitted) > 1:
             print(f"best family: {FAMILY_LABELS[select_best(fitted)]}")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import os
 import tempfile
 from dataclasses import dataclass
@@ -14,6 +15,10 @@ from .errors import DomainError, EmptyDatasetError, ParseError
 from .sample import Sample
 
 __all__ = ["Dataset", "load_csv", "simulate_to_csv", "write_text_atomic"]
+
+# Cells per format_column chunk: enough that the per-chunk Python work is
+# negligible, few enough that a chunk's per-cell strings stay small.
+CHUNK_CELLS = 4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -39,7 +44,7 @@ def _parse_float(token: str, row: int) -> float:
         value = float(token)
     except ValueError:
         raise ParseError(row, f"could not parse {token!r} as a number") from None
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise ParseError(row, f"non-finite value {token!r}")
     return value
 
@@ -136,17 +141,33 @@ def write_text_atomic(path, text: str) -> Path:
     return path
 
 
-def write_csv(path, header: str, rows) -> Path:
-    """Write a small delimited file with a fixed header row."""
-    lines = [header]
-    lines.extend(",".join(_format_cell(cell) for cell in row) for row in rows)
-    return write_text_atomic(path, "\n".join(lines) + "\n")
+def format_column(values) -> list[str]:
+    """Text of a one-dimensional column, as newline-joined chunks of ``CHUNK_CELLS`` cells.
+
+    Floats are written as their shortest round-trip ``repr``, anything else
+    (years, indices) with ``str``. Each chunk is formatted by C loops, and
+    the column is never held as one string per cell.
+    """
+    arr = np.asarray(values)
+    fmt = repr if arr.dtype.kind == "f" else str
+    return [
+        "\n".join(map(fmt, arr[i : i + CHUNK_CELLS].tolist()))
+        for i in range(0, arr.size, CHUNK_CELLS)
+    ]
 
 
-def _format_cell(cell) -> str:
-    if isinstance(cell, float):
-        return repr(cell)
-    return str(cell)
+def write_csv(path, header: str, *columns: list[str]) -> Path:
+    """Write a comma-delimited file: the header row, then one row per cell index.
+
+    Each column is the :func:`format_column` text of an array, and all
+    columns have the same length, so their chunks line up. A column text can
+    be passed to several files.
+    """
+    body = [
+        "\n".join(map(",".join, zip(*(chunk.split("\n") for chunk in chunks))))
+        for chunks in zip(*columns)
+    ]
+    return write_text_atomic(path, "\n".join([header, *body]) + "\n")
 
 
 def simulate_to_csv(dist: Distribution, n: int, seed: int, path) -> Path:
@@ -155,5 +176,4 @@ def simulate_to_csv(dist: Distribution, n: int, seed: int, path) -> Path:
     The same seed always produces a byte-identical file.
     """
     sample = dist.sample(n, seed)
-    text = "\n".join(repr(float(v)) for v in sample.values) + "\n"
-    return write_text_atomic(path, text)
+    return write_text_atomic(path, "\n".join(format_column(sample.values)) + "\n")

@@ -14,6 +14,7 @@ from .diagnostics import (
     GofResult,
     anderson_darling,
     describe,
+    plotting_positions,
     probability_difference,
     qq_series,
     select_best,
@@ -21,7 +22,7 @@ from .diagnostics import (
 from .distributions import FAMILY_LABELS, Distribution, params_from_dict, params_to_dict
 from .errors import NumericalError, UnsupportedFormatError
 from .fitting import DEFAULT_CONFIG, FitOutcome, FitResult, OptimizerConfig, fit_all
-from .io import Dataset, write_csv
+from .io import Dataset, format_column, write_csv
 from .returns import ReturnLevelTable, ReturnSpec, return_curve, return_level_table
 
 __all__ = [
@@ -32,6 +33,8 @@ __all__ = [
     "report_to_dict",
     "report_from_dict",
     "fit_outcome_to_dict",
+    "render_fit_table",
+    "render_gof_table",
     "REPORT_FORMATS",
 ]
 
@@ -219,37 +222,13 @@ def _text_report(report: AnalysisReport) -> str:
 
     lines.append("Fitted parameters (maximum likelihood)")
     lines.append("--------------------------------------")
-    header = f"  {'family':<9}{'location':>10}{'scale':>10}{'shape':>10}{'log-lik':>12}{'converged':>11}"
-    lines.append(header)
-    for fit in report.fits:
-        label = FAMILY_LABELS.get(fit.family, fit.family)
-        if fit.result is None:
-            lines.append(f"  {label:<9}ERROR: {fit.error}")
-            continue
-        p = params_to_dict(fit.result.params)
-        lines.append(
-            f"  {label:<9}"
-            f"{_fmt(p.get('location')):>10}"
-            f"{_fmt(p.get('scale')):>10}"
-            f"{_fmt(p.get('shape')):>10}"
-            f"{_fmt(fit.result.log_likelihood):>12}"
-            f"{('yes' if fit.result.converged else 'NO'):>11}"
-        )
+    lines.extend(render_fit_table(report.fits, indent="  "))
     lines.append("")
 
     alpha = next((g.alpha for g in report.gofs if g is not None), 0.05)
     lines.append(f"Goodness of fit (Anderson-Darling, alpha = {alpha:g})")
     lines.append("-----------------------------------------------")
-    lines.append(f"  {'family':<9}{'statistic':>11}{'critical':>10}{'result':>8}")
-    for fit, gof in zip(report.fits, report.gofs):
-        label = FAMILY_LABELS.get(fit.family, fit.family)
-        if gof is None:
-            lines.append(f"  {label:<9}{'ERROR':>11}{'-':>10}{'-':>8}")
-            continue
-        verdict = "PASS" if gof.passed else "FAIL"
-        lines.append(
-            f"  {label:<9}{_fmt(gof.statistic, 3):>11}{_fmt(gof.critical_value, 3):>10}{verdict:>8}"
-        )
+    lines.extend(render_gof_table(report.fits, report.gofs, indent="  "))
     lines.append("")
 
     best_label = FAMILY_LABELS.get(report.best_family, report.best_family)
@@ -261,6 +240,43 @@ def _text_report(report: AnalysisReport) -> str:
     for period, level in report.return_levels.entries:
         lines.append(f"  {period:<13g}{_fmt(level):>10}")
     return "\n".join(lines) + "\n"
+
+
+def render_fit_table(fits, indent: str = "") -> list[str]:
+    """Lines of the fitted-parameter table, one row per family, each prefixed by ``indent``."""
+    columns = f"{'location':>10}{'scale':>10}{'shape':>10}{'log-lik':>12}{'converged':>11}"
+    lines = [f"{indent}{'family':<9}{columns}"]
+    for fit in fits:
+        label = FAMILY_LABELS.get(fit.family, fit.family)
+        if fit.result is None:
+            lines.append(f"{indent}{label:<9}ERROR: {fit.error}")
+            continue
+        p = params_to_dict(fit.result.params)
+        lines.append(
+            f"{indent}{label:<9}"
+            f"{_fmt(p.get('location')):>10}"
+            f"{_fmt(p.get('scale')):>10}"
+            f"{_fmt(p.get('shape')):>10}"
+            f"{_fmt(fit.result.log_likelihood):>12}"
+            f"{('yes' if fit.result.converged else 'NO'):>11}"
+        )
+    return lines
+
+
+def render_gof_table(fits, gofs, indent: str = "") -> list[str]:
+    """Lines of the Anderson-Darling table, one row per family, each prefixed by ``indent``."""
+    lines = [f"{indent}{'family':<9}{'statistic':>11}{'critical':>10}{'result':>8}"]
+    for fit, gof in zip(fits, gofs):
+        label = FAMILY_LABELS.get(fit.family, fit.family)
+        if gof is None:
+            lines.append(f"{indent}{label:<9}{'ERROR':>11}{'-':>10}{'-':>8}")
+            continue
+        verdict = "PASS" if gof.passed else "FAIL"
+        lines.append(
+            f"{indent}{label:<9}{_fmt(gof.statistic, 3):>11}"
+            f"{_fmt(gof.critical_value, 3):>10}{verdict:>8}"
+        )
+    return lines
 
 
 # --- plot data --------------------------------------------------------------
@@ -278,46 +294,35 @@ def emit_plot_data(report: AnalysisReport, dataset: Dataset, out_dir) -> dict[st
     out_dir = Path(out_dir)
     written: dict[str, Path] = {}
 
-    x = dataset.sample.values
-    years = dataset.years if dataset.years is not None else tuple(range(1, dataset.sample.n + 1))
-    written["timeseries"] = write_csv(
-        out_dir / "timeseries.csv",
-        "year,value",
-        ((year, float(value)) for year, value in zip(years, x)),
-    )
+    def write(name: str, header: str, *columns: list[str]) -> None:
+        written[name] = write_csv(out_dir / f"{name}.csv", header, *columns)
+
+    sample = dataset.sample
+    x = sample.values
+    # Years stay Python ints: numpy would turn a mix of int64 and uint64 magnitudes to float.
+    years = np.array(dataset.years or range(1, sample.n + 1), dtype=object)
+    write("timeseries", "year,value", format_column(years), format_column(x))
 
     lo, hi = float(np.min(x)), float(np.max(x))
     margin = PDF_GRID_MARGIN * (hi - lo)
     grid = np.linspace(lo - margin, hi + margin, PDF_GRID_POINTS)
+    # Columns that several files share are formatted once.
+    grid_text = format_column(grid)
+    positions_text = format_column(plotting_positions(sample.n))
+    sorted_text = format_column(sample.sorted_values())
     for fit in report.fits:
         if fit.result is None:
             continue
-        dist = fit.result.params
-        density = np.atleast_1d(dist.pdf(grid))
-        written[f"pdf_{fit.family}"] = write_csv(
-            out_dir / f"pdf_{fit.family}.csv",
-            "x,pdf",
-            ((float(a), float(b)) for a, b in zip(grid, density)),
-        )
-        qq = qq_series(dataset.sample, dist)
-        written[f"qq_{fit.family}"] = write_csv(
-            out_dir / f"qq_{fit.family}.csv",
-            "p,theoretical,observed",
-            (
-                (float(p), float(t), float(o))
-                for p, t, o in zip(qq.positions, qq.theoretical, qq.observed)
-            ),
-        )
-        diff = probability_difference(dataset.sample, dist)
-        written[f"prob_diff_{fit.family}"] = write_csv(
-            out_dir / f"prob_diff_{fit.family}.csv",
-            "x,diff",
-            ((float(a), float(b)) for a, b in zip(diff.x, diff.diff)),
-        )
+        dist, family = fit.result.params, fit.family
+        write(f"pdf_{family}", "x,pdf", grid_text, format_column(dist.pdf(grid)))
+        theoretical = format_column(qq_series(sample, dist).theoretical)
+        write(f"qq_{family}", "p,theoretical,observed", positions_text, theoretical, sorted_text)
+        diff = format_column(probability_difference(sample, dist).diff)
+        write(f"prob_diff_{family}", "x,diff", sorted_text, diff)
 
     best_params = _params_for(report.fits, report.best_family)
     p_max = max(report.return_levels.periods)
     p_min = RETURN_CURVE_MIN_PERIOD if p_max > RETURN_CURVE_MIN_PERIOD else (1.0 + p_max) / 2.0
-    curve = return_curve(best_params, p_min, p_max, RETURN_CURVE_POINTS)
-    written["return_curve"] = write_csv(out_dir / "return_curve.csv", "period,level", curve)
+    periods, levels = zip(*return_curve(best_params, p_min, p_max, RETURN_CURVE_POINTS))
+    write("return_curve", "period,level", format_column(periods), format_column(levels))
     return written

@@ -35,8 +35,13 @@ class Sample:
         return int(self.values.size)
 
     def sorted_values(self) -> np.ndarray:
-        """Ascending view of the values (stable sort)."""
-        return np.sort(self.values, kind="stable")
+        """Ascending copy of the values (stable sort); sorted once, then shared read-only."""
+        ordered = self.__dict__.get("_sorted")
+        if ordered is None:
+            ordered = np.sort(self.values, kind="stable")
+            ordered.flags.writeable = False
+            object.__setattr__(self, "_sorted", ordered)
+        return ordered
 
     def __len__(self) -> int:
         return self.n

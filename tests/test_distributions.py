@@ -262,6 +262,13 @@ class TestSampleContainer:
         assert np.array_equal(s.values, [3.0, 1.0, 2.0])  # original order kept
         assert s.n == len(s) == 3
 
+    def test_sorted_view_is_computed_once_and_read_only(self):
+        s = Sample(np.array([3.0, 1.0, 2.0]))
+        ordered = s.sorted_values()
+        assert s.sorted_values() is ordered
+        with pytest.raises(ValueError):
+            ordered[0] = 0.0
+
 
 class TestParamRecords:
     def test_scale_must_be_positive(self):

@@ -5,6 +5,7 @@ import pytest
 
 from evtkit import Dataset, Sample, load_csv, simulate_to_csv
 from evtkit.errors import DomainError, EmptyDatasetError, ParseError
+from evtkit.io import CHUNK_CELLS, format_column, write_csv
 
 from conftest import GEV_MM
 
@@ -54,6 +55,14 @@ class TestLoadCsv:
     def test_non_finite_rejected(self, tmp_path):
         f = tmp_path / "inf.csv"
         f.write_text("1.0\nnan\n")
+        with pytest.raises(ParseError) as err:
+            load_csv(f)
+        assert err.value.row == 2
+
+    @pytest.mark.parametrize("token", ["inf", "-Infinity", "1e400"])
+    def test_infinite_and_overflowing_values_rejected(self, tmp_path, token):
+        f = tmp_path / "inf.csv"
+        f.write_text(f"1970,1.0\n1971,{token}\n")
         with pytest.raises(ParseError) as err:
             load_csv(f)
         assert err.value.row == 2
@@ -119,6 +128,22 @@ class TestDataset:
             Dataset("x", Sample(np.array([1.0, 2.0])), years=(1991, 1990))
         with pytest.raises(DomainError):
             Dataset("x", Sample(np.array([1.0, 2.0])), years=(1990, 1990))
+
+
+class TestWriteCsv:
+    def test_columns_across_chunk_edges_match_row_wise_text(self, tmp_path):
+        n = 2 * CHUNK_CELLS + 1
+        index = np.arange(n)
+        values = np.linspace(-1.0, 1.0, n) ** 3
+        path = write_csv(tmp_path / "t.csv", "i,v", format_column(index), format_column(values))
+        rows = [f"{i},{float(v)!r}" for i, v in zip(index, values)]
+        assert path.read_text() == "\n".join(["i,v", *rows]) + "\n"
+
+    def test_format_column_chunks(self):
+        chunks = format_column(np.array([0.1, -0.0, 5e-324, 1e16] * CHUNK_CELLS))
+        assert len(chunks) == 4
+        assert chunks[0].split("\n")[:4] == ["0.1", "-0.0", "5e-324", "1e+16"]
+        assert format_column(range(3)) == ["0\n1\n2"]
 
 
 class TestSimulate:

@@ -15,7 +15,16 @@ from evtkit import (
     report_to_dict,
     run_pipeline,
 )
+from evtkit.diagnostics import probability_difference, qq_series
 from evtkit.errors import NumericalError, UnsupportedFormatError
+from evtkit.io import CHUNK_CELLS
+from evtkit.pipeline import (
+    PDF_GRID_MARGIN,
+    PDF_GRID_POINTS,
+    RETURN_CURVE_MIN_PERIOD,
+    RETURN_CURVE_POINTS,
+)
+from evtkit.returns import return_curve
 
 from conftest import GEV_MM
 
@@ -182,3 +191,72 @@ class TestEmitPlotData:
         second = emit_plot_data(report, synthetic_dataset, tmp_path / "b")
         for name in first:
             assert first[name].read_bytes() == second[name].read_bytes()
+
+
+def _row_wise_csv(header, rows):
+    """Plot-file text by the row-wise rule: ``repr`` of each float cell, ``str`` of each int."""
+    lines = [header]
+    lines.extend(
+        ",".join(repr(cell) if isinstance(cell, float) else str(cell) for cell in row)
+        for row in rows
+    )
+    return "\n".join(lines) + "\n"
+
+
+def _floats(*columns):
+    return zip(*(map(float, column) for column in columns))
+
+
+def _row_wise_plot_files(report, dataset):
+    sample = dataset.sample
+    x = sample.values
+    years = dataset.years if dataset.years is not None else range(1, sample.n + 1)
+    files = {"timeseries": _row_wise_csv("year,value", zip(years, map(float, x)))}
+    lo, hi = float(x.min()), float(x.max())
+    margin = PDF_GRID_MARGIN * (hi - lo)
+    grid = np.linspace(lo - margin, hi + margin, PDF_GRID_POINTS)
+    for fit in report.fits:
+        if fit.result is None:
+            continue
+        dist, family = fit.result.params, fit.family
+        files[f"pdf_{family}"] = _row_wise_csv("x,pdf", _floats(grid, dist.pdf(grid)))
+        qq = qq_series(sample, dist)
+        files[f"qq_{family}"] = _row_wise_csv(
+            "p,theoretical,observed", _floats(qq.positions, qq.theoretical, qq.observed)
+        )
+        diff = probability_difference(sample, dist)
+        files[f"prob_diff_{family}"] = _row_wise_csv("x,diff", _floats(diff.x, diff.diff))
+    best = next(f.result.params for f in report.fits if f.family == report.best_family)
+    p_max = max(report.return_levels.periods)
+    assert p_max > RETURN_CURVE_MIN_PERIOD
+    curve = return_curve(best, RETURN_CURVE_MIN_PERIOD, p_max, RETURN_CURVE_POINTS)
+    files["return_curve"] = _row_wise_csv("period,level", curve)
+    return files
+
+
+EDGE_CELLS = (-0.0, 5e-324, 1e-5, 1e16, 0.1)
+
+
+class TestPlotFileBytes:
+    """Column-wise plot files equal the row-wise rule byte for byte, across chunk edges."""
+
+    @pytest.mark.parametrize("n", [CHUNK_CELLS - 1, CHUNK_CELLS, CHUNK_CELLS + 1])
+    @pytest.mark.parametrize("years", ["plain", "beyond_int64", "index"])
+    def test_every_file_matches_row_wise_rule(self, report, tmp_path, n, years):
+        body = GEV_MM.sample(n - len(EDGE_CELLS), n).values
+        values = np.concatenate([body[: n // 2], EDGE_CELLS, body[n // 2 :]])
+        year_column = {
+            "plain": tuple(range(1900, 1900 + n)),
+            # numpy would read a mix of int64 and uint64 magnitudes as floats
+            "beyond_int64": tuple(range(n - 1)) + (2**63,),
+            "index": None,
+        }[years]
+        dataset = Dataset("edges", Sample(values), years=year_column)
+        written = emit_plot_data(report, dataset, tmp_path)
+        expected = _row_wise_plot_files(report, dataset)
+        assert set(written) == set(expected)
+        for name, text in expected.items():
+            assert written[name].read_bytes() == text.encode(), name
+        timeseries = expected["timeseries"]
+        for cell in ("-0.0", "5e-324", "1e-05", "1e+16", "0.1"):
+            assert f",{cell}\n" in timeseries

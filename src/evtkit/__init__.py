@@ -25,7 +25,6 @@ from .distributions import (
     FAMILIES,
     FAMILY_LABELS,
     GEV,
-    GUMBEL_SHAPE_EPS,
     Distribution,
     Frechet,
     Gumbel,
@@ -83,7 +82,6 @@ __all__ = [
     "Frechet",
     "GEV",
     "GofResult",
-    "GUMBEL_SHAPE_EPS",
     "Gumbel",
     "OptimizerConfig",
     "QqSeries",

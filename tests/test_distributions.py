@@ -1,9 +1,13 @@
 """Closed-form values, identities, and distributional properties."""
 
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from evtkit import (
@@ -87,6 +91,11 @@ class TestCdf:
         vec = reference_dist.cdf(np.array(xs))
         for x, v in zip(xs, vec):
             assert reference_dist.cdf(x) == v
+
+    def test_frechet_cdf_at_smallest_subnormal_is_silent_zero(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert FRECHET_MM.cdf(5e-324) == 0.0
 
 
 class TestPdf:
@@ -210,7 +219,7 @@ class TestNegativeShapeGev:
 
 
 class TestGumbelLimit:
-    """GEV with |shape| at 1e-12 collapses to the exact Gumbel formulas."""
+    """GEV with |shape| at 1e-12 agrees with the Gumbel formulas."""
 
     @pytest.mark.parametrize("shape", [1e-12, -1e-12])
     def test_pdf_cdf_quantile_agree(self, shape):
@@ -220,6 +229,63 @@ class TestGumbelLimit:
         assert np.max(np.abs(gev.cdf(x) - GUMBEL_MM.cdf(x))) < 1e-8
         p = np.linspace(0.01, 0.99, 100)
         assert np.max(np.abs(gev.quantile(p) - GUMBEL_MM.quantile(p))) < 1e-8
+
+
+class TestGumbelCase:
+    """Shape 0 is the Gumbel case of the GEV formulas, to the last bit."""
+
+    def test_log_density_is_gumbel_bit_for_bit(self):
+        x = np.concatenate([np.linspace(-20000.0, 20000.0, 4001), [93.61, 1e300, -1e300]])
+        with np.errstate(over="ignore"):
+            gev = GEV.log_density(x, 93.61, math.log(32.02), 0.0)
+            gumbel = Gumbel.log_density(x, 93.61, math.log(32.02))
+        assert np.array_equal(gev, gumbel)
+
+    def test_cdf_and_quantile_are_gumbel_bit_for_bit(self):
+        gev = GEV(93.61, 32.02, 0.0)
+        x = np.linspace(-20000.0, 20000.0, 4001)
+        assert np.array_equal(gev.cdf(x), GUMBEL_MM.cdf(x))
+        p = np.concatenate([np.linspace(1e-6, 1.0 - 1e-6, 4001), [1e-300, 1.0 - 1e-16]])
+        assert np.array_equal(gev.quantile(p), GUMBEL_MM.quantile(p))
+
+
+_SHAPES = st.one_of(
+    st.just(0.0),
+    st.builds(
+        lambda sign, log10: sign * 10.0**log10,
+        st.sampled_from([1.0, -1.0]),
+        st.floats(-300.0, math.log10(0.5)),
+    ),
+)
+
+
+class TestAgainstMpmath:
+    """GEV(0, 1, shape) against 50-digit references for shapes at and near 0."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(shape=_SHAPES, p=st.floats(1e-6, 1.0 - 1e-6))
+    @example(shape=0.99e-8, p=0.99)
+    @example(shape=-0.99e-8, p=0.01)
+    @example(shape=1e-12, p=0.999)
+    @example(shape=1e-300, p=0.5)
+    @example(shape=0.5, p=1.0 - 1e-6)
+    @example(shape=-0.5, p=1.0 - 1e-6)
+    def test_quantile_cdf_and_log_pdf(self, shape, p):
+        dist = GEV(0.0, 1.0, shape)
+        with mpmath.workdps(50):
+            level = -mpmath.log(-mpmath.log(p))
+            expected_q = level if shape == 0.0 else mpmath.expm1(shape * level) / shape
+            q = dist.quantile(p)
+            # The quantile is 0 at p = 1/e, where the conditioning of
+            # -log(-log p) alone rules out a purely relative bound.
+            assert abs(q - expected_q) <= 1e-14 * max(abs(expected_q), 1.0)
+            z = mpmath.mpf(q)
+            assert 1.0 + shape * z > 0.0
+            lt = mpmath.log1p(shape * z)
+            w = lt / shape if shape else z
+            assert abs(dist.cdf(q) - mpmath.exp(-mpmath.exp(-w))) <= 1e-15
+            expected_log_pdf = -lt - w - mpmath.exp(-w)
+            assert abs(dist.log_pdf(q) - expected_log_pdf) <= 1e-13 * abs(expected_log_pdf)
 
 
 class TestSampling:

@@ -76,6 +76,7 @@ class FitResult:
     converged: bool
     iterations: int
     n_evaluations: int
+    winning_start: str | None  # GEV only: "moment" or "gumbel_anchor"
     initial_params: Distribution
 
 
@@ -215,7 +216,8 @@ def fit_mle(
     and the better of the two maxima is kept; this guarantees the fitted GEV
     log-likelihood never falls below the fitted Gumbel one. :func:`fit_all`
     passes in the Gumbel fit it has already made. ``iterations`` and
-    ``n_evaluations`` count over the family's own searches, not that fit.
+    ``n_evaluations`` count over the family's own searches, not that fit, and
+    ``winning_start`` names the GEV search kept (None for other families).
     The fitted parameters follow any change of units of the data.
 
     A result with ``converged=False`` (rather than an exception) is returned
@@ -243,6 +245,7 @@ def fit_mle(
         runs.append(_search(GEV.log_density, data, config, anchor, steps))
 
     best = min(runs, key=lambda run: run.fun)  # the first search wins ties
+    winning_start = None if len(runs) == 1 else "moment" if best is runs[0] else "gumbel_anchor"
     params = _unpack(family, best.x, mean, sd) if math.isfinite(best.fun) else None
     converged = best.converged
     if params is None:
@@ -255,6 +258,7 @@ def fit_mle(
         converged=converged,
         iterations=sum(run.iterations for run in runs),
         n_evaluations=sum(run.n_evaluations for run in runs),
+        winning_start=winning_start,
         initial_params=init,
     )
 

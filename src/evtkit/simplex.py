@@ -3,11 +3,20 @@
 Plain reflection/expansion/contraction/shrink scheme. Objective values of
 +inf (or NaN, treated as +inf) mark infeasible points and are handled as
 worst-vertex, so hard constraint violations simply repel the simplex.
+
+The bookkeeping runs on Python floats: with at most 4 vertices of 3
+coordinates, numpy's fixed cost per call would dominate the arithmetic.
+The order of each floating-point operation is part of the contract (the
+centroid is summed in value order, then divided): it fixes every fit to the bit.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import reduce
+from itertools import combinations
+from operator import add
 from typing import Callable
 
 import numpy as np
@@ -42,9 +51,9 @@ def nelder_mead(
     Parameters
     ----------
     func : callable
-        Objective taking a 1-d coordinate array, returning a float.
+        Objective taking a fresh 1-d float64 coordinate array, returning a float.
     x0 : array_like
-        Starting point; becomes the first vertex of the initial simplex.
+        Finite starting point; becomes the first vertex of the initial simplex.
     initial_steps : float or array_like
         Per-coordinate offsets used to build the other vertices.
     max_iterations : int
@@ -58,48 +67,61 @@ def nelder_mead(
     -------
     SimplexResult
         Best vertex found, its value, convergence flag, and counters.
+
+    Raises
+    ------
+    DomainError
+        Non-finite ``x0``; steps that are zero, non-finite, or neither a
+        scalar nor one per coordinate.
     """
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    x0 = np.asarray(x0, dtype=float).ravel()
     ndim = x0.size
-    steps = np.broadcast_to(np.asarray(initial_steps, dtype=float), (ndim,))
+    try:
+        steps = np.broadcast_to(np.asarray(initial_steps, dtype=float), (ndim,))
+    except ValueError:
+        raise DomainError(f"initial simplex steps must be a scalar or one per coordinate ({ndim})") from None
     if not np.all(np.isfinite(steps)) or np.any(steps == 0.0):
         raise DomainError("initial simplex steps must be finite and nonzero")
+    if not np.all(np.isfinite(x0)):
+        raise DomainError("starting point must be finite")
 
     n_evaluations = 0
 
-    def evaluate(x: np.ndarray) -> float:
+    def evaluate(x: list[float]) -> float:
         nonlocal n_evaluations
         n_evaluations += 1
-        value = float(func(x))
-        return np.inf if np.isnan(value) else value
+        value = float(func(np.array(x)))
+        return math.inf if math.isnan(value) else value
 
-    vertices = np.tile(x0, (ndim + 1, 1))
-    for i in range(ndim):
-        vertices[i + 1, i] += steps[i]
-    values = np.array([evaluate(v) for v in vertices])
+    start = x0.tolist()
+    vertices = [start] + [
+        start[:i] + [start[i] + step] + start[i + 1 :] for i, step in enumerate(steps.tolist())
+    ]
+    values = [evaluate(v) for v in vertices]
 
     converged = False
     iterations = 0
     while True:
-        order = np.argsort(values, kind="stable")
-        vertices = vertices[order]
-        values = values[order]
+        order = sorted(range(ndim + 1), key=values.__getitem__)  # stable, as argsort's
+        vertices = [vertices[i] for i in order]
+        values = [values[i] for i in order]
 
-        f_spread = values[-1] - values[0]
-        x_spread = np.max(vertices.max(axis=0) - vertices.min(axis=0))
-        if f_spread < function_tolerance and x_spread < parameter_tolerance:
+        # The widest pair of a coordinate rounds to its max - min; NaN fails, as in numpy.
+        if values[-1] - values[0] < function_tolerance and all(
+            abs(a - b) < parameter_tolerance for col in zip(*vertices) for a, b in combinations(col, 2)
+        ):
             converged = True
             break
         if iterations >= max_iterations:
             break
         iterations += 1
 
-        centroid = vertices[:-1].mean(axis=0)
-        reflected = centroid + _REFLECT * (centroid - vertices[-1])
+        centroid = [reduce(add, col) / ndim for col in zip(*vertices[:-1])]
+        reflected = [c + _REFLECT * (c - w) for c, w in zip(centroid, vertices[-1])]
         f_reflected = evaluate(reflected)
 
         if f_reflected < values[0]:
-            expanded = centroid + _EXPAND * (centroid - vertices[-1])
+            expanded = [c + _EXPAND * (c - w) for c, w in zip(centroid, vertices[-1])]
             f_expanded = evaluate(expanded)
             if f_expanded < f_reflected:
                 vertices[-1], values[-1] = expanded, f_expanded
@@ -108,31 +130,31 @@ def nelder_mead(
         elif f_reflected < values[-2]:
             vertices[-1], values[-1] = reflected, f_reflected
         elif f_reflected < values[-1]:
-            contracted = centroid + _CONTRACT * (reflected - centroid)
+            contracted = [c + _CONTRACT * (r - c) for c, r in zip(centroid, reflected)]
             f_contracted = evaluate(contracted)
             if f_contracted <= f_reflected:
                 vertices[-1], values[-1] = contracted, f_contracted
             else:
                 _shrink(vertices, values, evaluate)
         else:
-            contracted = centroid - _CONTRACT * (centroid - vertices[-1])
+            contracted = [c - _CONTRACT * (c - w) for c, w in zip(centroid, vertices[-1])]
             f_contracted = evaluate(contracted)
             if f_contracted < values[-1]:
                 vertices[-1], values[-1] = contracted, f_contracted
             else:
                 _shrink(vertices, values, evaluate)
 
-    best = int(np.argmin(values))
+    # The vertices were just sorted, so the first is the first minimum.
     return SimplexResult(
-        x=vertices[best].copy(),
-        fun=float(values[best]),
+        x=np.array(vertices[0]),
+        fun=values[0],
         converged=converged,
         iterations=iterations,
         n_evaluations=n_evaluations,
     )
 
 
-def _shrink(vertices: np.ndarray, values: np.ndarray, evaluate) -> None:
-    for i in range(1, vertices.shape[0]):
-        vertices[i] = vertices[0] + _SHRINK * (vertices[i] - vertices[0])
+def _shrink(vertices: list[list[float]], values: list[float], evaluate) -> None:
+    for i in range(1, len(vertices)):
+        vertices[i] = [b + _SHRINK * (v - b) for b, v in zip(vertices[0], vertices[i])]
         values[i] = evaluate(vertices[i])

@@ -1,6 +1,7 @@
 """Maximum-likelihood fitting: oracles, recovery, and batch behavior."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from evtkit import (
     fit_all,
     fit_mle,
     initial_params,
+    load_csv,
     log_likelihood,
 )
 from evtkit.errors import DegenerateSampleError, DomainError
@@ -238,10 +240,52 @@ class TestFitAll:
         assert results[3].iterations == runs[3].iterations + runs[4].iterations
         assert results[3] == fit_mle("gev", FIXTURE)
 
+    @pytest.mark.parametrize("seed, start", [(3, "moment"), (1, "gumbel_anchor")])
+    def test_winning_gev_start_is_recorded(self, monkeypatch, seed, start):
+        runs = []
+        search = evtkit.fitting.nelder_mead
+
+        def counted(*args, **kwargs):
+            runs.append(search(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(evtkit.fitting, "nelder_mead", counted)
+        results = {o.family: o.result for o in fit_all(GEV_MM.sample(51, seed))}
+        moment, anchor = runs[3], runs[4]
+        assert (moment.fun < anchor.fun) == (start == "moment")  # a strict win either way
+        assert results["gev"].winning_start == start
+        assert results["gev"].iterations == moment.iterations + anchor.iterations
+        assert [results[f].winning_start for f in ("gumbel", "frechet", "weibull")] == [None] * 3
+
     def test_degenerate_sample_captured_per_family(self):
         outcomes = fit_all(Sample(np.full(5, 3.0)))
         assert all(not o.ok for o in outcomes)
         assert all(o.error for o in outcomes)
+
+
+class TestRepositoryFixturePinned:
+    """``fit_all`` on data/synthetic_annual_maxima.csv, to the last bit.
+
+    Any change in the order of the simplex arithmetic moves these values.
+    """
+
+    EXPECTED = {
+        "gumbel": ("Gumbel(location=94.09438209748623, scale=29.73609090391562)", 52, 107),
+        "frechet": ("Frechet(shape=3.231717231667848, scale=89.41286584968003, location=0.0)", 57, 112),
+        "weibull": ("Weibull(shape=2.80191955088449, scale=125.2107033800961)", 56, 115),
+        "gev": (
+            "GEV(location=93.04927484488181, scale=29.011560687530174, shape=0.06429702087782241)",
+            178,
+            352,
+        ),
+    }
+
+    def test_fit_all_is_pinned(self):
+        dataset = load_csv(Path(__file__).resolve().parents[1] / "data" / "synthetic_annual_maxima.csv")
+        fits = {o.family: o.result for o in fit_all(dataset.sample)}
+        got = {f: (repr(r.params), r.iterations, r.n_evaluations) for f, r in fits.items()}
+        assert got == self.EXPECTED
+        assert fits["gev"].winning_start == "moment"  # the two GEV searches tie here
 
 
 class TestSimulationRecoveryProperty:

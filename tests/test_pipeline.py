@@ -107,6 +107,15 @@ class TestEmitReport:
         assert doc["best_family"] == "gev"
         assert len(doc["return_levels"]) == 5
 
+    @pytest.mark.parametrize("seed, start", [(3, "moment"), (1, "gumbel_anchor")])
+    def test_winning_gev_start_inside_fit(self, seed, start):
+        report = run_pipeline(Dataset("s", GEV_MM.sample(51, seed)))
+        doc = json.loads(emit_report(report, "json"))
+        assert set(doc) == {"descriptive", "fits", "gof", "best_family", "return_levels"}
+        starts = {entry["family"]: entry["fit"]["winning_start"] for entry in doc["fits"]}
+        assert starts == {"gumbel": None, "frechet": None, "weibull": None, "gev": start}
+        assert report_from_dict(doc) == report
+
     def test_dict_round_trip_without_json(self, report):
         assert report_from_dict(report_to_dict(report)) == report
 

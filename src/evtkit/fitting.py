@@ -1,11 +1,12 @@
 """Maximum-likelihood estimation of the extreme value families.
 
-Each family is fitted by direct log-likelihood maximization with the
-Nelder-Mead simplex, run in transformed coordinates: scales and positive
-shapes are optimized on the log scale so positivity holds by construction,
-and the GEV shape is unconstrained. Points where an observation falls
-outside the candidate support evaluate to a log-likelihood of -inf, which
-the simplex treats as worst-vertex.
+Each family is fitted by direct log-likelihood maximization with one
+Nelder-Mead simplex search, run in transformed coordinates: scales and
+positive shapes are optimized on the log scale so positivity holds by
+construction, and the GEV shape is kept above -1. The GEV search starts from
+the fitted Gumbel at shape 0, its nested case. Points where an observation
+falls outside the candidate support evaluate to a log-likelihood of -inf,
+which the simplex treats as worst-vertex.
 
 Fits run on standardized data, Gumbel and GEV on ``(x - mean) / sd`` and
 Frechet and Weibull on ``log x``, so initial steps and tolerances mean the
@@ -41,14 +42,13 @@ __all__ = [
     "initial_params",
     "fit_mle",
     "fit_all",
-    "INITIAL_GEV_SHAPE",
 ]
 
-# Fixed starting shape for the GEV search; slightly off the Gumbel ridge,
-# where the shape derivative is delicate.
-INITIAL_GEV_SHAPE = 0.1
-
 _MIN_FIT_SIZE = 3
+
+# At shape -1 and below the GEV likelihood is unbounded as the upper end of
+# the support reaches the sample maximum (Smith 1985), so the fit stays above.
+_GEV_SHAPE_FLOOR = -1.0
 
 
 @dataclass(frozen=True)
@@ -76,7 +76,6 @@ class FitResult:
     converged: bool
     iterations: int
     n_evaluations: int
-    winning_start: str | None  # GEV only: "moment" or "gumbel_anchor"
     initial_params: Distribution
 
 
@@ -128,12 +127,6 @@ def _moment_start(family: str, mean: float, sd: float) -> Distribution:
     gumbel_scale = sd * math.sqrt(6.0) / math.pi
     if family == "gumbel":
         return Gumbel(location=mean - EULER_GAMMA * gumbel_scale, scale=gumbel_scale)
-    if family == "gev":
-        return GEV(
-            location=mean - EULER_GAMMA * gumbel_scale,
-            scale=gumbel_scale,
-            shape=INITIAL_GEV_SHAPE,
-        )
     if family == "frechet":
         return Frechet(shape=1.0 / gumbel_scale, scale=math.exp(mean - EULER_GAMMA * gumbel_scale))
     return Weibull(shape=1.0 / gumbel_scale, scale=math.exp(mean + EULER_GAMMA * gumbel_scale))
@@ -142,8 +135,8 @@ def _moment_start(family: str, mean: float, sd: float) -> Distribution:
 def initial_params(family: str, sample: Sample) -> Distribution:
     """Deterministic moment-matching starting point for ``family``.
 
-    Gumbel/GEV match mean and standard deviation of the data (GEV starts at
-    shape ``INITIAL_GEV_SHAPE``); Frechet and Weibull apply the same Gumbel
+    Gumbel/GEV match mean and standard deviation of the data (the GEV at
+    shape 0, its Gumbel case); Frechet and Weibull apply the same Gumbel
     moment matching to the log data, which lands inside the valid parameter
     domain whenever the data are strictly positive.
 
@@ -155,7 +148,13 @@ def initial_params(family: str, sample: Sample) -> Distribution:
         Frechet/Weibull requested for data with non-positive values.
     """
     _, mean, sd = _fit_data(family, sample, 2)
+    if family == "gev":
+        return _at_shape_zero(_moment_start("gumbel", mean, sd))
     return _moment_start(family, mean, sd)
+
+
+def _at_shape_zero(gumbel: Gumbel) -> GEV:
+    return GEV(location=gumbel.location, scale=gumbel.scale, shape=0.0)
 
 
 def _pack(dist: Distribution) -> tuple[np.ndarray, np.ndarray]:
@@ -163,9 +162,6 @@ def _pack(dist: Distribution) -> tuple[np.ndarray, np.ndarray]:
     if isinstance(dist, Gumbel):
         theta = [dist.location, math.log(dist.scale)]
         steps = [0.1 * dist.scale, 0.1]
-    elif isinstance(dist, GEV):
-        theta = [dist.location, math.log(dist.scale), dist.shape]
-        steps = [0.1 * dist.scale, 0.1, 0.1]
     else:  # Frechet (location pinned at 0) and Weibull
         theta = [math.log(dist.shape), math.log(dist.scale)]
         steps = [0.1, 0.1]
@@ -186,22 +182,6 @@ def _unpack(family: str, theta: np.ndarray, mean: float, sd: float) -> Distribut
         return None
 
 
-def _search(log_density, data, config, theta0, steps):
-    def nll(theta):
-        value = -log_density(data, *theta).sum()
-        return value if math.isfinite(value) else math.inf
-
-    with np.errstate(all="ignore"):
-        return nelder_mead(
-            nll,
-            theta0,
-            initial_steps=steps,
-            max_iterations=config.max_iterations,
-            function_tolerance=config.function_tolerance,
-            parameter_tolerance=config.parameter_tolerance,
-        )
-
-
 def fit_mle(
     family: str,
     sample: Sample,
@@ -209,19 +189,22 @@ def fit_mle(
     *,
     _gumbel_fit: FitResult | None = None,
 ) -> FitResult:
-    """Fit ``family`` to ``sample`` by maximum likelihood.
+    """Fit ``family`` to ``sample`` by maximum likelihood, with one simplex search.
 
-    The search starts from :func:`initial_params`. For the GEV a second,
-    deterministic search is run from the fitted Gumbel solution with shape 0,
-    and the better of the two maxima is kept; this guarantees the fitted GEV
-    log-likelihood never falls below the fitted Gumbel one. :func:`fit_all`
-    passes in the Gumbel fit it has already made. ``iterations`` and
-    ``n_evaluations`` count over the family's own searches, not that fit, and
-    ``winning_start`` names the GEV search kept (None for other families).
+    The search starts from :func:`initial_params`, except for the GEV: its
+    search starts from the fitted Gumbel solution with shape 0 (which
+    :func:`fit_all` passes in, as it has already made it). The simplex never
+    trades its best vertex for a worse one, so the fitted GEV log-likelihood
+    never falls below the fitted Gumbel one. The GEV shape is kept above -1,
+    where the likelihood becomes unbounded. ``initial_params`` of the result
+    is the point the search started from, in data units; ``iterations`` and
+    ``n_evaluations`` count the family's own search, not the Gumbel fit.
     The fitted parameters follow any change of units of the data.
 
     A result with ``converged=False`` (rather than an exception) is returned
-    when the iteration budget runs out before the simplex collapses.
+    when the iteration budget runs out before the simplex collapses, and,
+    reporting the start, when the search found no point whose log-likelihood
+    on the data is finite.
 
     Raises
     ------
@@ -231,34 +214,50 @@ def fit_mle(
         Unknown family, or data outside the family support.
     """
     work, mean, sd = _fit_data(family, sample, _MIN_FIT_SIZE)
-    init = _moment_start(family, mean, sd)
     if family in ("frechet", "weibull"):
-        data, start = work, init
+        data, init = work, _moment_start(family, mean, sd)
+        theta0, steps = _pack(init)
     else:
-        data, start = (work - mean) / sd, _moment_start(family, 0.0, 1.0)
-    theta0, steps = _pack(start)
-    runs = [_search(type(init).log_density, data, config, theta0, steps)]
-
+        data, init = (work - mean) / sd, _moment_start("gumbel", mean, sd)
+        theta0, steps = _pack(_moment_start("gumbel", 0.0, 1.0))
     if family == "gev":
         gumbel = (_gumbel_fit or fit_mle("gumbel", sample, config)).params
-        anchor = np.array([(gumbel.location - mean) / sd, math.log(gumbel.scale / sd), 0.0])
-        runs.append(_search(GEV.log_density, data, config, anchor, steps))
+        init = _at_shape_zero(gumbel)
+        theta0 = [(gumbel.location - mean) / sd, math.log(gumbel.scale / sd), 0.0]
+        steps = [*steps, 0.1]
+    log_density = type(init).log_density
+    bounded = family == "gev"
 
-    best = min(runs, key=lambda run: run.fun)  # the first search wins ties
-    winning_start = None if len(runs) == 1 else "moment" if best is runs[0] else "gumbel_anchor"
+    def nll(theta):
+        if bounded and theta[2] <= _GEV_SHAPE_FLOOR:
+            return math.inf
+        value = -log_density(data, *theta).sum()
+        return value if math.isfinite(value) else math.inf
+
+    with np.errstate(all="ignore"):
+        best = nelder_mead(
+            nll,
+            theta0,
+            initial_steps=steps,
+            max_iterations=config.max_iterations,
+            function_tolerance=config.function_tolerance,
+            parameter_tolerance=config.parameter_tolerance,
+        )
     params = _unpack(family, best.x, mean, sd) if math.isfinite(best.fun) else None
+    loglik = -math.inf if params is None else log_likelihood(params, sample)
     converged = best.converged
-    if params is None:
-        # No feasible point found; report the start, flagged unconverged.
+    if not math.isfinite(loglik):
+        # No feasible point found, or rounding on the way back to data units
+        # left an observation off the support: report the start, unconverged.
         params, converged = init, False
+        loglik = log_likelihood(init, sample)
 
     return FitResult(
         params=params,
-        log_likelihood=log_likelihood(params, sample),
+        log_likelihood=loglik,
         converged=converged,
-        iterations=sum(run.iterations for run in runs),
-        n_evaluations=sum(run.n_evaluations for run in runs),
-        winning_start=winning_start,
+        iterations=best.iterations,
+        n_evaluations=best.n_evaluations,
         initial_params=init,
     )
 

@@ -138,7 +138,6 @@ def fit_outcome_to_dict(fit: FitOutcome) -> dict:
             "converged": result.converged,
             "iterations": result.iterations,
             "n_evaluations": result.n_evaluations,
-            "winning_start": result.winning_start,
             "initial_params": params_to_dict(result.initial_params),
         },
     }
@@ -170,7 +169,6 @@ def _fit_from_dict(entry: dict) -> FitOutcome:
         converged=bool(payload["converged"]),
         iterations=int(payload["iterations"]),
         n_evaluations=int(payload["n_evaluations"]),
-        winning_start=payload["winning_start"],
         initial_params=params_from_dict(payload["initial_params"]),
     )
     return FitOutcome(family=entry["family"], result=result)

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from evtkit import load_csv, simulate_to_csv
+from evtkit import GEV, load_csv, simulate_to_csv
 from evtkit.cli import EXIT_DATA, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
 
 from conftest import GEV_MM
@@ -143,6 +143,21 @@ class TestReportCommand:
         assert (out_dir / "qq_gev.csv").exists()
         written = json.loads((out_dir / "report.json").read_text())
         assert written == doc
+
+    def test_json_is_strict_for_a_short_bounded_tail(self, tmp_path, capsys):
+        # Without the shape floor the GEV fit here ran to shape -1.47 and
+        # wrote its log-likelihood as -Infinity.
+        path = tmp_path / "short.csv"
+        simulate_to_csv(GEV(100.0, 20.0, -0.6), 15, 0, path)
+        code, out, _ = run_main(["report", "--input", str(path), "--format", "json"], capsys)
+        assert code == EXIT_OK
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        doc = json.loads(out, parse_constant=reject)
+        gev = next(entry["fit"] for entry in doc["fits"] if entry["family"] == "gev")
+        assert gev["params"]["shape"] > -1.0
 
 
 class TestSimulateCommand:

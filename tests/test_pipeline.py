@@ -114,6 +114,22 @@ class TestEmitReport:
         assert [set(entry["fit"]) for entry in doc["fits"]] == [fields] * 4
         assert report_from_dict(doc) == report
 
+    # Seed 3 is a sample on which a search from the moment start used to beat
+    # the one from the Gumbel anchor; seed 1 one on which the anchor won. The
+    # GEV now runs only the anchored search on both, and records that start.
+    @pytest.mark.parametrize("seed, start", [(3, "moment"), (1, "gumbel_anchor")])
+    def test_winning_gev_start_inside_fit(self, seed, start):
+        report = run_pipeline(Dataset("s", GEV_MM.sample(51, seed)))
+        doc = json.loads(emit_report(report, "json"))
+        fits = {entry["family"]: entry["fit"] for entry in doc["fits"]}
+        assert all("winning_start" not in fit for fit in fits.values())
+        gumbel, gev = fits["gumbel"], fits["gev"]
+        anchor = {"family": "gev", "location": gumbel["params"]["location"],
+                  "scale": gumbel["params"]["scale"], "shape": 0.0}
+        assert gev["initial_params"] == anchor
+        assert gev["log_likelihood"] >= gumbel["log_likelihood"]
+        assert report_from_dict(doc) == report
+
     def test_dict_round_trip_without_json(self, report):
         assert report_from_dict(report_to_dict(report)) == report
 

@@ -26,7 +26,7 @@ from .errors import (
 from .fitting import FitOutcome, fit_all, fit_mle
 from .io import load_csv, simulate_to_csv, write_text_atomic
 from .pipeline import emit_plot_data, emit_report, fit_outcome_to_dict, run_pipeline
-from .pipeline import render_fit_table, render_gof_table
+from .pipeline import render_fit_table, render_gof_table, render_return_table
 from .returns import DEFAULT_RETURN_PERIODS, ReturnSpec, return_level_table
 
 EXIT_OK = 0
@@ -242,12 +242,8 @@ def _cmd_return_levels(args) -> int:
         }
         print(json.dumps(payload, indent=2))
     else:
-        families = list(tables)
-        header = f"{'period (yr)':<13}" + "".join(f"{FAMILY_LABELS[f]:>12}" for f in families)
-        print(header)
-        for i, period in enumerate(args.periods.periods):
-            cells = "".join(f"{tables[f].entries[i][1]:>12.2f}" for f in families)
-            print(f"{period:<13g}{cells}")
+        columns = {FAMILY_LABELS[family]: table for family, table in tables.items()}
+        print("\n".join(render_return_table(columns)))
     return EXIT_NUMERICAL if _no_usable_fit(outcomes) else EXIT_OK
 
 

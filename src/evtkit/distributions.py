@@ -78,9 +78,11 @@ def _set(obj, **fields):
 class _EvdFamily:
     """Shared array handling; subclasses implement the closed forms.
 
-    A family's static ``log_density`` is its one likelihood formula, used by
-    ``_log_pdf`` and summed by the fitter. It takes scales (and Frechet and
-    Weibull shapes) as logarithms and validates nothing.
+    There are two likelihood kernels, the static ``Gumbel.log_density`` and
+    ``GEV.log_density``, used by ``_log_pdf`` and summed by the fitter. They
+    take the scale as a logarithm and validate nothing. Frechet and Weibull
+    have none of their own: their ``_log_pdf`` is the Gumbel kernel at log x
+    and -log x, less log x.
     """
 
     family: ClassVar[str]
@@ -221,19 +223,12 @@ class Frechet(_EvdFamily):
         out[inside] = np.exp(-np.power(z, -self.shape))
         return out
 
-    @staticmethod
-    def log_density(log_x, log_shape, log_scale):
-        """Log density with lower endpoint 0, at ``exp(log_x)``."""
-        shape = np.exp(log_shape)
-        lz = log_x - log_scale
-        return log_shape - log_scale - (1.0 + shape) * lz - np.exp(-shape * lz)
-
     def _log_pdf(self, x):
+        # lx = log(x - location) is Gumbel(log scale, 1/shape), and the Jacobian adds -lx.
         out = np.full_like(x, -np.inf)
         inside = x > self.location
-        out[inside] = self.log_density(
-            np.log(x[inside] - self.location), math.log(self.shape), math.log(self.scale)
-        )
+        lx = np.log(x[inside] - self.location)
+        out[inside] = Gumbel.log_density(lx, math.log(self.scale), -math.log(self.shape)) - lx
         return out
 
     def _quantile(self, p):
@@ -270,17 +265,12 @@ class Weibull(_EvdFamily):
         out[inside] = -np.expm1(-np.power(z, self.shape))
         return out
 
-    @staticmethod
-    def log_density(log_x, log_shape, log_scale):
-        """Log density at ``exp(log_x)``."""
-        shape = np.exp(log_shape)
-        lz = log_x - log_scale
-        return log_shape - log_scale + (shape - 1.0) * lz - np.exp(shape * lz)
-
     def _log_pdf(self, x):
+        # w = -log x is Gumbel(-log scale, 1/shape), and the Jacobian adds w.
         out = np.full_like(x, -np.inf)
         inside = x > 0.0
-        out[inside] = self.log_density(np.log(x[inside]), math.log(self.shape), math.log(self.scale))
+        w = -np.log(x[inside])
+        out[inside] = Gumbel.log_density(w, -math.log(self.scale), -math.log(self.shape)) + w
         return out
 
     def _quantile(self, p):

@@ -1,17 +1,15 @@
 """Maximum-likelihood estimation of the extreme value families.
 
-Each family is fitted by direct log-likelihood maximization with one
-Nelder-Mead simplex search, run in transformed coordinates: scales and
-positive shapes are optimized on the log scale so positivity holds by
-construction, and the GEV shape is kept above -1. The GEV search starts from
-the fitted Gumbel at shape 0, its nested case. Points where an observation
-falls outside the candidate support evaluate to a log-likelihood of -inf,
-which the simplex treats as worst-vertex.
-
-Fits run on standardized data, Gumbel and GEV on ``(x - mean) / sd`` and
-Frechet and Weibull on ``log x``, so initial steps and tolerances mean the
-same at every data scale (Coles 2001, section 3.3). The objective sums the
-family's ``log_density``; the parameters are mapped back to data units.
+Every family is fitted by log-likelihood maximization with one Nelder-Mead
+simplex search, as a Gumbel or a GEV. If X is Frechet(shape, scale), log X is
+Gumbel(log scale, 1/shape); if X is Weibull(shape, scale), -log X is
+Gumbel(-log scale, 1/shape) (Coles 2001, section 3.1). So the search runs on
+``(work - mean) / sd``, with ``work`` the data, log x or -log x, and initial
+steps and tolerances mean the same at every data scale (Coles 2001, section
+3.3). Scales are searched on the log scale, and the GEV shape is kept above
+-1. The GEV search starts from the fitted Gumbel at shape 0, its nested case.
+A point that leaves an observation off the support has log-likelihood -inf,
+the simplex's worst vertex. The parameters are mapped back to data units.
 """
 
 from __future__ import annotations
@@ -101,7 +99,7 @@ def log_likelihood(dist: Distribution, sample: Sample) -> float:
 
 
 def _fit_data(family: str, sample: Sample, min_size: int) -> tuple[np.ndarray, float, float]:
-    """The values a family is fitted on (x, or log x), with their mean and standard deviation."""
+    """The fitted values w (x, log x or -log x) as ``(w - mean) / sd``, with that mean and sd."""
     if family not in FAMILIES:
         raise DomainError(f"unknown family {family!r}; expected one of {FAMILIES}")
     if sample.n < min_size:
@@ -114,31 +112,42 @@ def _fit_data(family: str, sample: Sample, min_size: int) -> tuple[np.ndarray, f
                 f"{float(sample.values.min())}"
             )
         work = np.log(sample.values)
+        if family == "weibull":
+            np.negative(work, out=work)
     else:
-        work = sample.values
+        work = sample.values.copy()
 
     mean, sd, _ = scaled_deviations(work)
     if sd == 0.0:
         raise DegenerateSampleError("sample standard deviation is zero")
+    work -= mean
+    work /= sd
     return work, mean, sd
 
 
-def _moment_start(family: str, mean: float, sd: float) -> Distribution:
-    gumbel_scale = sd * math.sqrt(6.0) / math.pi
-    if family == "gumbel":
-        return Gumbel(location=mean - EULER_GAMMA * gumbel_scale, scale=gumbel_scale)
+def _moment_gumbel(mean: float, sd: float) -> tuple[float, float]:
+    """Location and scale of the Gumbel with the given mean and standard deviation."""
+    scale = sd * math.sqrt(6.0) / math.pi
+    return mean - EULER_GAMMA * scale, scale
+
+
+def _from_gumbel(family: str, location: float, scale: float) -> Distribution:
+    """The ``family`` record whose fitted values (x, log x or -log x) are Gumbel(location, scale)."""
     if family == "frechet":
-        return Frechet(shape=1.0 / gumbel_scale, scale=math.exp(mean - EULER_GAMMA * gumbel_scale))
-    return Weibull(shape=1.0 / gumbel_scale, scale=math.exp(mean + EULER_GAMMA * gumbel_scale))
+        return Frechet(shape=1.0 / scale, scale=math.exp(location))
+    if family == "weibull":
+        return Weibull(shape=1.0 / scale, scale=math.exp(-location))
+    return Gumbel(location=location, scale=scale)
 
 
 def initial_params(family: str, sample: Sample) -> Distribution:
     """Deterministic moment-matching starting point for ``family``.
 
-    Gumbel/GEV match mean and standard deviation of the data (the GEV at
-    shape 0, its Gumbel case); Frechet and Weibull apply the same Gumbel
-    moment matching to the log data, which lands inside the valid parameter
-    domain whenever the data are strictly positive.
+    The Gumbel that matches the mean and standard deviation of the values
+    the family is fitted on: x for Gumbel and GEV (the GEV at shape 0, its
+    Gumbel case), log x for Frechet and -log x for Weibull, mapped to the
+    family. It lies inside the parameter domain whenever the data are
+    strictly positive.
 
     Raises
     ------
@@ -148,36 +157,21 @@ def initial_params(family: str, sample: Sample) -> Distribution:
         Frechet/Weibull requested for data with non-positive values.
     """
     _, mean, sd = _fit_data(family, sample, 2)
-    if family == "gev":
-        return _at_shape_zero(_moment_start("gumbel", mean, sd))
-    return _moment_start(family, mean, sd)
+    start = _from_gumbel(family, *_moment_gumbel(mean, sd))
+    return _at_shape_zero(start) if family == "gev" else start
 
 
 def _at_shape_zero(gumbel: Gumbel) -> GEV:
     return GEV(location=gumbel.location, scale=gumbel.scale, shape=0.0)
 
 
-def _pack(dist: Distribution) -> tuple[np.ndarray, np.ndarray]:
-    """Map a parameter record to unconstrained optimizer coordinates and steps."""
-    if isinstance(dist, Gumbel):
-        theta = [dist.location, math.log(dist.scale)]
-        steps = [0.1 * dist.scale, 0.1]
-    else:  # Frechet (location pinned at 0) and Weibull
-        theta = [math.log(dist.shape), math.log(dist.scale)]
-        steps = [0.1, 0.1]
-    return np.asarray(theta, dtype=float), np.asarray(steps, dtype=float)
-
-
-def _unpack(family: str, theta: np.ndarray, mean: float, sd: float) -> Distribution | None:
-    """Inverse of :func:`_pack` (Gumbel/GEV on ``(x - mean) / sd``); None when infeasible."""
+def _unpack(family: str, theta, mean: float, sd: float) -> Distribution | None:
+    """Parameters in data units of a search point on ``(work - mean) / sd``; None when infeasible."""
     try:
-        if family == "gumbel":
-            return Gumbel(location=mean + sd * theta[0], scale=sd * math.exp(theta[1]))
+        location, scale = mean + sd * theta[0], sd * math.exp(theta[1])
         if family == "gev":
-            return GEV(location=mean + sd * theta[0], scale=sd * math.exp(theta[1]), shape=theta[2])
-        if family == "frechet":
-            return Frechet(shape=math.exp(theta[0]), scale=math.exp(theta[1]))
-        return Weibull(shape=math.exp(theta[0]), scale=math.exp(theta[1]))
+            return GEV(location=location, scale=scale, shape=theta[2])
+        return _from_gumbel(family, location, scale)
     except (DomainError, OverflowError):
         return None
 
@@ -191,15 +185,17 @@ def fit_mle(
 ) -> FitResult:
     """Fit ``family`` to ``sample`` by maximum likelihood, with one simplex search.
 
-    The search starts from :func:`initial_params`, except for the GEV: its
-    search starts from the fitted Gumbel solution with shape 0 (which
-    :func:`fit_all` passes in, as it has already made it). The simplex never
-    trades its best vertex for a worse one, so the fitted GEV log-likelihood
-    never falls below the fitted Gumbel one. The GEV shape is kept above -1,
-    where the likelihood becomes unbounded. ``initial_params`` of the result
-    is the point the search started from, in data units; ``iterations`` and
-    ``n_evaluations`` count the family's own search, not the Gumbel fit.
-    The fitted parameters follow any change of units of the data.
+    Gumbel, Frechet and Weibull are a Gumbel search on standardized x, log x
+    and -log x from :func:`initial_params`. The GEV search starts from the
+    fitted Gumbel with shape 0 (which :func:`fit_all` passes in, as it has
+    already made it). The simplex never trades its best vertex for a worse
+    one, so the fitted GEV log-likelihood never falls below the fitted Gumbel
+    one. The GEV shape is kept above -1, where the likelihood becomes
+    unbounded. ``initial_params`` of the result is the point the search
+    started from, in data units; ``iterations`` and ``n_evaluations`` count
+    the family's own search, not the Gumbel fit. ``log_likelihood`` is that
+    of the fitted parameters on ``sample`` itself. The fitted parameters
+    follow any change of units of the data.
 
     A result with ``converged=False`` (rather than an exception) is returned
     when the iteration budget runs out before the simplex collapses, and,
@@ -213,20 +209,19 @@ def fit_mle(
     DomainError
         Unknown family, or data outside the family support.
     """
-    work, mean, sd = _fit_data(family, sample, _MIN_FIT_SIZE)
-    if family in ("frechet", "weibull"):
-        data, init = work, _moment_start(family, mean, sd)
-        theta0, steps = _pack(init)
-    else:
-        data, init = (work - mean) / sd, _moment_start("gumbel", mean, sd)
-        theta0, steps = _pack(_moment_start("gumbel", 0.0, 1.0))
-    if family == "gev":
+    data, mean, sd = _fit_data(family, sample, _MIN_FIT_SIZE)
+    location, scale = _moment_gumbel(0.0, 1.0)
+    theta0, steps = [location, math.log(scale)], [0.1 * scale, 0.1]
+    log_density = Gumbel.log_density
+    bounded = family == "gev"
+    if bounded:
         gumbel = (_gumbel_fit or fit_mle("gumbel", sample, config)).params
         init = _at_shape_zero(gumbel)
         theta0 = [(gumbel.location - mean) / sd, math.log(gumbel.scale / sd), 0.0]
         steps = [*steps, 0.1]
-    log_density = type(init).log_density
-    bounded = family == "gev"
+        log_density = GEV.log_density
+    else:
+        init = _from_gumbel(family, *_moment_gumbel(mean, sd))
 
     def nll(theta):
         if bounded and theta[2] <= _GEV_SHAPE_FLOOR:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -35,6 +36,7 @@ __all__ = [
     "fit_outcome_to_dict",
     "render_fit_table",
     "render_gof_table",
+    "render_return_table",
     "REPORT_FORMATS",
 ]
 
@@ -111,9 +113,10 @@ def _params_for(fits: tuple[FitOutcome, ...], family: str) -> Distribution:
 
 
 def report_to_dict(report: AnalysisReport) -> dict:
-    """Plain-dict form of a report (stable field names, full precision)."""
+    """Plain-dict form of a report (stable field names, full precision, None for NaN statistics)."""
+    descriptive = dataclasses.asdict(report.descriptive)
     return {
-        "descriptive": dataclasses.asdict(report.descriptive),
+        "descriptive": {name: None if math.isnan(value) else value for name, value in descriptive.items()},
         "fits": [fit_outcome_to_dict(fit) for fit in report.fits],
         "gof": [None if g is None else dataclasses.asdict(g) for g in report.gofs],
         "best_family": report.best_family,
@@ -145,8 +148,9 @@ def fit_outcome_to_dict(fit: FitOutcome) -> dict:
 
 def report_from_dict(data: dict) -> AnalysisReport:
     """Rebuild a report from :func:`report_to_dict` output (exact round trip)."""
+    descriptive = {name: math.nan if value is None else value for name, value in data["descriptive"].items()}
     return AnalysisReport(
-        descriptive=DescriptiveStats(**data["descriptive"]),
+        descriptive=DescriptiveStats(**descriptive),
         fits=tuple(_fit_from_dict(entry) for entry in data["fits"]),
         gofs=tuple(None if g is None else GofResult(**g) for g in data["gof"]),
         best_family=data["best_family"],
@@ -236,9 +240,7 @@ def _text_report(report: AnalysisReport) -> str:
     lines.append("")
     lines.append(f"Return levels ({best_label})")
     lines.append("-" * (15 + len(best_label) + 1))
-    lines.append(f"  {'period (yr)':<13}{'level':>10}")
-    for period, level in report.return_levels.entries:
-        lines.append(f"  {period:<13g}{_fmt(level):>10}")
+    lines.extend(render_return_table({"level": report.return_levels}, indent="  "))
     return "\n".join(lines) + "\n"
 
 
@@ -276,6 +278,15 @@ def render_gof_table(fits, gofs, indent: str = "") -> list[str]:
             f"{indent}{label:<9}{_fmt(gof.statistic, 3):>11}"
             f"{_fmt(gof.critical_value, 3):>10}{verdict:>8}"
         )
+    return lines
+
+
+def render_return_table(columns: dict[str, ReturnLevelTable], indent: str = "") -> list[str]:
+    """Lines of the return-level table, one column per header in ``columns``, prefixed by ``indent``."""
+    lines = [f"{indent}{'period (yr)':<13}" + "".join(f"{header:>10}" for header in columns)]
+    for row in zip(*(table.entries for table in columns.values())):
+        levels = "".join(f"{_fmt(level):>10}" for _, level in row)
+        lines.append(f"{indent}{row[0][0]:<13g}{levels}")
     return lines
 
 

@@ -1,16 +1,20 @@
 """Command-line interface: subcommands, formats, and exit codes."""
 
 import json
+import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from evtkit import GEV, load_csv, simulate_to_csv
+from evtkit import GEV, load_csv, report_from_dict, simulate_to_csv
 from evtkit.cli import EXIT_DATA, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
 
 from conftest import GEV_MM
+
+FIXTURE_FILE = Path(__file__).resolve().parents[1] / "data" / "synthetic_annual_maxima.csv"
 
 
 @pytest.fixture(scope="module")
@@ -115,6 +119,14 @@ class TestReturnLevelsCommand:
         assert [e["period"] for e in entries] == [2.0, 20.0]
         assert entries[0]["level"] < entries[1]["level"]
 
+    def test_all_families_text_table(self, capsys):
+        code, out, _ = run_main(["return-levels", "--input", str(FIXTURE_FILE), "--dist", "all"], capsys)
+        assert code == EXIT_OK
+        lines = out.splitlines()
+        assert lines[0] == "period (yr)      Gumbel   Frechet   Weibull       GEV"
+        assert lines[4] == "100              230.88    371.19    215.95    248.34"
+        assert len(lines) == 6
+
     def test_bad_periods_is_usage_error(self, data_file, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["return-levels", "--input", str(data_file), "--periods", "50,5"])
@@ -158,6 +170,23 @@ class TestReportCommand:
         doc = json.loads(out, parse_constant=reject)
         gev = next(entry["fit"] for entry in doc["fits"] if entry["family"] == "gev")
         assert gev["params"]["shape"] > -1.0
+
+    def test_json_writes_undefined_statistics_as_null(self, tmp_path, capsys):
+        # Excess kurtosis needs four values; it was written as NaN, which is not JSON.
+        path = tmp_path / "three.csv"
+        path.write_text("10\n12\n15\n")
+        code, out, _ = run_main(["report", "--input", str(path), "--format", "json"], capsys)
+        assert code == EXIT_OK
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        doc = json.loads(out, parse_constant=reject)
+        assert doc["descriptive"]["excess_kurtosis"] is None
+        assert math.isfinite(doc["descriptive"]["skewness"])
+        descriptive = report_from_dict(doc).descriptive
+        assert math.isnan(descriptive.excess_kurtosis)
+        assert descriptive.skewness == doc["descriptive"]["skewness"]
 
 
 class TestSimulateCommand:

@@ -288,6 +288,32 @@ class TestAgainstMpmath:
             assert abs(dist.log_pdf(q) - expected_log_pdf) <= 1e-13 * abs(expected_log_pdf)
 
 
+class TestFrechetWeibullAgainstMpmath:
+    """Frechet and Weibull log densities, from the Gumbel kernel at +-log x, against 50 digits."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        family=st.sampled_from(["frechet", "weibull"]),
+        log10_shape=st.floats(-1.0, 1.5),
+        log10_scale=st.floats(-6.0, 6.0),
+        p=st.floats(1e-6, 1.0 - 1e-6),
+    )
+    @example(family="frechet", log10_shape=1.5, log10_scale=-6.0, p=1e-6)
+    @example(family="weibull", log10_shape=1.5, log10_scale=6.0, p=1.0 - 1e-6)
+    @example(family="weibull", log10_shape=-1.0, log10_scale=0.0, p=1e-6)
+    def test_log_pdf(self, family, log10_shape, log10_scale, p):
+        shape, scale = 10.0**log10_shape, 10.0**log10_scale
+        dist = make_params(family, shape=shape, scale=scale)
+        x = dist.quantile(p)
+        with mpmath.workdps(50):
+            k, lz = mpmath.mpf(shape), mpmath.log(mpmath.mpf(x) / scale)
+            if family == "frechet":
+                expected = mpmath.log(k / scale) - (1 + k) * lz - mpmath.exp(-k * lz)
+            else:
+                expected = mpmath.log(k / scale) + (k - 1) * lz - mpmath.exp(k * lz)
+            assert abs(dist.log_pdf(x) - expected) <= 1e-13 * max(abs(expected), 1.0)
+
+
 class TestSampling:
     def test_same_seed_same_values(self):
         a = GEV_MM.sample(5, 42)

@@ -38,7 +38,6 @@ from .distributions import (
 from .fitting import (
     FitOutcome,
     FitResult,
-    OptimizerConfig,
     fit_all,
     fit_mle,
     initial_params,
@@ -83,7 +82,6 @@ __all__ = [
     "GEV",
     "GofResult",
     "Gumbel",
-    "OptimizerConfig",
     "QqSeries",
     "ReturnLevelTable",
     "ReturnSpec",

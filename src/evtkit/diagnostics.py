@@ -156,7 +156,6 @@ def anderson_darling(
 
     n = sample.n
     z = clamp_probability(dist.cdf(sample.sorted_values()))
-    z = np.atleast_1d(z)
     coeff = 2.0 * np.arange(1, n + 1) - 1.0
     statistic = -n - float(np.sum(coeff * (np.log(z) + np.log1p(-z[::-1])))) / n
     return GofResult.from_statistic(dist.family, statistic, alpha, table[alpha])
@@ -173,7 +172,7 @@ def qq_series(sample: Sample, dist: Distribution) -> QqSeries:
     return QqSeries(
         family=dist.family,
         positions=positions,
-        theoretical=np.atleast_1d(dist.quantile(positions)),
+        theoretical=dist.quantile(positions),
         observed=sample.sorted_values(),
     )
 
@@ -182,7 +181,7 @@ def probability_difference(sample: Sample, dist: Distribution) -> DiffSeries:
     """Difference series i/(n+1) - F(x_(i)) over the ascending order statistics."""
     x = sample.sorted_values()
     positions = plotting_positions(sample.n)
-    return DiffSeries(family=dist.family, x=x, diff=positions - np.atleast_1d(dist.cdf(x)))
+    return DiffSeries(family=dist.family, x=x, diff=positions - dist.cdf(x))
 
 
 def select_best(gofs: list[GofResult]) -> str:

@@ -56,27 +56,11 @@ def clamp_probability(u):
     return np.clip(u, PROB_FLOOR, PROB_CEIL)
 
 
-def _check_finite(name: str, value: float) -> float:
-    value = float(value)
-    if not np.isfinite(value):
-        raise DomainError(f"{name} must be finite, got {value!r}")
-    return value
-
-
-def _check_positive(name: str, value: float) -> float:
-    value = float(value)
-    if not (np.isfinite(value) and value > 0.0):
-        raise DomainError(f"{name} must be a positive finite number, got {value!r}")
-    return value
-
-
-def _set(obj, **fields):
-    for key, val in fields.items():
-        object.__setattr__(obj, key, val)
-
-
 class _EvdFamily:
-    """Shared array handling; subclasses implement the closed forms.
+    """Shared validation and array handling; subclasses implement the closed forms.
+
+    A record stores every field as a float. Each must be finite, and those
+    named in ``_positive`` must also be > 0.
 
     There are two likelihood kernels, the static ``Gumbel.log_density`` and
     ``GEV.log_density``, used by ``_log_pdf`` and summed by the fitter. They
@@ -86,6 +70,17 @@ class _EvdFamily:
     """
 
     family: ClassVar[str]
+    _positive: ClassVar[tuple[str, ...]] = ("scale",)
+
+    def __post_init__(self):
+        for field in dataclasses.fields(self):
+            name, value = field.name, float(getattr(self, field.name))
+            if name in self._positive:
+                if not (math.isfinite(value) and value > 0.0):
+                    raise DomainError(f"{name} must be a positive finite number, got {value!r}")
+            elif not math.isfinite(value):
+                raise DomainError(f"{name} must be finite, got {value!r}")
+            object.__setattr__(self, name, value)
 
     def support(self) -> tuple[float, float]:
         """Open interval on which the density is positive."""
@@ -166,13 +161,6 @@ class Gumbel(_EvdFamily):
 
     family: ClassVar[str] = "gumbel"
 
-    def __post_init__(self):
-        _set(
-            self,
-            location=_check_finite("location", self.location),
-            scale=_check_positive("scale", self.scale),
-        )
-
     def support(self) -> tuple[float, float]:
         return (-np.inf, np.inf)
 
@@ -204,14 +192,7 @@ class Frechet(_EvdFamily):
     location: float = 0.0
 
     family: ClassVar[str] = "frechet"
-
-    def __post_init__(self):
-        _set(
-            self,
-            shape=_check_positive("shape", self.shape),
-            scale=_check_positive("scale", self.scale),
-            location=_check_finite("location", self.location),
-        )
+    _positive: ClassVar[tuple[str, ...]] = ("shape", "scale")
 
     def support(self) -> tuple[float, float]:
         return (self.location, np.inf)
@@ -247,13 +228,7 @@ class Weibull(_EvdFamily):
     scale: float
 
     family: ClassVar[str] = "weibull"
-
-    def __post_init__(self):
-        _set(
-            self,
-            shape=_check_positive("shape", self.shape),
-            scale=_check_positive("scale", self.scale),
-        )
+    _positive: ClassVar[tuple[str, ...]] = ("shape", "scale")
 
     def support(self) -> tuple[float, float]:
         return (0.0, np.inf)
@@ -293,14 +268,6 @@ class GEV(_EvdFamily):
     shape: float
 
     family: ClassVar[str] = "gev"
-
-    def __post_init__(self):
-        _set(
-            self,
-            location=_check_finite("location", self.location),
-            scale=_check_positive("scale", self.scale),
-            shape=_check_finite("shape", self.shape),
-        )
 
     def support(self) -> tuple[float, float]:
         if not self.shape:

@@ -10,6 +10,8 @@ steps and tolerances mean the same at every data scale (Coles 2001, section
 -1. The GEV search starts from the fitted Gumbel at shape 0, its nested case.
 A point that leaves an observation off the support has log-likelihood -inf,
 the simplex's worst vertex. The parameters are mapped back to data units.
+The search has no settings: it runs to the fixed tolerance of
+:func:`~evtkit.simplex.nelder_mead` or its iteration budget of 10 000.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from .sample import Sample, scaled_deviations
 from .simplex import nelder_mead
 
 __all__ = [
-    "OptimizerConfig",
     "FitResult",
     "FitOutcome",
     "log_likelihood",
@@ -47,22 +48,6 @@ _MIN_FIT_SIZE = 3
 # At shape -1 and below the GEV likelihood is unbounded as the upper end of
 # the support reaches the sample maximum (Smith 1985), so the fit stays above.
 _GEV_SHAPE_FLOOR = -1.0
-
-
-@dataclass(frozen=True)
-class OptimizerConfig:
-    max_iterations: int = 10_000
-    function_tolerance: float = 1e-8
-    parameter_tolerance: float = 1e-8
-
-    def __post_init__(self):
-        if self.max_iterations <= 0:
-            raise DomainError("max_iterations must be positive")
-        if self.function_tolerance <= 0 or self.parameter_tolerance <= 0:
-            raise DomainError("tolerances must be positive")
-
-
-DEFAULT_CONFIG = OptimizerConfig()
 
 
 @dataclass(frozen=True)
@@ -176,13 +161,7 @@ def _unpack(family: str, theta, mean: float, sd: float) -> Distribution | None:
         return None
 
 
-def fit_mle(
-    family: str,
-    sample: Sample,
-    config: OptimizerConfig = DEFAULT_CONFIG,
-    *,
-    _gumbel_fit: FitResult | None = None,
-) -> FitResult:
+def fit_mle(family: str, sample: Sample, *, _gumbel_fit: FitResult | None = None) -> FitResult:
     """Fit ``family`` to ``sample`` by maximum likelihood, with one simplex search.
 
     Gumbel, Frechet and Weibull are a Gumbel search on standardized x, log x
@@ -195,12 +174,14 @@ def fit_mle(
     started from, in data units; ``iterations`` and ``n_evaluations`` count
     the family's own search, not the Gumbel fit. ``log_likelihood`` is that
     of the fitted parameters on ``sample`` itself. The fitted parameters
-    follow any change of units of the data.
+    follow any change of units of the data. When rounding on the way back to
+    data units puts the finite end of a GEV support onto an observation, the
+    location moves one float outward, which keeps the likelihood finite.
 
     A result with ``converged=False`` (rather than an exception) is returned
-    when the iteration budget runs out before the simplex collapses, and,
-    reporting the start, when the search found no point whose log-likelihood
-    on the data is finite.
+    when the iteration budget of :func:`~evtkit.simplex.nelder_mead` runs out
+    before the simplex collapses, and, reporting the start, when the search
+    found no point whose log-likelihood on the data is finite.
 
     Raises
     ------
@@ -215,7 +196,7 @@ def fit_mle(
     log_density = Gumbel.log_density
     bounded = family == "gev"
     if bounded:
-        gumbel = (_gumbel_fit or fit_mle("gumbel", sample, config)).params
+        gumbel = (_gumbel_fit or fit_mle("gumbel", sample)).params
         init = _at_shape_zero(gumbel)
         theta0 = [(gumbel.location - mean) / sd, math.log(gumbel.scale / sd), 0.0]
         steps = [*steps, 0.1]
@@ -230,20 +211,19 @@ def fit_mle(
         return value if math.isfinite(value) else math.inf
 
     with np.errstate(all="ignore"):
-        best = nelder_mead(
-            nll,
-            theta0,
-            initial_steps=steps,
-            max_iterations=config.max_iterations,
-            function_tolerance=config.function_tolerance,
-            parameter_tolerance=config.parameter_tolerance,
-        )
+        best = nelder_mead(nll, theta0, initial_steps=steps)
     params = _unpack(family, best.x, mean, sd) if math.isfinite(best.fun) else None
     loglik = -math.inf if params is None else log_likelihood(params, sample)
+    if bounded and params is not None and params.shape and not math.isfinite(loglik):
+        # Rounding on the way back to data units can put the finite end of the
+        # support onto an extreme observation: move the location one float out.
+        location = math.nextafter(params.location, math.copysign(math.inf, -params.shape))
+        params = GEV(location=location, scale=params.scale, shape=params.shape)
+        loglik = log_likelihood(params, sample)
     converged = best.converged
     if not math.isfinite(loglik):
-        # No feasible point found, or rounding on the way back to data units
-        # left an observation off the support: report the start, unconverged.
+        # No feasible point found, or an observation is still off the support:
+        # report the start, unconverged.
         params, converged = init, False
         loglik = log_likelihood(init, sample)
 
@@ -257,7 +237,7 @@ def fit_mle(
     )
 
 
-def fit_all(sample: Sample, config: OptimizerConfig = DEFAULT_CONFIG) -> list[FitOutcome]:
+def fit_all(sample: Sample) -> list[FitOutcome]:
     """Fit all four families, in the fixed family order.
 
     The Gumbel fit also serves as the shape-0 anchor of the GEV fit.
@@ -269,7 +249,7 @@ def fit_all(sample: Sample, config: OptimizerConfig = DEFAULT_CONFIG) -> list[Fi
     for family in FAMILIES:
         gumbel = outcomes[0].result if family == "gev" else None  # FAMILIES starts with gumbel
         try:
-            result = fit_mle(family, sample, config, _gumbel_fit=gumbel)
+            result = fit_mle(family, sample, _gumbel_fit=gumbel)
             outcomes.append(FitOutcome(family, result=result))
         except (DomainError, DegenerateSampleError) as exc:
             outcomes.append(FitOutcome(family, error=str(exc)))

@@ -64,10 +64,11 @@ def _is_numeric(token: str) -> bool:
     return True
 
 
-def load_csv(path, columns: str = "auto", label: str | None = None) -> Dataset:
+def load_csv(path, columns: str = "auto") -> Dataset:
     """Load a block-maxima series from a comma-delimited UTF-8 file (BOM ignored).
 
-    Two layouts are accepted: one value per line, or ``year,value`` rows.
+    The dataset's label is the file name without its suffix. Two layouts
+    are accepted: one value per line, or ``year,value`` rows.
     ``columns`` may pin the layout to ``"value"`` or ``"year_value"``;
     ``"auto"`` infers it from the first data row. A single leading header
     row is skipped when it is not numeric. Blank lines are ignored but keep
@@ -117,7 +118,7 @@ def load_csv(path, columns: str = "auto", label: str | None = None) -> Dataset:
     if not values:
         raise EmptyDatasetError(f"no data rows in {path}")
     return Dataset(
-        label=label or path.stem,
+        label=path.stem,
         sample=Sample(np.asarray(values)),
         years=tuple(years) if years else None,
     )

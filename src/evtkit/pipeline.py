@@ -22,7 +22,7 @@ from .diagnostics import (
 )
 from .distributions import FAMILY_LABELS, Distribution, params_from_dict, params_to_dict
 from .errors import NumericalError, UnsupportedFormatError
-from .fitting import DEFAULT_CONFIG, FitOutcome, FitResult, OptimizerConfig, fit_all
+from .fitting import FitOutcome, FitResult, fit_all
 from .io import Dataset, format_column, write_csv
 from .returns import ReturnLevelTable, ReturnSpec, return_curve, return_level_table
 
@@ -59,29 +59,26 @@ class AnalysisReport:
     return_levels: ReturnLevelTable
 
 
-def run_pipeline(
-    dataset: Dataset,
-    spec: ReturnSpec | None = None,
-    alpha: float = 0.05,
-    config: OptimizerConfig = DEFAULT_CONFIG,
-    critical_values: dict[float, float] | None = None,
-) -> AnalysisReport:
+def run_pipeline(dataset: Dataset, spec: ReturnSpec | None = None, alpha: float = 0.05) -> AnalysisReport:
     """Full deterministic analysis of one dataset.
 
     Fits all four families, tests each successful fit with the
-    Anderson-Darling statistic, selects the best family, and computes its
-    return-level table. Per-family failures are recorded in the report.
+    Anderson-Darling statistic at level ``alpha``, selects the best family,
+    and computes its return-level table for ``spec`` (the default periods
+    when None). Per-family failures are recorded in the report.
 
     Raises
     ------
+    DomainError
+        ``alpha`` has no critical value in ``AD_CRITICAL_VALUES``.
     NumericalError
         No family could be fitted, or none of the fits converged.
     """
     spec = spec or ReturnSpec()
     descriptive = describe(dataset.sample)
-    fits = tuple(fit_all(dataset.sample, config))
+    fits = tuple(fit_all(dataset.sample))
     gofs = tuple(
-        anderson_darling(dataset.sample, fit.result.params, alpha, critical_values)
+        anderson_darling(dataset.sample, fit.result.params, alpha)
         if fit.result is not None
         else None
         for fit in fits
@@ -113,10 +110,10 @@ def _params_for(fits: tuple[FitOutcome, ...], family: str) -> Distribution:
 
 
 def report_to_dict(report: AnalysisReport) -> dict:
-    """Plain-dict form of a report (stable field names, full precision, None for NaN statistics)."""
+    """Plain-dict form of a report (stable field names, full precision, None for non-finite statistics)."""
     descriptive = dataclasses.asdict(report.descriptive)
     return {
-        "descriptive": {name: None if math.isnan(value) else value for name, value in descriptive.items()},
+        "descriptive": {name: value if math.isfinite(value) else None for name, value in descriptive.items()},
         "fits": [fit_outcome_to_dict(fit) for fit in report.fits],
         "gof": [None if g is None else dataclasses.asdict(g) for g in report.gofs],
         "best_family": report.best_family,
@@ -147,8 +144,14 @@ def fit_outcome_to_dict(fit: FitOutcome) -> dict:
 
 
 def report_from_dict(data: dict) -> AnalysisReport:
-    """Rebuild a report from :func:`report_to_dict` output (exact round trip)."""
+    """Rebuild a report from :func:`report_to_dict` output (exact round trip).
+
+    A ``None`` statistic reads back as NaN, except the variance, which is
+    ``std_dev * std_dev`` as :func:`describe` computes it (inf past the float range).
+    """
     descriptive = {name: math.nan if value is None else value for name, value in data["descriptive"].items()}
+    if data["descriptive"]["variance"] is None:
+        descriptive["variance"] = descriptive["std_dev"] * descriptive["std_dev"]
     return AnalysisReport(
         descriptive=DescriptiveStats(**descriptive),
         fits=tuple(_fit_from_dict(entry) for entry in data["fits"]),

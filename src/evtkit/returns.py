@@ -91,5 +91,5 @@ def return_curve(
     if int(n_points) < 2:
         raise DomainError("need at least two curve points")
     periods = np.geomspace(p_min, p_max, int(n_points))
-    levels = np.atleast_1d(dist.quantile(1.0 - 1.0 / periods))
+    levels = dist.quantile(1.0 - 1.0 / periods)
     return [(float(p), float(v)) for p, v in zip(periods, levels)]

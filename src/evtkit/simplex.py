@@ -27,6 +27,8 @@ _REFLECT = 1.0
 _EXPAND = 2.0
 _CONTRACT = 0.5
 _SHRINK = 0.5
+# Converged when the vertex values and every coordinate agree to within this.
+_TOLERANCE = 1e-8
 
 
 @dataclass(frozen=True)
@@ -43,10 +45,11 @@ def nelder_mead(
     x0,
     initial_steps=0.1,
     max_iterations: int = 10_000,
-    function_tolerance: float = 1e-8,
-    parameter_tolerance: float = 1e-8,
 ) -> SimplexResult:
     """Minimize ``func`` starting from ``x0``.
+
+    Converged when the spread of the vertex values and the spread of every
+    coordinate over the vertices are below 1e-8.
 
     Parameters
     ----------
@@ -58,10 +61,6 @@ def nelder_mead(
         Per-coordinate offsets used to build the other vertices.
     max_iterations : int
         Hard cap on simplex steps.
-    function_tolerance, parameter_tolerance : float
-        Converged when the spread of vertex function values is below
-        ``function_tolerance`` and every coordinate spread is below
-        ``parameter_tolerance``.
 
     Returns
     -------
@@ -107,8 +106,8 @@ def nelder_mead(
         values = [values[i] for i in order]
 
         # The widest pair of a coordinate rounds to its max - min; NaN fails, as in numpy.
-        if values[-1] - values[0] < function_tolerance and all(
-            abs(a - b) < parameter_tolerance for col in zip(*vertices) for a, b in combinations(col, 2)
+        if values[-1] - values[0] < _TOLERANCE and all(
+            abs(a - b) < _TOLERANCE for col in zip(*vertices) for a, b in combinations(col, 2)
         ):
             converged = True
             break

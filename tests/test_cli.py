@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from evtkit import GEV, load_csv, report_from_dict, simulate_to_csv
+from evtkit import GEV, load_csv, report_from_dict, run_pipeline, simulate_to_csv
 from evtkit.cli import EXIT_DATA, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
 
 from conftest import GEV_MM
@@ -187,6 +187,20 @@ class TestReportCommand:
         descriptive = report_from_dict(doc).descriptive
         assert math.isnan(descriptive.excess_kurtosis)
         assert descriptive.skewness == doc["descriptive"]["skewness"]
+
+    def test_json_writes_statistics_past_the_float_range_as_null(self, tmp_path, capsys):
+        # The variance of these values is inf; it was written as Infinity, which is not JSON.
+        path = tmp_path / "huge.csv"
+        path.write_text("1e200\n2e200\n3e200\n4e200\n4.2e200\n")
+        code, out, _ = run_main(["report", "--input", str(path), "--format", "json"], capsys)
+        assert code == EXIT_OK
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        doc = json.loads(out, parse_constant=reject)
+        assert doc["descriptive"]["variance"] is None
+        assert report_from_dict(doc) == run_pipeline(load_csv(path))
 
 
 class TestSimulateCommand:

@@ -1,5 +1,6 @@
 """Closed-form values, identities, and distributional properties."""
 
+import dataclasses
 import math
 import warnings
 
@@ -360,6 +361,44 @@ class TestSampleContainer:
         assert s.sorted_values() is ordered
         with pytest.raises(ValueError):
             ordered[0] = 0.0
+
+
+# A valid record per family, and the fields each requires to be positive.
+VALID_RECORDS = {
+    Gumbel: (dict(location=0.0, scale=1.0), ("scale",)),
+    Frechet: (dict(shape=2.0, scale=1.0, location=0.0), ("shape", "scale")),
+    Weibull: (dict(shape=2.0, scale=1.0), ("shape", "scale")),
+    GEV: (dict(location=0.0, scale=1.0, shape=0.1), ("scale",)),
+}
+RECORD_FIELDS = [(cls, f.name) for cls in VALID_RECORDS for f in dataclasses.fields(cls)]
+
+
+@pytest.mark.parametrize(
+    "cls, field", RECORD_FIELDS, ids=[f"{cls.family}-{field}" for cls, field in RECORD_FIELDS]
+)
+class TestRecordValidation:
+    def build(self, cls, field, value):
+        kwargs, _ = VALID_RECORDS[cls]
+        return cls(**{**kwargs, field: value})
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_naming_the_field(self, cls, field, bad):
+        with pytest.raises(DomainError, match=rf"^{field} must be"):
+            self.build(cls, field, bad)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0])
+    def test_positive_fields_reject_zero_and_negative(self, cls, field, bad):
+        if field in VALID_RECORDS[cls][1]:
+            with pytest.raises(DomainError, match=rf"^{field} must be a positive finite number"):
+                self.build(cls, field, bad)
+        else:  # every location, and the GEV shape
+            assert getattr(self.build(cls, field, bad), field) == bad
+
+    @pytest.mark.parametrize("value", [3, np.float32(3.0)])
+    def test_stores_python_floats(self, cls, field, value):
+        record = self.build(cls, field, value)
+        assert type(getattr(record, field)) is float
+        assert getattr(record, field) == 3.0
 
 
 class TestParamRecords:

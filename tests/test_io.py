@@ -112,11 +112,6 @@ class TestLoadCsv:
             load_csv(f)
         assert err.value.row == 1
 
-    def test_custom_label(self, tmp_path):
-        f = tmp_path / "x.csv"
-        f.write_text("1.0\n2.0\n")
-        assert load_csv(f, label="station-7").label == "station-7"
-
 
 class TestDataset:
     def test_years_must_match_length(self):

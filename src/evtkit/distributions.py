@@ -62,11 +62,11 @@ class _EvdFamily:
     A record stores every field as a float. Each must be finite, and those
     named in ``_positive`` must also be > 0.
 
-    There are two likelihood kernels, the static ``Gumbel.log_density`` and
-    ``GEV.log_density``, used by ``_log_pdf`` and summed by the fitter. They
-    take the scale as a logarithm and validate nothing. Frechet and Weibull
-    have none of their own: their ``_log_pdf`` is the Gumbel kernel at log x
-    and -log x, less log x.
+    There is one likelihood kernel, the static ``GEV.log_density``, used by
+    every ``_log_pdf`` and summed by the fitter. It takes the scale as a
+    logarithm and validates nothing. The Gumbel is the GEV at shape 0, and
+    Frechet and Weibull have no kernel of their own: their ``_log_pdf`` is
+    the Gumbel kernel at log x and -log x, less log x.
     """
 
     family: ClassVar[str]
@@ -149,9 +149,53 @@ def _match_shape(out: np.ndarray, like):
     return out
 
 
+class _GevForms(_EvdFamily):
+    """The closed forms of :class:`GEV`, which :class:`Gumbel` shares as its shape-0 case."""
+
+    def support(self) -> tuple[float, float]:
+        if not self.shape:
+            return (-np.inf, np.inf)
+        edge = self.location - self.scale / self.shape
+        if self.shape > 0:
+            return (edge, np.inf)
+        return (-np.inf, edge)
+
+    def _cdf(self, x):
+        # Clamping shape*z at -1 sends w to -inf (shape > 0) or +inf (shape < 0)
+        # off the support, so the cdf saturates at 0 or 1 there.
+        w = (x - self.location) / self.scale
+        if self.shape:
+            w = np.log1p(np.maximum(self.shape * w, -1.0)) / self.shape
+        # exp(-exp(-w)) in place: each new array of size n shows at n = 100 000.
+        np.exp(np.negative(w, out=w), out=w)
+        return np.exp(np.negative(w, out=w), out=w)
+
+    @staticmethod
+    def log_density(x, location, log_scale, shape=0.0):
+        """Log density; -inf off the support, where log1p(shape*z) is -inf or nan."""
+        # w starts as z, its shape-0 limit; one name keeps one large temporary
+        # fewer alive, which shows in the fitter at n = 100 000. Shape 0 skips
+        # log1p, so the Gumbel costs no more than its own formula would.
+        w = (x - location) / np.exp(log_scale)
+        if not shape:
+            return -log_scale - w - np.exp(-w)
+        lt = np.log1p(shape * w)
+        w = lt / shape
+        return np.where(lt > -np.inf, -log_scale - (lt + w) - np.exp(-w), -np.inf)
+
+    def _log_pdf(self, x):
+        return self.log_density(x, self.location, math.log(self.scale), self.shape)
+
+    def _quantile(self, p):
+        y = -np.log(-np.log(p))
+        if self.shape:
+            y = np.expm1(self.shape * y) / self.shape
+        return self.location + self.scale * y
+
+
 @dataclass(frozen=True)
-class Gumbel(_EvdFamily):
-    """Type I extreme value (Gumbel maximum) distribution.
+class Gumbel(_GevForms):
+    """Type I extreme value (Gumbel maximum) distribution, the GEV at shape 0.
 
     cdf: exp(-exp(-(x - location)/scale)) on the whole real line.
     """
@@ -160,23 +204,7 @@ class Gumbel(_EvdFamily):
     scale: float
 
     family: ClassVar[str] = "gumbel"
-
-    def support(self) -> tuple[float, float]:
-        return (-np.inf, np.inf)
-
-    def _cdf(self, x):
-        return np.exp(-np.exp(-(x - self.location) / self.scale))
-
-    @staticmethod
-    def log_density(x, location, log_scale):
-        z = (x - location) / np.exp(log_scale)
-        return -log_scale - z - np.exp(-z)
-
-    def _log_pdf(self, x):
-        return self.log_density(x, self.location, math.log(self.scale))
-
-    def _quantile(self, p):
-        return self.location - self.scale * np.log(-np.log(p))
+    shape: ClassVar[float] = 0.0
 
 
 @dataclass(frozen=True)
@@ -198,19 +226,16 @@ class Frechet(_EvdFamily):
         return (self.location, np.inf)
 
     def _cdf(self, x):
-        out = np.zeros_like(x)
-        inside = x > self.location
-        z = (x[inside] - self.location) / self.scale
-        out[inside] = np.exp(-np.power(z, -self.shape))
-        return out
+        # Off the support (and at nan) z is 0, where the cdf is exp(-inf) = 0.
+        z = np.fmax(x - self.location, 0.0) / self.scale
+        return np.exp(-np.power(z, -self.shape))
 
     def _log_pdf(self, x):
-        # lx = log(x - location) is Gumbel(log scale, 1/shape), and the Jacobian adds -lx.
-        out = np.full_like(x, -np.inf)
-        inside = x > self.location
-        lx = np.log(x[inside] - self.location)
-        out[inside] = Gumbel.log_density(lx, math.log(self.scale), -math.log(self.shape)) - lx
-        return out
+        # lx = log(x - location) is Gumbel(log scale, 1/shape), and the Jacobian
+        # adds -lx; lx is -inf off the support (and at nan).
+        lx = np.log(np.fmax(x - self.location, 0.0))
+        density = Gumbel.log_density(lx, math.log(self.scale), -math.log(self.shape)) - lx
+        return np.where(lx > -np.inf, density, -np.inf)
 
     def _quantile(self, p):
         return self.location + self.scale * np.power(-np.log(p), -1.0 / self.shape)
@@ -234,26 +259,23 @@ class Weibull(_EvdFamily):
         return (0.0, np.inf)
 
     def _cdf(self, x):
-        out = np.zeros_like(x)
-        inside = x > 0.0
-        z = x[inside] / self.scale
-        out[inside] = -np.expm1(-np.power(z, self.shape))
-        return out
+        # Off the support (and at nan) z is 0, where the cdf is 0.
+        z = np.fmax(x, 0.0) / self.scale
+        return -np.expm1(-np.power(z, self.shape))
 
     def _log_pdf(self, x):
-        # w = -log x is Gumbel(-log scale, 1/shape), and the Jacobian adds w.
-        out = np.full_like(x, -np.inf)
-        inside = x > 0.0
-        w = -np.log(x[inside])
-        out[inside] = Gumbel.log_density(w, -math.log(self.scale), -math.log(self.shape)) + w
-        return out
+        # w = -log x is Gumbel(-log scale, 1/shape), and the Jacobian adds w;
+        # w is +inf off the support (and at nan).
+        w = -np.log(np.fmax(x, 0.0))
+        density = Gumbel.log_density(w, -math.log(self.scale), -math.log(self.shape)) + w
+        return np.where(w < np.inf, density, -np.inf)
 
     def _quantile(self, p):
         return self.scale * np.power(-np.log1p(-p), 1.0 / self.shape)
 
 
 @dataclass(frozen=True)
-class GEV(_EvdFamily):
+class GEV(_GevForms):
     """Generalized extreme value distribution.
 
     cdf: exp(-exp(-w)) with z = (x - location)/scale and w = log1p(shape*z)/shape
@@ -268,41 +290,6 @@ class GEV(_EvdFamily):
     shape: float
 
     family: ClassVar[str] = "gev"
-
-    def support(self) -> tuple[float, float]:
-        if not self.shape:
-            return (-np.inf, np.inf)
-        edge = self.location - self.scale / self.shape
-        if self.shape > 0:
-            return (edge, np.inf)
-        return (-np.inf, edge)
-
-    def _cdf(self, x):
-        # Clamping shape*z at -1 sends w to -inf (shape > 0) or +inf (shape < 0)
-        # off the support, so the cdf saturates at 0 or 1 there.
-        z = (x - self.location) / self.scale
-        w = np.log1p(np.maximum(self.shape * z, -1.0)) / self.shape if self.shape else z
-        return np.exp(-np.exp(-w))
-
-    @staticmethod
-    def log_density(x, location, log_scale, shape):
-        """Log density; -inf off the support, where log1p(shape*z) is -inf or nan."""
-        # w starts as z, its shape-0 limit; one name keeps one large temporary
-        # fewer alive, which shows in the fitter at n = 100 000.
-        w = (x - location) / np.exp(log_scale)
-        lt = np.log1p(shape * w)
-        if shape:
-            w = lt / shape
-        return np.where(lt > -np.inf, -log_scale - (lt + w) - np.exp(-w), -np.inf)
-
-    def _log_pdf(self, x):
-        return self.log_density(x, self.location, math.log(self.scale), self.shape)
-
-    def _quantile(self, p):
-        y = -np.log(-np.log(p))
-        if self.shape:
-            y = np.expm1(self.shape * y) / self.shape
-        return self.location + self.scale * y
 
 
 Distribution = Union[Gumbel, Frechet, Weibull, GEV]

@@ -8,8 +8,10 @@ Gumbel(-log scale, 1/shape) (Coles 2001, section 3.1). So the search runs on
 steps and tolerances mean the same at every data scale (Coles 2001, section
 3.3). Scales are searched on the log scale, and the GEV shape is kept above
 -1. The GEV search starts from the fitted Gumbel at shape 0, its nested case.
-A point that leaves an observation off the support has log-likelihood -inf,
-the simplex's worst vertex. The parameters are mapped back to data units.
+Every search sums the one likelihood kernel, ``GEV.log_density``, which at
+shape 0 is the Gumbel's. A point that leaves an observation off the support
+has log-likelihood -inf, the simplex's worst vertex. The parameters are
+mapped back to data units.
 The search has no settings: it runs to the fixed tolerance of
 :func:`~evtkit.simplex.nelder_mead` or its iteration budget of 10 000.
 """
@@ -132,7 +134,8 @@ def initial_params(family: str, sample: Sample) -> Distribution:
     the family is fitted on: x for Gumbel and GEV (the GEV at shape 0, its
     Gumbel case), log x for Frechet and -log x for Weibull, mapped to the
     family. It lies inside the parameter domain whenever the data are
-    strictly positive.
+    strictly positive. :func:`fit_mle` starts the Gumbel, Frechet and
+    Weibull searches here, but the GEV search from the fitted Gumbel.
 
     Raises
     ------
@@ -176,7 +179,8 @@ def fit_mle(family: str, sample: Sample, *, _gumbel_fit: FitResult | None = None
     of the fitted parameters on ``sample`` itself. The fitted parameters
     follow any change of units of the data. When rounding on the way back to
     data units puts the finite end of a GEV support onto an observation, the
-    location moves one float outward, which keeps the likelihood finite.
+    location moves outward by 1, 2, 4, ... floats, at most 64 times, until
+    the likelihood is finite.
 
     A result with ``converged=False`` (rather than an exception) is returned
     when the iteration budget of :func:`~evtkit.simplex.nelder_mead` runs out
@@ -193,21 +197,19 @@ def fit_mle(family: str, sample: Sample, *, _gumbel_fit: FitResult | None = None
     data, mean, sd = _fit_data(family, sample, _MIN_FIT_SIZE)
     location, scale = _moment_gumbel(0.0, 1.0)
     theta0, steps = [location, math.log(scale)], [0.1 * scale, 0.1]
-    log_density = Gumbel.log_density
     bounded = family == "gev"
     if bounded:
         gumbel = (_gumbel_fit or fit_mle("gumbel", sample)).params
         init = _at_shape_zero(gumbel)
         theta0 = [(gumbel.location - mean) / sd, math.log(gumbel.scale / sd), 0.0]
         steps = [*steps, 0.1]
-        log_density = GEV.log_density
     else:
         init = _from_gumbel(family, *_moment_gumbel(mean, sd))
 
     def nll(theta):
         if bounded and theta[2] <= _GEV_SHAPE_FLOOR:
             return math.inf
-        value = -log_density(data, *theta).sum()
+        value = -GEV.log_density(data, *theta).sum()
         return value if math.isfinite(value) else math.inf
 
     with np.errstate(all="ignore"):
@@ -216,10 +218,17 @@ def fit_mle(family: str, sample: Sample, *, _gumbel_fit: FitResult | None = None
     loglik = -math.inf if params is None else log_likelihood(params, sample)
     if bounded and params is not None and params.shape and not math.isfinite(loglik):
         # Rounding on the way back to data units can put the finite end of the
-        # support onto an extreme observation: move the location one float out.
-        location = math.nextafter(params.location, math.copysign(math.inf, -params.shape))
-        params = GEV(location=location, scale=params.scale, shape=params.shape)
-        loglik = log_likelihood(params, sample)
+        # support onto an extreme observation; near shape -1, undoing it can take
+        # hundreds of floats of location. Move the location outward by 1, 2, 4,
+        # ... floats, at most 64 times, until the log-likelihood is finite.
+        fitted = params
+        outward = math.copysign(math.inf, -fitted.shape)
+        one_float = math.nextafter(fitted.location, outward) - fitted.location
+        for doubling in range(64):
+            params = GEV(fitted.location + one_float * 2.0**doubling, fitted.scale, fitted.shape)
+            loglik = log_likelihood(params, sample)
+            if math.isfinite(loglik):
+                break
     converged = best.converged
     if not math.isfinite(loglik):
         # No feasible point found, or an observation is still off the support:

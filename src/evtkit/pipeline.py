@@ -200,8 +200,11 @@ def emit_report(report: AnalysisReport, fmt: str = "text") -> str:
 
 
 def _fmt(value: float | None, nd: int = 2) -> str:
+    """``nd`` decimals, or ``nd`` significant digits from 1e15 on, where decimals are noise."""
     if value is None:
         return "-"
+    if abs(value) >= 1e15:
+        return f"{value:.{nd - 1}e}"
     return f"{value:.{nd}f}"
 
 

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, formats, and exit codes."""
 
+import itertools
 import json
 import math
 import subprocess
@@ -9,12 +10,31 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from evtkit import GEV, load_csv, report_from_dict, run_pipeline, simulate_to_csv
+from evtkit import (
+    GEV,
+    emit_plot_data,
+    emit_report,
+    load_csv,
+    report_from_dict,
+    run_pipeline,
+    simulate_to_csv,
+)
 from evtkit.cli import EXIT_DATA, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
 
 from conftest import GEV_MM
 
 FIXTURE_FILE = Path(__file__).resolve().parents[1] / "data" / "synthetic_annual_maxima.csv"
+
+HUGE_VALUES = (1e200, 2e200, 3e200, 4e200, 4.2e200)
+
+# Tables of the text report: the width of the indent and the left-aligned
+# first column, then the widths of the right-aligned cells after it.
+TEXT_TABLE_COLUMNS = {
+    "Descriptive statistics": (24, (12,)),
+    "Fitted parameters": (11, (10, 10, 10, 12, 11)),
+    "Goodness of fit": (11, (11, 10, 8)),
+    "Return levels": (15, (10,)),
+}
 
 
 @pytest.fixture(scope="module")
@@ -156,6 +176,16 @@ class TestReportCommand:
         written = json.loads((out_dir / "report.json").read_text())
         assert written == doc
 
+        # Every file is byte for byte what the same report writes in process.
+        dataset = load_csv(data_file)
+        report = run_pipeline(dataset)
+        plots = emit_plot_data(report, dataset, tmp_path / "reference")
+        expected = {path.name: path.read_bytes() for path in plots.values()}
+        expected["report.txt"] = emit_report(report, "text").encode()
+        expected["report.json"] = (emit_report(report, "json") + "\n").encode()
+        assert {path.name: path.read_bytes() for path in out_dir.iterdir()} == expected
+        assert out == emit_report(report, "json")
+
     def test_json_is_strict_for_a_short_bounded_tail(self, tmp_path, capsys):
         # Without the shape floor the GEV fit here ran to shape -1.47 and
         # wrote its log-likelihood as -Infinity.
@@ -201,6 +231,27 @@ class TestReportCommand:
         doc = json.loads(out, parse_constant=reject)
         assert doc["descriptive"]["variance"] is None
         assert report_from_dict(doc) == run_pipeline(load_csv(path))
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_text_tables_keep_their_columns_past_1e15(self, tmp_path, capsys, sign):
+        # Values near 1e200 were printed with .2f as 200-digit numbers.
+        path = tmp_path / "huge.csv"
+        path.write_text("".join(f"{sign * value!r}\n" for value in HUGE_VALUES))
+        code, out, _ = run_main(["report", "--input", str(path)], capsys)
+        assert code == EXIT_OK
+        tables = {}
+        for block in out.split("\n\n"):
+            title, *lines = block.splitlines()
+            if title.split(" (")[0] in TEXT_TABLE_COLUMNS:
+                tables[title.split(" (")[0]] = lines[1:]  # below the underline
+        assert set(tables) == set(TEXT_TABLE_COLUMNS)
+        for name, rows in tables.items():
+            lead, widths = TEXT_TABLE_COLUMNS[name]
+            starts = list(itertools.accumulate(widths[:-1], initial=lead))
+            for row in rows:
+                if "ERROR:" not in row:  # a failed fit's message spans the row
+                    assert len(row) == lead + sum(widths), row
+                    assert all(row[start] == " " for start in starts), row
 
 
 class TestSimulateCommand:

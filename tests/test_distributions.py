@@ -26,6 +26,7 @@ from evtkit import (
 from evtkit.errors import DomainError
 
 from conftest import (
+    ALL_MM,
     FRECHET_MM,
     GEV_MM,
     GUMBEL_MM,
@@ -57,14 +58,23 @@ class TestSupport:
         assert FRECHET_MM.support() == (0.0, np.inf)
         assert WEIBULL_MM.support() == (0.0, np.inf)
 
-    def test_cdf_saturates_outside_support(self, reference_dist):
-        lo, hi = reference_dist.support()
+    @pytest.mark.parametrize(
+        "dist",
+        [
+            *(pytest.param(dist, id=dist.family) for dist in ALL_MM),
+            pytest.param(Frechet(3.37, 88.16, location=10.0), id="frechet-shifted"),
+        ],
+    )
+    def test_cdf_saturates_outside_support(self, dist):
+        lo, hi = dist.support()
         if np.isfinite(lo):
-            assert reference_dist.cdf(lo) == 0.0
-            assert reference_dist.cdf(lo - 1.0) == 0.0
+            for x in (lo, lo - 1.0, -np.inf):
+                assert dist.cdf(x) == 0.0
+                assert dist.log_pdf(x) == -np.inf
+                assert dist.pdf(x) == 0.0
         if np.isfinite(hi):
-            assert reference_dist.cdf(hi) == 1.0
-            assert reference_dist.cdf(hi + 1.0) == 1.0
+            assert dist.cdf(hi) == 1.0
+            assert dist.cdf(hi + 1.0) == 1.0
 
 
 class TestCdf:

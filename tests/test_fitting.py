@@ -191,6 +191,10 @@ FIXTURE = GEV_MM.sample(51, 22)
 FIXTURE_SD = float(np.std(FIXTURE.values, ddof=1))
 FIXTURE_FITS = {o.family: o.result.params for o in fit_all(FIXTURE)}
 
+# Five values whose GEV fit converges at the shape floor, at shape -1.00.
+FLOOR_SAMPLE = np.array([1.0, 2.0, 3.0, 4.0, 4.2])
+FLOOR_FIT = fit_mle("gev", Sample(FLOOR_SAMPLE))
+
 
 class TestGumbelOfLogData:
     """Frechet and Weibull are fitted as the Gumbel of log x and -log x, bit for bit."""
@@ -244,6 +248,20 @@ class TestUnitEquivariance:
             assert fit.converged, family
             assert fit.params.scale == pytest.approx(a * base.scale, rel=1e-6), family
             assert fit.params.shape == pytest.approx(base.shape, rel=1e-6), family
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(k=st.integers(-300, 300))
+    @example(k=200)
+    def test_fit_at_the_shape_floor_follows_the_units_of_the_data(self, k):
+        # The search converges near shape -1. Mapped back to data units, the
+        # rounding of 1 + shape*z at the maximum needed more than the one float
+        # of location the repair moved, and the fit was replaced by its start.
+        s = Sample(FLOOR_SAMPLE * 10.0**k)
+        fit = fit_mle("gev", s)
+        assert fit.converged
+        assert log_likelihood(fit.params, s) == fit.log_likelihood
+        expected = FLOOR_FIT.log_likelihood - FLOOR_SAMPLE.size * k * math.log(10.0)
+        assert fit.log_likelihood == pytest.approx(expected, rel=1e-6)
 
 
 class TestFitAll:

@@ -8,12 +8,11 @@ error, 3 numerical failure (no family converged).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from pathlib import Path
 
-from .diagnostics import AD_CRITICAL_VALUES, anderson_darling, select_best
+from .diagnostics import AD_CRITICAL_VALUES, select_best
 from .distributions import FAMILIES, FAMILY_LABELS, params_from_sequence
 from .errors import (
     DegenerateSampleError,
@@ -25,7 +24,8 @@ from .errors import (
 )
 from .fitting import FitOutcome, fit_all, fit_mle
 from .io import load_csv, simulate_to_csv, write_text_atomic
-from .pipeline import emit_plot_data, emit_report, fit_outcome_to_dict, run_pipeline
+from .pipeline import REPORT_FORMATS, emit_plot_data, emit_report, goodness_of_fit, run_pipeline
+from .pipeline import fit_outcome_to_dict, gof_to_dict, return_levels_to_dict
 from .pipeline import render_fit_table, render_gof_table, render_return_table
 from .returns import DEFAULT_RETURN_PERIODS, ReturnSpec, return_level_table
 
@@ -63,21 +63,6 @@ def _periods_arg(text: str) -> ReturnSpec:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _alpha_arg(text: str) -> float:
-    try:
-        alpha = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"could not parse alpha {text!r}") from None
-    if not 0.0 < alpha < 1.0:
-        raise argparse.ArgumentTypeError("alpha must lie strictly between 0 and 1")
-    if alpha not in AD_CRITICAL_VALUES:
-        known = ", ".join(str(a) for a in sorted(AD_CRITICAL_VALUES))
-        raise argparse.ArgumentTypeError(
-            f"no built-in critical value for alpha={alpha} (available: {known})"
-        )
-    return alpha
-
-
 def _positive_int(text: str) -> int:
     try:
         value = int(text)
@@ -112,7 +97,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--dist", choices=FAMILIES + ("all",), default=default)
 
     def add_format(p):
-        p.add_argument("--format", choices=("text", "json"), default="text")
+        p.add_argument("--format", choices=REPORT_FORMATS, default="text")
+
+    def add_alpha(p):
+        p.add_argument("--alpha", type=float, choices=tuple(AD_CRITICAL_VALUES), default=0.05)
 
     p_fit = sub.add_parser("fit", help="fit distribution parameters by maximum likelihood")
     add_input(p_fit)
@@ -124,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_input(p_gof)
     add_dist(p_gof)
     add_format(p_gof)
-    p_gof.add_argument("--alpha", type=_alpha_arg, default=0.05)
+    add_alpha(p_gof)
     p_gof.set_defaults(handler=_cmd_gof)
 
     p_rl = sub.add_parser("return-levels", help="return levels for fitted families")
@@ -142,7 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_report = sub.add_parser("report", help="full pipeline: describe, fit, test, return levels")
     add_input(p_report)
     add_format(p_report)
-    p_report.add_argument("--alpha", type=_alpha_arg, default=0.05)
+    add_alpha(p_report)
     p_report.add_argument(
         "--periods", type=_periods_arg, default=ReturnSpec(DEFAULT_RETURN_PERIODS)
     )
@@ -182,14 +170,11 @@ def _no_usable_fit(outcomes) -> bool:
     return not any(o.result is not None and o.result.converged for o in outcomes)
 
 
-def _fit_rows(outcomes):
-    return [fit_outcome_to_dict(o) for o in outcomes]
-
-
 def _cmd_fit(args) -> int:
     dataset, outcomes = _fit_selected(args)
     if args.format == "json":
-        print(json.dumps({"dataset": dataset.label, "fits": _fit_rows(outcomes)}, indent=2))
+        payload = {"dataset": dataset.label, "fits": [fit_outcome_to_dict(o) for o in outcomes]}
+        print(json.dumps(payload, indent=2))
     else:
         print("\n".join(render_fit_table(outcomes)))
     return EXIT_NUMERICAL if _no_usable_fit(outcomes) else EXIT_OK
@@ -197,26 +182,20 @@ def _cmd_fit(args) -> int:
 
 def _cmd_gof(args) -> int:
     dataset, outcomes = _fit_selected(args)
-    gofs = [
-        anderson_darling(dataset.sample, o.result.params, args.alpha)
-        if o.result is not None
-        else None
-        for o in outcomes
-    ]
+    gofs = goodness_of_fit(dataset.sample, outcomes, args.alpha)
+    best = select_best(gofs) if any(gofs) else None
     if args.format == "json":
         payload = {
             "dataset": dataset.label,
-            "fits": _fit_rows(outcomes),
-            "gof": [None if g is None else dataclasses.asdict(g) for g in gofs],
+            "fits": [fit_outcome_to_dict(o) for o in outcomes],
+            "gof": [gof_to_dict(g) for g in gofs],
+            "best_family": best,
         }
-        fitted = [g for g in gofs if g is not None]
-        payload["best_family"] = select_best(fitted) if fitted else None
         print(json.dumps(payload, indent=2))
     else:
         print("\n".join(render_gof_table(outcomes, gofs)))
-        fitted = [g for g in gofs if g is not None]
-        if len(fitted) > 1:
-            print(f"best family: {FAMILY_LABELS[select_best(fitted)]}")
+        if best is not None and len(gofs) > 1:
+            print(f"best family: {FAMILY_LABELS[best]}")
     return EXIT_NUMERICAL if _no_usable_fit(outcomes) else EXIT_OK
 
 
@@ -233,10 +212,7 @@ def _cmd_return_levels(args) -> int:
         payload = {
             "dataset": dataset.label,
             "return_levels": [
-                {
-                    "family": family,
-                    "entries": [{"period": p, "level": v} for p, v in table.entries],
-                }
+                {"family": family, "entries": return_levels_to_dict(table)}
                 for family, table in tables.items()
             ],
         }

@@ -25,11 +25,10 @@ __all__ = [
     "select_best",
 ]
 
-# Built-in Anderson-Darling critical values (all-parameters-known case).
-# Only the 5% level ships by default; other levels can be supplied through
-# the ``critical_values`` argument of :func:`anderson_darling`. The same
-# critical value is applied to fits with estimated parameters, a deliberate,
-# documented approximation common in applied frequency analysis.
+# Anderson-Darling critical values (all-parameters-known case). Only the 5%
+# level is known, so ``alpha`` must be 0.05. The same critical value is applied
+# to fits with estimated parameters, a deliberate, documented approximation
+# common in applied frequency analysis.
 AD_CRITICAL_VALUES = {0.05: 2.502}
 
 
@@ -132,33 +131,24 @@ def describe(sample: Sample) -> DescriptiveStats:
     )
 
 
-def anderson_darling(
-    sample: Sample,
-    dist: Distribution,
-    alpha: float = 0.05,
-    critical_values: dict[float, float] | None = None,
-) -> GofResult:
-    """Anderson-Darling test of ``sample`` against the fitted ``dist``.
+def anderson_darling(sample: Sample, dist: Distribution, alpha: float = 0.05) -> GofResult:
+    """Anderson-Darling test of ``sample`` against the fitted ``dist`` at level ``alpha``.
 
     The statistic is
     ``A2 = -n - (1/n) * sum_i (2i-1) * [ln F(x_(i)) + ln(1 - F(x_(n-i+1)))]``
     over the ascending order statistics; cdf values are clamped away from
     0 and 1 before the logarithms, so boundary observations cannot produce
-    infinities. The result is invariant to the input ordering.
+    infinities. The result is invariant to the input ordering. An ``alpha``
+    with no critical value in ``AD_CRITICAL_VALUES`` raises DomainError.
     """
-    table = dict(AD_CRITICAL_VALUES)
-    if critical_values:
-        table.update(critical_values)
-    if alpha not in table:
-        raise DomainError(
-            f"no critical value for alpha={alpha}; supply one via critical_values"
-        )
+    if alpha not in AD_CRITICAL_VALUES:
+        raise DomainError(f"no critical value for alpha={alpha}; available: {tuple(AD_CRITICAL_VALUES)}")
 
     n = sample.n
     z = clamp_probability(dist.cdf(sample.sorted_values()))
     coeff = 2.0 * np.arange(1, n + 1) - 1.0
     statistic = -n - float(np.sum(coeff * (np.log(z) + np.log1p(-z[::-1])))) / n
-    return GofResult.from_statistic(dist.family, statistic, alpha, table[alpha])
+    return GofResult.from_statistic(dist.family, statistic, alpha, AD_CRITICAL_VALUES[alpha])
 
 
 def plotting_positions(n: int) -> np.ndarray:

@@ -103,17 +103,20 @@ class _EvdFamily:
         return _match_shape(out, x)
 
     def log_pdf(self, x):
-        """Natural log of the density; -inf wherever the density is zero."""
+        """Natural log of the density; -inf wherever the density is zero, at +-inf and at nan."""
         arr = np.atleast_1d(np.asarray(x, dtype=float))
         with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
             out = self._log_pdf(arr)
-        return _match_shape(out, x)
+        # The closed forms can give nan (inf - inf) at +-inf and at nan; fmax
+        # maps nan to -inf and keeps every other value, bit for bit.
+        return _match_shape(np.fmax(out, -np.inf, out=out), x)
 
     def pdf(self, x):
-        """Probability density, evaluated in log space to avoid underflow."""
+        """Probability density, evaluated in log space to avoid underflow; 0 at +-inf and at nan."""
         arr = np.atleast_1d(np.asarray(x, dtype=float))
         with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
-            out = np.exp(self._log_pdf(arr))
+            out = self._log_pdf(arr)
+            np.exp(np.fmax(out, -np.inf, out=out), out=out)
         return _match_shape(out, x)
 
     def quantile(self, p):
@@ -232,10 +235,9 @@ class Frechet(_EvdFamily):
 
     def _log_pdf(self, x):
         # lx = log(x - location) is Gumbel(log scale, 1/shape), and the Jacobian
-        # adds -lx; lx is -inf off the support (and at nan).
+        # adds -lx; off the support (and at nan) lx is -inf and the sum nan.
         lx = np.log(np.fmax(x - self.location, 0.0))
-        density = Gumbel.log_density(lx, math.log(self.scale), -math.log(self.shape)) - lx
-        return np.where(lx > -np.inf, density, -np.inf)
+        return Gumbel.log_density(lx, math.log(self.scale), -math.log(self.shape)) - lx
 
     def _quantile(self, p):
         return self.location + self.scale * np.power(-np.log(p), -1.0 / self.shape)
@@ -265,10 +267,9 @@ class Weibull(_EvdFamily):
 
     def _log_pdf(self, x):
         # w = -log x is Gumbel(-log scale, 1/shape), and the Jacobian adds w;
-        # w is +inf off the support (and at nan).
+        # off the support (and at nan) w is +inf and the sum nan.
         w = -np.log(np.fmax(x, 0.0))
-        density = Gumbel.log_density(w, -math.log(self.scale), -math.log(self.shape)) + w
-        return np.where(w < np.inf, density, -np.inf)
+        return Gumbel.log_density(w, -math.log(self.scale), -math.log(self.shape)) + w
 
     def _quantile(self, p):
         return self.scale * np.power(-np.log1p(-p), 1.0 / self.shape)

@@ -6,8 +6,8 @@ Gumbel(log scale, 1/shape); if X is Weibull(shape, scale), -log X is
 Gumbel(-log scale, 1/shape) (Coles 2001, section 3.1). So the search runs on
 ``(work - mean) / sd``, with ``work`` the data, log x or -log x, and initial
 steps and tolerances mean the same at every data scale (Coles 2001, section
-3.3). Scales are searched on the log scale, and the GEV shape is kept above
--1. The GEV search starts from the fitted Gumbel at shape 0, its nested case.
+3.3). Scales are searched on the log scale, and the GEV shape is kept inside
+(-1, 1). The GEV search starts from the fitted Gumbel at shape 0, its nested case.
 Every search sums the one likelihood kernel, ``GEV.log_density``, which at
 shape 0 is the Gumbel's. A point that leaves an observation off the support
 has log-likelihood -inf, the simplex's worst vertex. The parameters are
@@ -50,6 +50,9 @@ _MIN_FIT_SIZE = 3
 # At shape -1 and below the GEV likelihood is unbounded as the upper end of
 # the support reaches the sample maximum (Smith 1985), so the fit stays above.
 _GEV_SHAPE_FLOOR = -1.0
+# At shape 1 and above the GEV mean is infinite (Coles & Dixon 1999); on a few
+# values the search could run away there until its iteration budget was spent.
+_GEV_SHAPE_CEILING = 1.0
 
 
 @dataclass(frozen=True)
@@ -172,8 +175,8 @@ def fit_mle(family: str, sample: Sample, *, _gumbel_fit: FitResult | None = None
     fitted Gumbel with shape 0 (which :func:`fit_all` passes in, as it has
     already made it). The simplex never trades its best vertex for a worse
     one, so the fitted GEV log-likelihood never falls below the fitted Gumbel
-    one. The GEV shape is kept above -1, where the likelihood becomes
-    unbounded. ``initial_params`` of the result is the point the search
+    one. The GEV shape is kept inside (-1, 1): at -1 and below the likelihood
+    is unbounded, and at 1 and above the mean is infinite. ``initial_params`` of the result is the point the search
     started from, in data units; ``iterations`` and ``n_evaluations`` count
     the family's own search, not the Gumbel fit. ``log_likelihood`` is that
     of the fitted parameters on ``sample`` itself. The fitted parameters
@@ -207,7 +210,7 @@ def fit_mle(family: str, sample: Sample, *, _gumbel_fit: FitResult | None = None
         init = _from_gumbel(family, *_moment_gumbel(mean, sd))
 
     def nll(theta):
-        if bounded and theta[2] <= _GEV_SHAPE_FLOOR:
+        if bounded and not _GEV_SHAPE_FLOOR < theta[2] < _GEV_SHAPE_CEILING:
             return math.inf
         value = -GEV.log_density(data, *theta).sum()
         return value if math.isfinite(value) else math.inf

@@ -25,6 +25,7 @@ from .errors import NumericalError, UnsupportedFormatError
 from .fitting import FitOutcome, FitResult, fit_all
 from .io import Dataset, format_column, write_csv
 from .returns import ReturnLevelTable, ReturnSpec, return_curve, return_level_table
+from .sample import Sample
 
 __all__ = [
     "AnalysisReport",
@@ -34,6 +35,9 @@ __all__ = [
     "report_to_dict",
     "report_from_dict",
     "fit_outcome_to_dict",
+    "gof_to_dict",
+    "return_levels_to_dict",
+    "goodness_of_fit",
     "render_fit_table",
     "render_gof_table",
     "render_return_table",
@@ -77,18 +81,12 @@ def run_pipeline(dataset: Dataset, spec: ReturnSpec | None = None, alpha: float 
     spec = spec or ReturnSpec()
     descriptive = describe(dataset.sample)
     fits = tuple(fit_all(dataset.sample))
-    gofs = tuple(
-        anderson_darling(dataset.sample, fit.result.params, alpha)
-        if fit.result is not None
-        else None
-        for fit in fits
-    )
-    fitted = [g for g in gofs if g is not None]
-    if not fitted:
+    gofs = goodness_of_fit(dataset.sample, fits, alpha)
+    if not any(gofs):
         raise NumericalError("no distribution family could be fitted")
     if not any(fit.result.converged for fit in fits if fit.result is not None):
         raise NumericalError("no distribution family converged")
-    best_family = select_best(fitted)
+    best_family = select_best(gofs)
     best_params = _params_for(fits, best_family)
     return AnalysisReport(
         descriptive=descriptive,
@@ -97,6 +95,11 @@ def run_pipeline(dataset: Dataset, spec: ReturnSpec | None = None, alpha: float 
         best_family=best_family,
         return_levels=return_level_table(best_params, spec),
     )
+
+
+def goodness_of_fit(sample: Sample, fits, alpha: float = 0.05) -> tuple[GofResult | None, ...]:
+    """Anderson-Darling test at level ``alpha`` of each fit, aligned with ``fits``; None where a fit failed."""
+    return tuple(None if fit.result is None else anderson_darling(sample, fit.result.params, alpha) for fit in fits)
 
 
 def _params_for(fits: tuple[FitOutcome, ...], family: str) -> Distribution:
@@ -115,12 +118,9 @@ def report_to_dict(report: AnalysisReport) -> dict:
     return {
         "descriptive": {name: value if math.isfinite(value) else None for name, value in descriptive.items()},
         "fits": [fit_outcome_to_dict(fit) for fit in report.fits],
-        "gof": [None if g is None else dataclasses.asdict(g) for g in report.gofs],
+        "gof": [gof_to_dict(g) for g in report.gofs],
         "best_family": report.best_family,
-        "return_levels": [
-            {"period": period, "level": level}
-            for period, level in report.return_levels.entries
-        ],
+        "return_levels": return_levels_to_dict(report.return_levels),
     }
 
 
@@ -141,6 +141,16 @@ def fit_outcome_to_dict(fit: FitOutcome) -> dict:
             "initial_params": params_to_dict(result.initial_params),
         },
     }
+
+
+def gof_to_dict(gof: GofResult | None) -> dict | None:
+    """Plain-dict form of one goodness-of-fit row; None for a family that was not fitted."""
+    return None if gof is None else dataclasses.asdict(gof)
+
+
+def return_levels_to_dict(table: ReturnLevelTable) -> list[dict]:
+    """Plain-dict form of a return-level table: one ``{"period", "level"}`` entry per period."""
+    return [{"period": period, "level": level} for period, level in table.entries]
 
 
 def report_from_dict(data: dict) -> AnalysisReport:
@@ -199,13 +209,30 @@ def emit_report(report: AnalysisReport, fmt: str = "text") -> str:
     raise UnsupportedFormatError(f"unknown report format {fmt!r}; expected one of {REPORT_FORMATS}")
 
 
-def _fmt(value: float | None, nd: int = 2) -> str:
-    """``nd`` decimals, or ``nd`` significant digits from 1e15 on, where decimals are noise."""
+# Widths of the table columns: the family label, then (header, width) of each cell.
+_FAMILY_WIDTH = 9
+_FIT_COLUMNS = {"location": 10, "scale": 10, "shape": 10, "log-lik": 12, "converged": 11}
+_GOF_COLUMNS = {"statistic": 11, "critical": 10, "result": 8}
+_PERIOD_WIDTH, _LEVEL_WIDTH = 13, 10
+
+
+def _cell(value, width: int, nd: int = 2) -> str:
+    """``value`` right-aligned in ``width`` characters, after at least one space.
+
+    Numbers get ``nd`` decimals when that text is shorter than ``width``, else ``nd``
+    significant digits in scientific notation; None prints as ``-``, text as is.
+    """
     if value is None:
-        return "-"
-    if abs(value) >= 1e15:
-        return f"{value:.{nd - 1}e}"
-    return f"{value:.{nd}f}"
+        value = "-"
+    elif not isinstance(value, str):
+        text = f"{value:.{nd}f}"
+        value = text if len(text) < width else f"{value:.{nd - 1}e}"
+    return f"{value:>{width}}"
+
+
+def _row(indent: str, first: str, first_width: int, cells, widths, nd: int = 2) -> str:
+    """One table line: ``first`` left-aligned in ``first_width``, then each cell in its width."""
+    return f"{indent}{first:<{first_width}}" + "".join(_cell(c, w, nd) for c, w in zip(cells, widths))
 
 
 def _text_report(report: AnalysisReport) -> str:
@@ -216,18 +243,18 @@ def _text_report(report: AnalysisReport) -> str:
     lines.append("")
     lines.append("Descriptive statistics")
     lines.append("----------------------")
-    for name, value in [
-        ("sample size", d.n),
-        ("range", _fmt(d.range)),
-        ("mean", _fmt(d.mean)),
-        ("variance", _fmt(d.variance)),
-        ("std deviation", _fmt(d.std_dev)),
-        ("coef of variation %", _fmt(d.coef_variation_pct)),
-        ("std error", _fmt(d.std_error)),
-        ("skewness", _fmt(d.skewness, 3)),
-        ("excess kurtosis", _fmt(d.excess_kurtosis, 3)),
+    for name, value, nd in [
+        ("sample size", str(d.n), 2),
+        ("range", d.range, 2),
+        ("mean", d.mean, 2),
+        ("variance", d.variance, 2),
+        ("std deviation", d.std_dev, 2),
+        ("coef of variation %", d.coef_variation_pct, 2),
+        ("std error", d.std_error, 2),
+        ("skewness", d.skewness, 3),
+        ("excess kurtosis", d.excess_kurtosis, 3),
     ]:
-        lines.append(f"  {name:<22}{value:>12}")
+        lines.append(_row("  ", name, 22, (value,), (12,), nd))
     lines.append("")
 
     lines.append("Fitted parameters (maximum likelihood)")
@@ -252,47 +279,41 @@ def _text_report(report: AnalysisReport) -> str:
 
 def render_fit_table(fits, indent: str = "") -> list[str]:
     """Lines of the fitted-parameter table, one row per family, each prefixed by ``indent``."""
-    columns = f"{'location':>10}{'scale':>10}{'shape':>10}{'log-lik':>12}{'converged':>11}"
-    lines = [f"{indent}{'family':<9}{columns}"]
+    widths = _FIT_COLUMNS.values()
+    lines = [_row(indent, "family", _FAMILY_WIDTH, _FIT_COLUMNS, widths)]
     for fit in fits:
         label = FAMILY_LABELS.get(fit.family, fit.family)
         if fit.result is None:
-            lines.append(f"{indent}{label:<9}ERROR: {fit.error}")
+            lines.append(f"{indent}{label:<{_FAMILY_WIDTH}}ERROR: {fit.error}")
             continue
         p = params_to_dict(fit.result.params)
-        lines.append(
-            f"{indent}{label:<9}"
-            f"{_fmt(p.get('location')):>10}"
-            f"{_fmt(p.get('scale')):>10}"
-            f"{_fmt(p.get('shape')):>10}"
-            f"{_fmt(fit.result.log_likelihood):>12}"
-            f"{('yes' if fit.result.converged else 'NO'):>11}"
-        )
+        cells = (p.get("location"), p.get("scale"), p.get("shape"), fit.result.log_likelihood)
+        converged = "yes" if fit.result.converged else "NO"
+        lines.append(_row(indent, label, _FAMILY_WIDTH, (*cells, converged), widths))
     return lines
 
 
 def render_gof_table(fits, gofs, indent: str = "") -> list[str]:
     """Lines of the Anderson-Darling table, one row per family, each prefixed by ``indent``."""
-    lines = [f"{indent}{'family':<9}{'statistic':>11}{'critical':>10}{'result':>8}"]
+    widths = _GOF_COLUMNS.values()
+    lines = [_row(indent, "family", _FAMILY_WIDTH, _GOF_COLUMNS, widths)]
     for fit, gof in zip(fits, gofs):
         label = FAMILY_LABELS.get(fit.family, fit.family)
         if gof is None:
-            lines.append(f"{indent}{label:<9}{'ERROR':>11}{'-':>10}{'-':>8}")
-            continue
-        verdict = "PASS" if gof.passed else "FAIL"
-        lines.append(
-            f"{indent}{label:<9}{_fmt(gof.statistic, 3):>11}"
-            f"{_fmt(gof.critical_value, 3):>10}{verdict:>8}"
-        )
+            cells = ("ERROR", None, None)
+        else:
+            cells = (gof.statistic, gof.critical_value, "PASS" if gof.passed else "FAIL")
+        lines.append(_row(indent, label, _FAMILY_WIDTH, cells, widths, nd=3))
     return lines
 
 
 def render_return_table(columns: dict[str, ReturnLevelTable], indent: str = "") -> list[str]:
     """Lines of the return-level table, one column per header in ``columns``, prefixed by ``indent``."""
-    lines = [f"{indent}{'period (yr)':<13}" + "".join(f"{header:>10}" for header in columns)]
+    widths = [_LEVEL_WIDTH] * len(columns)
+    lines = [_row(indent, "period (yr)", _PERIOD_WIDTH, columns, widths)]
     for row in zip(*(table.entries for table in columns.values())):
-        levels = "".join(f"{_fmt(level):>10}" for _, level in row)
-        lines.append(f"{indent}{row[0][0]:<13g}{levels}")
+        levels = [level for _, level in row]
+        lines.append(_row(indent, f"{row[0][0]:g}", _PERIOD_WIDTH, levels, widths))
     return lines
 
 

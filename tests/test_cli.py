@@ -16,6 +16,7 @@ from evtkit import (
     emit_report,
     load_csv,
     report_from_dict,
+    report_to_dict,
     run_pipeline,
     simulate_to_csv,
 )
@@ -35,6 +36,30 @@ TEXT_TABLE_COLUMNS = {
     "Goodness of fit": (11, (11, 10, 8)),
     "Return levels": (15, (10,)),
 }
+# The same tables as the step commands print them, with no indent; the
+# return-level table has one column per fitted family.
+STEP_TABLE_COLUMNS = {
+    "fit": (9, (10, 10, 10, 12, 11)),
+    "gof": (9, (11, 10, 8)),
+    "return-levels": (13, (10,)),
+}
+
+
+def _scaled_inputs():
+    fixture = load_csv(FIXTURE_FILE).sample.values
+    for sign in (1.0, -1.0):
+        yield pytest.param(sign * np.array(HUGE_VALUES), id=f"{sign:+g}e200")
+        for k in range(3, 16):
+            yield pytest.param(sign * 10.0**k * fixture, id=f"fixture{sign:+g}e{k}")
+
+
+def assert_columns_kept(rows, lead, widths):
+    """Every row fills its columns exactly, and each right-aligned cell starts with a space."""
+    starts = list(itertools.accumulate(widths[:-1], initial=lead))
+    for row in rows:
+        if "ERROR:" not in row:  # a failed fit's message spans the row
+            assert len(row) == lead + sum(widths), row
+            assert all(row[start] == " " for start in starts), row
 
 
 @pytest.fixture(scope="module")
@@ -105,9 +130,11 @@ class TestGofCommand:
             assert row["critical_value"] == 2.502
             assert row["passed"] == (row["statistic"] < 2.502)
 
-    def test_unknown_alpha_is_usage_error(self, data_file, capsys):
+    @pytest.mark.parametrize("command", ["gof", "report"])
+    @pytest.mark.parametrize("alpha", ["0.01", "abc"])
+    def test_unknown_alpha_is_usage_error(self, data_file, capsys, command, alpha):
         with pytest.raises(SystemExit) as exc:
-            main(["gof", "--input", str(data_file), "--alpha", "0.01"])
+            main([command, "--input", str(data_file), "--alpha", alpha])
         assert exc.value.code == EXIT_USAGE
 
 
@@ -232,11 +259,12 @@ class TestReportCommand:
         assert doc["descriptive"]["variance"] is None
         assert report_from_dict(doc) == run_pipeline(load_csv(path))
 
-    @pytest.mark.parametrize("sign", [1.0, -1.0])
-    def test_text_tables_keep_their_columns_past_1e15(self, tmp_path, capsys, sign):
-        # Values near 1e200 were printed with .2f as 200-digit numbers.
-        path = tmp_path / "huge.csv"
-        path.write_text("".join(f"{sign * value!r}\n" for value in HUGE_VALUES))
+    @pytest.mark.parametrize("values", _scaled_inputs())
+    def test_text_tables_keep_their_columns_at_every_scale(self, tmp_path, capsys, values):
+        # From 1e3 on, fixed-point cells ran into their neighbours, and near
+        # 1e200 they were printed with .2f as 200-digit numbers.
+        path = tmp_path / "scaled.csv"
+        path.write_text("".join(f"{value!r}\n" for value in values.tolist()))
         code, out, _ = run_main(["report", "--input", str(path)], capsys)
         assert code == EXIT_OK
         tables = {}
@@ -246,12 +274,44 @@ class TestReportCommand:
                 tables[title.split(" (")[0]] = lines[1:]  # below the underline
         assert set(tables) == set(TEXT_TABLE_COLUMNS)
         for name, rows in tables.items():
-            lead, widths = TEXT_TABLE_COLUMNS[name]
-            starts = list(itertools.accumulate(widths[:-1], initial=lead))
-            for row in rows:
-                if "ERROR:" not in row:  # a failed fit's message spans the row
-                    assert len(row) == lead + sum(widths), row
-                    assert all(row[start] == " " for start in starts), row
+            assert_columns_kept(rows, *TEXT_TABLE_COLUMNS[name])
+
+        fitted = 4 if values.min() > 0.0 else 2  # Frechet and Weibull need positive data
+        for command, (lead, widths) in STEP_TABLE_COLUMNS.items():
+            code, out, _ = run_main([command, "--input", str(path)], capsys)
+            assert code == EXIT_OK
+            rows = [row for row in out.splitlines() if not row.startswith("best family:")]
+            if command == "return-levels":
+                widths = widths * fitted
+            assert_columns_kept(rows, lead, widths)
+
+
+class TestStepCommandsPrintTheReportRows:
+    """``fit``, ``gof`` and ``return-levels`` write the rows ``report`` writes for the same data."""
+
+    @pytest.fixture(scope="class")
+    def report(self):
+        return report_to_dict(run_pipeline(load_csv(FIXTURE_FILE)))
+
+    def test_fit(self, report, capsys):
+        code, out, _ = run_main(["fit", "--input", str(FIXTURE_FILE), "--format", "json"], capsys)
+        assert code == EXIT_OK
+        assert json.loads(out)["fits"] == report["fits"]
+
+    def test_gof(self, report, capsys):
+        code, out, _ = run_main(["gof", "--input", str(FIXTURE_FILE), "--format", "json"], capsys)
+        assert code == EXIT_OK
+        doc = json.loads(out)
+        assert doc["gof"] == report["gof"]
+        assert doc["best_family"] == report["best_family"]
+
+    def test_return_levels(self, report, capsys):
+        best = report["best_family"]  # the Gumbel, by a smaller A2 than the GEV's
+        args = ["return-levels", "--input", str(FIXTURE_FILE), "--dist", best, "--format", "json"]
+        code, out, _ = run_main(args, capsys)
+        assert code == EXIT_OK
+        (entry,) = json.loads(out)["return_levels"]
+        assert entry == {"family": best, "entries": report["return_levels"]}
 
 
 class TestSimulateCommand:

@@ -121,8 +121,6 @@ class TestAndersonDarling:
         s = GEV_MM.sample(20, 0)
         with pytest.raises(DomainError):
             anderson_darling(s, GEV_MM, alpha=0.01)
-        gof = anderson_darling(s, GEV_MM, alpha=0.01, critical_values={0.01: 3.857})
-        assert gof.critical_value == 3.857
 
     def test_sort_invariance(self):
         s = GEV_MM.sample(51, 33)

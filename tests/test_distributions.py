@@ -63,18 +63,25 @@ class TestSupport:
         [
             *(pytest.param(dist, id=dist.family) for dist in ALL_MM),
             pytest.param(Frechet(3.37, 88.16, location=10.0), id="frechet-shifted"),
+            pytest.param(GEV(10.0, 2.0, -0.25), id="gev-bounded"),
         ],
     )
     def test_cdf_saturates_outside_support(self, dist):
         lo, hi = dist.support()
+        assert dist.cdf(-np.inf) == 0.0
+        assert dist.cdf(np.inf) == 1.0
         if np.isfinite(lo):
-            for x in (lo, lo - 1.0, -np.inf):
+            for x in (lo, lo - 1.0):
                 assert dist.cdf(x) == 0.0
                 assert dist.log_pdf(x) == -np.inf
                 assert dist.pdf(x) == 0.0
         if np.isfinite(hi):
             assert dist.cdf(hi) == 1.0
             assert dist.cdf(hi + 1.0) == 1.0
+        # The shape-0 kernel gave nan (inf - inf) at -inf, and so did Weibull at +inf.
+        for x in (-np.inf, np.inf, np.nan):
+            assert dist.log_pdf(x) == -np.inf
+            assert dist.pdf(x) == 0.0
 
 
 class TestCdf:

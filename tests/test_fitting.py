@@ -263,6 +263,28 @@ class TestUnitEquivariance:
         expected = FLOOR_FIT.log_likelihood - FLOOR_SAMPLE.size * k * math.log(10.0)
         assert fit.log_likelihood == pytest.approx(expected, rel=1e-6)
 
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(5, 10),
+        tail_index=st.floats(0.5, 5.0),
+        sign=st.sampled_from([1.0, -1.0]),
+        k=st.integers(-200, 200),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_small_gev_fits_converge_at_every_scale(self, n, tail_index, sign, k, seed):
+        # On a few heavy-tailed values the shape ran past 1, where the GEV mean
+        # is infinite, and on until the iteration budget was spent.
+        s = Sample(sign * np.random.default_rng(seed).pareto(tail_index, n) * 10.0**k)
+        fit = fit_mle("gev", s)
+        assert fit.converged
+        assert -1.0 < fit.params.shape < 1.0
+
+    def test_fit_at_the_shape_ceiling_converges(self):
+        # The mirror image of FLOOR_SAMPLE ran 17 243 evaluations to shape 5.38, unconverged.
+        fit = fit_mle("gev", Sample(-FLOOR_SAMPLE))
+        assert fit.converged
+        assert 0.99 < fit.params.shape < 1.0
+
 
 class TestFitAll:
     def test_four_results_fixed_order(self):

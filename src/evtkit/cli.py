@@ -2,7 +2,8 @@
 
 Subcommands: ``fit``, ``gof``, ``return-levels``, ``report`` (full
 pipeline), ``simulate``. Exit codes: 0 success, 1 usage error, 2 data
-error, 3 numerical failure (no family converged).
+error (including a path that cannot be read or written), 3 numerical
+failure (no family converged).
 """
 
 from __future__ import annotations
@@ -35,8 +36,7 @@ EXIT_DATA = 2
 EXIT_NUMERICAL = 3
 
 _DATA_ERRORS = (
-    FileNotFoundError,
-    IsADirectoryError,
+    OSError,
     ParseError,
     EmptyDatasetError,
     DegenerateSampleError,
@@ -63,14 +63,17 @@ def _periods_arg(text: str) -> ReturnSpec:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError("value must be at least 1")
-    return value
+def _int_at_least(minimum: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"value must be at least {minimum}")
+        return value
+
+    return parse
 
 
 def _params_arg(text: str) -> tuple[float, ...]:
@@ -150,8 +153,8 @@ def build_parser() -> argparse.ArgumentParser:
             "weibull shape,scale; gev location,scale,shape"
         ),
     )
-    p_sim.add_argument("--n", type=_positive_int, required=True)
-    p_sim.add_argument("--seed", type=int, default=0)
+    p_sim.add_argument("--n", type=_int_at_least(1), required=True)
+    p_sim.add_argument("--seed", type=_int_at_least(0), default=0)
     p_sim.add_argument("--output", required=True)
     p_sim.set_defaults(handler=_cmd_simulate)
 

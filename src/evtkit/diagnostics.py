@@ -185,8 +185,7 @@ def select_best(gofs: list[GofResult]) -> str:
         raise EmptyInputError("no goodness-of-fit results to select from")
 
     def rank(g: GofResult):
-        order = FAMILIES.index(g.family) if g.family in FAMILIES else len(FAMILIES)
-        return (g.statistic, order)
+        return (g.statistic, FAMILIES.index(g.family))
 
     passing = [g for g in pool if g.passed]
     return min(passing or pool, key=rank).family

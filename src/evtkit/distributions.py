@@ -16,7 +16,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import ClassVar, Union
+from typing import ClassVar, Union, get_args
 
 import numpy as np
 
@@ -47,9 +47,6 @@ EULER_GAMMA = 0.5772156649015329
 PROB_FLOOR = 1e-300
 PROB_CEIL = 1.0 - 1e-16
 
-FAMILIES = ("gumbel", "frechet", "weibull", "gev")
-FAMILY_LABELS = {"gumbel": "Gumbel", "frechet": "Frechet", "weibull": "Weibull", "gev": "GEV"}
-
 
 def clamp_probability(u):
     """Clamp probabilities away from 0 and 1 so logarithms stay finite."""
@@ -62,11 +59,13 @@ class _EvdFamily:
     A record stores every field as a float. Each must be finite, and those
     named in ``_positive`` must also be > 0.
 
-    There is one likelihood kernel, the static ``GEV.log_density``, used by
-    every ``_log_pdf`` and summed by the fitter. It takes the scale as a
-    logarithm and validates nothing. The Gumbel is the GEV at shape 0, and
-    Frechet and Weibull have no kernel of their own: their ``_log_pdf`` is
-    the Gumbel kernel at log x and -log x, less log x.
+    Each family says once, for its density and its fit, how it is a Gumbel:
+    ``_gumbel_values(x)`` is x, log x or -log x from the lower end (+-inf off
+    the support and at nan), which is Gumbel or GEV (Coles 2001, section
+    3.1), and ``_from_gumbel(location, scale[, shape])`` is the record whose
+    values have that Gumbel or GEV. The one likelihood kernel, the static
+    ``GEV.log_density``, is used by every ``_log_pdf`` and summed by the
+    fitter. It takes the scale as a logarithm and validates nothing.
     """
 
     family: ClassVar[str]
@@ -136,11 +135,13 @@ class _EvdFamily:
     def sample(self, n: int, seed: int) -> Sample:
         """Inverse-transform sample of size ``n`` from a seeded uniform stream.
 
-        The same seed always produces the same values on a given platform.
+        The same seed (>= 0) always produces the same values on a given platform.
         """
         n = int(n)
         if n < 1:
             raise DomainError("sample size must be at least 1")
+        if seed < 0:
+            raise DomainError(f"seed must be at least 0, got {seed}")
         rng = np.random.default_rng(seed)
         u = clamp_probability(rng.random(n))
         return Sample(self._quantile(u))
@@ -195,6 +196,10 @@ class _GevForms(_EvdFamily):
             y = np.expm1(self.shape * y) / self.shape
         return self.location + self.scale * y
 
+    @classmethod
+    def _gumbel_values(cls, x):
+        return x
+
 
 @dataclass(frozen=True)
 class Gumbel(_GevForms):
@@ -209,9 +214,36 @@ class Gumbel(_GevForms):
     family: ClassVar[str] = "gumbel"
     shape: ClassVar[float] = 0.0
 
+    @classmethod
+    def _from_gumbel(cls, location, scale):
+        return cls(location, scale)
+
+
+class _LogGumbel(_EvdFamily):
+    """Frechet (sign 1) and Weibull (sign -1): sign * log(x - location) is Gumbel(sign * log scale, 1/shape)."""
+
+    sign: ClassVar[float]
+    _positive: ClassVar[tuple[str, ...]] = ("shape", "scale")
+
+    def support(self) -> tuple[float, float]:
+        return (self.location, np.inf)
+
+    @classmethod
+    def _gumbel_values(cls, x):
+        return cls.sign * np.log(np.fmax(x, 0.0))
+
+    def _log_pdf(self, x):
+        # The Jacobian adds -sign * w; off the support (and at nan) w is +-inf and the sum nan.
+        w = self._gumbel_values(x - self.location)
+        return Gumbel.log_density(w, self.sign * math.log(self.scale), -math.log(self.shape)) - self.sign * w
+
+    @classmethod
+    def _from_gumbel(cls, location, scale):
+        return cls(shape=1.0 / scale, scale=math.exp(cls.sign * location))
+
 
 @dataclass(frozen=True)
-class Frechet(_EvdFamily):
+class Frechet(_LogGumbel):
     """Type II extreme value (Frechet) distribution with lower endpoint ``location``.
 
     cdf: exp(-((x - location)/scale)^(-shape)) for x > location, else 0.
@@ -223,28 +255,19 @@ class Frechet(_EvdFamily):
     location: float = 0.0
 
     family: ClassVar[str] = "frechet"
-    _positive: ClassVar[tuple[str, ...]] = ("shape", "scale")
-
-    def support(self) -> tuple[float, float]:
-        return (self.location, np.inf)
+    sign: ClassVar[float] = 1.0
 
     def _cdf(self, x):
         # Off the support (and at nan) z is 0, where the cdf is exp(-inf) = 0.
         z = np.fmax(x - self.location, 0.0) / self.scale
         return np.exp(-np.power(z, -self.shape))
 
-    def _log_pdf(self, x):
-        # lx = log(x - location) is Gumbel(log scale, 1/shape), and the Jacobian
-        # adds -lx; off the support (and at nan) lx is -inf and the sum nan.
-        lx = np.log(np.fmax(x - self.location, 0.0))
-        return Gumbel.log_density(lx, math.log(self.scale), -math.log(self.shape)) - lx
-
     def _quantile(self, p):
         return self.location + self.scale * np.power(-np.log(p), -1.0 / self.shape)
 
 
 @dataclass(frozen=True)
-class Weibull(_EvdFamily):
+class Weibull(_LogGumbel):
     """Standard (minimum-type) two-parameter Weibull distribution on x > 0.
 
     cdf: 1 - exp(-(x/scale)^shape). The reversed maximum-type Weibull is
@@ -255,21 +278,13 @@ class Weibull(_EvdFamily):
     scale: float
 
     family: ClassVar[str] = "weibull"
-    _positive: ClassVar[tuple[str, ...]] = ("shape", "scale")
-
-    def support(self) -> tuple[float, float]:
-        return (0.0, np.inf)
+    location: ClassVar[float] = 0.0
+    sign: ClassVar[float] = -1.0
 
     def _cdf(self, x):
         # Off the support (and at nan) z is 0, where the cdf is 0.
         z = np.fmax(x, 0.0) / self.scale
         return -np.expm1(-np.power(z, self.shape))
-
-    def _log_pdf(self, x):
-        # w = -log x is Gumbel(-log scale, 1/shape), and the Jacobian adds w;
-        # off the support (and at nan) w is +inf and the sum nan.
-        w = -np.log(np.fmax(x, 0.0))
-        return Gumbel.log_density(w, -math.log(self.scale), -math.log(self.shape)) + w
 
     def _quantile(self, p):
         return self.scale * np.power(-np.log1p(-p), 1.0 / self.shape)
@@ -292,10 +307,16 @@ class GEV(_GevForms):
 
     family: ClassVar[str] = "gev"
 
+    @classmethod
+    def _from_gumbel(cls, location, scale, shape=0.0):
+        return cls(location, scale, shape)
+
 
 Distribution = Union[Gumbel, Frechet, Weibull, GEV]
 
-_FAMILY_CLASSES = {"gumbel": Gumbel, "frechet": Frechet, "weibull": Weibull, "gev": GEV}
+_FAMILY_CLASSES = {cls.family: cls for cls in get_args(Distribution)}
+FAMILIES = tuple(_FAMILY_CLASSES)
+FAMILY_LABELS = {family: cls.__name__ for family, cls in _FAMILY_CLASSES.items()}
 
 
 def _family_class(family: str):

@@ -1,12 +1,13 @@
 """Maximum-likelihood estimation of the extreme value families.
 
 Every family is fitted by log-likelihood maximization with one Nelder-Mead
-simplex search, as a Gumbel or a GEV. If X is Frechet(shape, scale), log X is
-Gumbel(log scale, 1/shape); if X is Weibull(shape, scale), -log X is
-Gumbel(-log scale, 1/shape) (Coles 2001, section 3.1). So the search runs on
-``(work - mean) / sd``, with ``work`` the data, log x or -log x, and initial
-steps and tolerances mean the same at every data scale (Coles 2001, section
-3.3). Scales are searched on the log scale, and the GEV shape is kept inside
+simplex search, as a Gumbel or a GEV of its Gumbel values w: x, log x or
+-log x. Each distribution class maps the data to w and a fitted Gumbel or
+GEV back to its record (Coles 2001, section 3.1), so nothing here branches
+on the family except the GEV's shape bounds, its start and its location
+repair. The search runs on ``(w - mean) / sd``, where initial steps and
+tolerances mean the same at every data scale (Coles 2001, section 3.3).
+Scales are searched on the log scale, and the GEV shape is kept inside
 (-1, 1). The GEV search starts from the fitted Gumbel at shape 0, its nested case.
 Every search sums the one likelihood kernel, ``GEV.log_density``, which at
 shape 0 is the Gumbel's. A point that leaves an observation off the support
@@ -23,15 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import (
-    EULER_GAMMA,
-    FAMILIES,
-    Distribution,
-    Frechet,
-    GEV,
-    Gumbel,
-    Weibull,
-)
+from .distributions import EULER_GAMMA, FAMILIES, GEV, Distribution, _family_class
 from .errors import DegenerateSampleError, DomainError
 from .sample import Sample, scaled_deviations
 from .simplex import nelder_mead
@@ -88,46 +81,27 @@ def log_likelihood(dist: Distribution, sample: Sample) -> float:
     return float(np.sum(dist.log_pdf(sample.values)))
 
 
-def _fit_data(family: str, sample: Sample, min_size: int) -> tuple[np.ndarray, float, float]:
-    """The fitted values w (x, log x or -log x) as ``(w - mean) / sd``, with that mean and sd."""
-    if family not in FAMILIES:
-        raise DomainError(f"unknown family {family!r}; expected one of {FAMILIES}")
+def _fit_data(family: str, sample: Sample, min_size: int) -> tuple[type, np.ndarray, float, float]:
+    """The family's class, its Gumbel values w as ``(w - mean) / sd``, and that mean and sd."""
+    cls = _family_class(family)
     if sample.n < min_size:
         raise DegenerateSampleError(f"need at least {min_size} observations to fit, got {sample.n}")
-
-    if family in ("frechet", "weibull"):
-        if np.any(sample.values <= 0.0):
-            raise DomainError(
-                f"{family} supports only positive values; sample minimum is "
-                f"{float(sample.values.min())}"
-            )
-        work = np.log(sample.values)
-        if family == "weibull":
-            np.negative(work, out=work)
-    else:
-        work = sample.values.copy()
-
+    with np.errstate(divide="ignore"):
+        work = cls._gumbel_values(sample.values)
+    if not np.all(np.isfinite(work)):
+        raise DomainError(
+            f"{family} supports only positive values; sample minimum is {float(sample.values.min())}"
+        )
     mean, sd, _ = scaled_deviations(work)
     if sd == 0.0:
         raise DegenerateSampleError("sample standard deviation is zero")
-    work -= mean
-    work /= sd
-    return work, mean, sd
+    return cls, (work - mean) / sd, mean, sd
 
 
 def _moment_gumbel(mean: float, sd: float) -> tuple[float, float]:
     """Location and scale of the Gumbel with the given mean and standard deviation."""
     scale = sd * math.sqrt(6.0) / math.pi
     return mean - EULER_GAMMA * scale, scale
-
-
-def _from_gumbel(family: str, location: float, scale: float) -> Distribution:
-    """The ``family`` record whose fitted values (x, log x or -log x) are Gumbel(location, scale)."""
-    if family == "frechet":
-        return Frechet(shape=1.0 / scale, scale=math.exp(location))
-    if family == "weibull":
-        return Weibull(shape=1.0 / scale, scale=math.exp(-location))
-    return Gumbel(location=location, scale=scale)
 
 
 def initial_params(family: str, sample: Sample) -> Distribution:
@@ -145,24 +119,16 @@ def initial_params(family: str, sample: Sample) -> Distribution:
     DegenerateSampleError
         Fewer than two observations, or zero standard deviation.
     DomainError
-        Frechet/Weibull requested for data with non-positive values.
+        Unknown family, or Frechet/Weibull requested for data with non-positive values.
     """
-    _, mean, sd = _fit_data(family, sample, 2)
-    start = _from_gumbel(family, *_moment_gumbel(mean, sd))
-    return _at_shape_zero(start) if family == "gev" else start
+    cls, _, mean, sd = _fit_data(family, sample, 2)
+    return cls._from_gumbel(*_moment_gumbel(mean, sd))
 
 
-def _at_shape_zero(gumbel: Gumbel) -> GEV:
-    return GEV(location=gumbel.location, scale=gumbel.scale, shape=0.0)
-
-
-def _unpack(family: str, theta, mean: float, sd: float) -> Distribution | None:
-    """Parameters in data units of a search point on ``(work - mean) / sd``; None when infeasible."""
+def _unpack(cls: type, theta, mean: float, sd: float) -> Distribution | None:
+    """Parameters in data units of a search point on ``(w - mean) / sd``; None when infeasible."""
     try:
-        location, scale = mean + sd * theta[0], sd * math.exp(theta[1])
-        if family == "gev":
-            return GEV(location=location, scale=scale, shape=theta[2])
-        return _from_gumbel(family, location, scale)
+        return cls._from_gumbel(mean + sd * theta[0], sd * math.exp(theta[1]), *theta[2:])
     except (DomainError, OverflowError):
         return None
 
@@ -170,20 +136,21 @@ def _unpack(family: str, theta, mean: float, sd: float) -> Distribution | None:
 def fit_mle(family: str, sample: Sample, *, _gumbel_fit: FitResult | None = None) -> FitResult:
     """Fit ``family`` to ``sample`` by maximum likelihood, with one simplex search.
 
-    Gumbel, Frechet and Weibull are a Gumbel search on standardized x, log x
-    and -log x from :func:`initial_params`. The GEV search starts from the
-    fitted Gumbel with shape 0 (which :func:`fit_all` passes in, as it has
-    already made it). The simplex never trades its best vertex for a worse
-    one, so the fitted GEV log-likelihood never falls below the fitted Gumbel
-    one. The GEV shape is kept inside (-1, 1): at -1 and below the likelihood
-    is unbounded, and at 1 and above the mean is infinite. ``initial_params`` of the result is the point the search
-    started from, in data units; ``iterations`` and ``n_evaluations`` count
-    the family's own search, not the Gumbel fit. ``log_likelihood`` is that
-    of the fitted parameters on ``sample`` itself. The fitted parameters
-    follow any change of units of the data. When rounding on the way back to
-    data units puts the finite end of a GEV support onto an observation, the
-    location moves outward by 1, 2, 4, ... floats, at most 64 times, until
-    the likelihood is finite.
+    Gumbel, Frechet and Weibull are a Gumbel search on their standardized
+    Gumbel values (x, log x and -log x) from :func:`initial_params`, mapped
+    back by the family's class. The GEV search starts from the fitted Gumbel
+    with shape 0 (which :func:`fit_all` passes in, as it has already made
+    it). The simplex never trades its best vertex for a worse one, so the
+    fitted GEV log-likelihood never falls below the fitted Gumbel one. The
+    GEV shape is kept inside (-1, 1): at -1 and below the likelihood is
+    unbounded, and at 1 and above the mean is infinite. ``initial_params`` of
+    the result is the point the search started from, in data units;
+    ``iterations`` and ``n_evaluations`` count the family's own search, not
+    the Gumbel fit. ``log_likelihood`` is that of the fitted parameters on
+    ``sample`` itself. The fitted parameters follow any change of units of
+    the data. When rounding on the way back to data units puts the finite
+    end of a GEV support onto an observation, the location moves outward by
+    1, 2, 4, ... floats, at most 64 times, until the likelihood is finite.
 
     A result with ``converged=False`` (rather than an exception) is returned
     when the iteration budget of :func:`~evtkit.simplex.nelder_mead` runs out
@@ -197,17 +164,17 @@ def fit_mle(family: str, sample: Sample, *, _gumbel_fit: FitResult | None = None
     DomainError
         Unknown family, or data outside the family support.
     """
-    data, mean, sd = _fit_data(family, sample, _MIN_FIT_SIZE)
+    cls, data, mean, sd = _fit_data(family, sample, _MIN_FIT_SIZE)
     location, scale = _moment_gumbel(0.0, 1.0)
     theta0, steps = [location, math.log(scale)], [0.1 * scale, 0.1]
+    start = _moment_gumbel(mean, sd)
     bounded = family == "gev"
     if bounded:
         gumbel = (_gumbel_fit or fit_mle("gumbel", sample)).params
-        init = _at_shape_zero(gumbel)
+        start = gumbel.location, gumbel.scale
         theta0 = [(gumbel.location - mean) / sd, math.log(gumbel.scale / sd), 0.0]
         steps = [*steps, 0.1]
-    else:
-        init = _from_gumbel(family, *_moment_gumbel(mean, sd))
+    init = cls._from_gumbel(*start)
 
     def nll(theta):
         if bounded and not _GEV_SHAPE_FLOOR < theta[2] < _GEV_SHAPE_CEILING:
@@ -217,7 +184,7 @@ def fit_mle(family: str, sample: Sample, *, _gumbel_fit: FitResult | None = None
 
     with np.errstate(all="ignore"):
         best = nelder_mead(nll, theta0, initial_steps=steps)
-    params = _unpack(family, best.x, mean, sd) if math.isfinite(best.fun) else None
+    params = _unpack(cls, best.x, mean, sd) if math.isfinite(best.fun) else None
     loglik = -math.inf if params is None else log_likelihood(params, sample)
     if bounded and params is not None and params.shape and not math.isfinite(loglik):
         # Rounding on the way back to data units can put the finite end of the

@@ -76,18 +76,24 @@ def load_csv(path, columns: str = "auto") -> Dataset:
 
     Raises
     ------
-    FileNotFoundError
-        Missing input file.
+    OSError
+        Missing or unreadable input file.
     ParseError
-        Non-numeric or non-finite cell, or an inconsistent column count
-        (reported with its 1-based row number).
+        Non-numeric or non-finite cell, an inconsistent column count, or a
+        byte that is not UTF-8 (reported with its 1-based row number).
     EmptyDatasetError
         No data rows at all.
     """
     if columns not in ("auto", "value", "year_value"):
         raise DomainError(f"unknown column spec {columns!r}")
     path = Path(path)
-    text = path.read_text(encoding="utf-8-sig")
+    data = path.read_bytes()
+    try:
+        text = data.decode("utf-8").removeprefix("\ufeff")
+    except UnicodeDecodeError as exc:
+        # The bytes before the bad one decode; an "x" after them lands on its row.
+        row = len((data[: exc.start].decode("utf-8") + "x").splitlines())
+        raise ParseError(row, f"byte 0x{data[exc.start]:02x} is not UTF-8") from None
 
     years: list[int] = []
     values: list[float] = []

@@ -236,13 +236,14 @@ def _row(indent: str, first: str, first_width: int, cells, widths, nd: int = 2) 
 
 
 def _text_report(report: AnalysisReport) -> str:
+    def _heading(title: str, rule: str = "-") -> tuple[str, str]:
+        return title, rule * len(title)
+
     lines: list[str] = []
     d = report.descriptive
-    lines.append("Block-maxima extreme value analysis")
-    lines.append("===================================")
+    lines.extend(_heading("Block-maxima extreme value analysis", "="))
     lines.append("")
-    lines.append("Descriptive statistics")
-    lines.append("----------------------")
+    lines.extend(_heading("Descriptive statistics"))
     for name, value, nd in [
         ("sample size", str(d.n), 2),
         ("range", d.range, 2),
@@ -257,22 +258,19 @@ def _text_report(report: AnalysisReport) -> str:
         lines.append(_row("  ", name, 22, (value,), (12,), nd))
     lines.append("")
 
-    lines.append("Fitted parameters (maximum likelihood)")
-    lines.append("--------------------------------------")
+    lines.extend(_heading("Fitted parameters (maximum likelihood)"))
     lines.extend(render_fit_table(report.fits, indent="  "))
     lines.append("")
 
     alpha = next((g.alpha for g in report.gofs if g is not None), 0.05)
-    lines.append(f"Goodness of fit (Anderson-Darling, alpha = {alpha:g})")
-    lines.append("-----------------------------------------------")
+    lines.extend(_heading(f"Goodness of fit (Anderson-Darling, alpha = {alpha:g})"))
     lines.extend(render_gof_table(report.fits, report.gofs, indent="  "))
     lines.append("")
 
-    best_label = FAMILY_LABELS.get(report.best_family, report.best_family)
+    best_label = FAMILY_LABELS[report.best_family]
     lines.append(f"Best family: {best_label}")
     lines.append("")
-    lines.append(f"Return levels ({best_label})")
-    lines.append("-" * (15 + len(best_label) + 1))
+    lines.extend(_heading(f"Return levels ({best_label})"))
     lines.extend(render_return_table({"level": report.return_levels}, indent="  "))
     return "\n".join(lines) + "\n"
 
@@ -282,7 +280,7 @@ def render_fit_table(fits, indent: str = "") -> list[str]:
     widths = _FIT_COLUMNS.values()
     lines = [_row(indent, "family", _FAMILY_WIDTH, _FIT_COLUMNS, widths)]
     for fit in fits:
-        label = FAMILY_LABELS.get(fit.family, fit.family)
+        label = FAMILY_LABELS[fit.family]
         if fit.result is None:
             lines.append(f"{indent}{label:<{_FAMILY_WIDTH}}ERROR: {fit.error}")
             continue
@@ -298,7 +296,7 @@ def render_gof_table(fits, gofs, indent: str = "") -> list[str]:
     widths = _GOF_COLUMNS.values()
     lines = [_row(indent, "family", _FAMILY_WIDTH, _GOF_COLUMNS, widths)]
     for fit, gof in zip(fits, gofs):
-        label = FAMILY_LABELS.get(fit.family, fit.family)
+        label = FAMILY_LABELS[fit.family]
         if gof is None:
             cells = ("ERROR", None, None)
         else:
@@ -310,10 +308,14 @@ def render_gof_table(fits, gofs, indent: str = "") -> list[str]:
 def render_return_table(columns: dict[str, ReturnLevelTable], indent: str = "") -> list[str]:
     """Lines of the return-level table, one column per header in ``columns``, prefixed by ``indent``."""
     widths = [_LEVEL_WIDTH] * len(columns)
-    lines = [_row(indent, "period (yr)", _PERIOD_WIDTH, columns, widths)]
-    for row in zip(*(table.entries for table in columns.values())):
-        levels = [level for _, level in row]
-        lines.append(_row(indent, f"{row[0][0]:g}", _PERIOD_WIDTH, levels, widths))
+    rows = list(zip(*(table.entries for table in columns.values())))
+    # Six significant digits where they read back as the period, else all of them;
+    # the first column widens for a long label.
+    labels = [f"{p:g}" if float(f"{p:g}") == p else repr(p) for p in (row[0][0] for row in rows)]
+    first = max([_PERIOD_WIDTH, *map(len, labels)])
+    lines = [_row(indent, "period (yr)", first, columns, widths)]
+    for label, row in zip(labels, rows):
+        lines.append(_row(indent, label, first, [level for _, level in row], widths))
     return lines
 
 

@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import evtkit
 from evtkit import (
     GEV,
     emit_plot_data,
@@ -105,6 +107,13 @@ class TestFitCommand:
         assert code == EXIT_DATA
         assert "row 2" in err
 
+    def test_non_utf8_input_is_data_error(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.csv"
+        bad.write_bytes(b"1.0\n2.0\n3.0 caf\xe9\n")
+        code, _, err = run_main(["fit", "--input", str(bad)], capsys)
+        assert code == EXIT_DATA
+        assert "row 3" in err and "0xe9" in err
+
     def test_degenerate_data_is_numerical_failure(self, tmp_path, capsys):
         flat = tmp_path / "flat.csv"
         flat.write_text("5.0\n5.0\n5.0\n5.0\n")
@@ -174,6 +183,19 @@ class TestReturnLevelsCommand:
         assert lines[4] == "100              230.88    371.19    215.95    248.34"
         assert len(lines) == 6
 
+    def test_period_labels_read_back_as_their_periods(self, capsys):
+        # Six significant digits printed 1234567.5 and 1234567.75 both as 1.23457e+06.
+        periods = [4 / 3, 1.5, 2.25, 1234567.5, 1234567.75, 1e14]
+        text = ",".join(map(repr, periods))
+        args = ["return-levels", "--input", str(FIXTURE_FILE), "--dist", "all", "--periods", text]
+        code, out, _ = run_main(args, capsys)
+        assert code == EXIT_OK
+        rows = out.splitlines()
+        labels = [row.split()[0] for row in rows[1:]]
+        assert [float(label) for label in labels] == periods
+        assert labels[1:3] == ["1.5", "2.25"] and labels[-1] == "1e+14"
+        assert_columns_kept(rows, len(labels[0]), (10,) * 4)  # the first column widens
+
     def test_bad_periods_is_usage_error(self, data_file, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["return-levels", "--input", str(data_file), "--periods", "50,5"])
@@ -185,6 +207,23 @@ class TestReportCommand:
         code, out, _ = run_main(["report", "--input", str(data_file)], capsys)
         assert code == EXIT_OK
         assert "Best family" in out
+
+    def test_heading_rules_match_their_titles(self, capsys):
+        code, out, _ = run_main(["report", "--input", str(FIXTURE_FILE)], capsys)
+        assert code == EXIT_OK
+        lines = out.splitlines()
+        rules = [i for i, line in enumerate(lines) if line and set(line) <= {"-", "="}]
+        assert len(rules) == 5
+        for i in rules:
+            assert len(lines[i]) == len(lines[i - 1]), lines[i - 1]
+
+    def test_out_dir_under_a_file_is_data_error(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        args = ["report", "--input", str(FIXTURE_FILE), "--out-dir", str(blocker / "sub")]
+        code, _, err = run_main(args, capsys)
+        assert code == EXIT_DATA
+        assert err.startswith("evtkit: error:")
 
     def test_out_dir_writes_files(self, data_file, tmp_path, capsys):
         out_dir = tmp_path / "artifacts"
@@ -374,6 +413,21 @@ class TestSimulateCommand:
             )
         assert exc.value.code == EXIT_USAGE
 
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys):
+        args = ["simulate", "--dist", "gev", "--params", "1,1,0", "--n", "5", "--seed", "-1"]
+        with pytest.raises(SystemExit) as exc:
+            main([*args, "--output", str(tmp_path / "x.csv")])
+        assert exc.value.code == EXIT_USAGE
+        assert "at least 0" in capsys.readouterr().err
+
+    def test_output_under_a_file_is_data_error(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        args = ["simulate", "--dist", "gumbel", "--params", "0,1", "--n", "5", "--output", str(blocker / "x.csv")]
+        code, _, err = run_main(args, capsys)
+        assert code == EXIT_DATA
+        assert err.startswith("evtkit: error:")
+
 
 class TestUsageErrors:
     def test_no_command(self):
@@ -389,6 +443,9 @@ class TestUsageErrors:
 
 def test_module_entry_point(tmp_path):
     out = tmp_path / "m.csv"
+    # The child imports the evtkit this process imported, installed or not.
+    src = str(Path(evtkit.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [
             sys.executable,
@@ -408,6 +465,7 @@ def test_module_entry_point(tmp_path):
         ],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert out.exists()

@@ -350,6 +350,10 @@ class TestSampling:
         with pytest.raises(DomainError):
             GEV_MM.sample(0, 1)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(DomainError, match="seed"):
+            GEV_MM.sample(5, -1)
+
     def test_empirical_cdf_close(self, reference_dist):
         s = reference_dist.sample(100_000, 12345)
         assert empirical_cdf_sup_distance(s.values, reference_dist) < 0.01

@@ -372,11 +372,33 @@ class TestRepositoryFixturePinned:
         ),
     }
 
-    def test_fit_all_is_pinned(self):
-        dataset = load_csv(Path(__file__).resolve().parents[1] / "data" / "synthetic_annual_maxima.csv")
-        fits = {o.family: o.result for o in fit_all(dataset.sample)}
+    # Log-likelihood of the fit, and repr of initial_params.
+    EXPECTED_LIKELIHOOD_AND_START = {
+        "gumbel": (-254.2385318552818, "Gumbel(location=93.28026548506195, scale=31.944608684223606)"),
+        "frechet": (
+            -255.84345502167918,
+            "Frechet(shape=3.7809613524033967, scale=90.48110146203479, location=0.0)",
+        ),
+        "weibull": (-260.6085471943081, "Weibull(shape=3.7809613524033967, scale=122.78912660834106)"),
+        "gev": (
+            -254.035499695575,
+            "GEV(location=93.28026548506195, scale=31.944608684223606, shape=0.0)",
+        ),
+    }
+
+    @pytest.fixture(scope="class")
+    def sample(self):
+        return load_csv(Path(__file__).resolve().parents[1] / "data" / "synthetic_annual_maxima.csv").sample
+
+    def test_fit_all_is_pinned(self, sample):
+        fits = {o.family: o.result for o in fit_all(sample)}
         got = {f: (repr(r.params), r.iterations, r.n_evaluations) for f, r in fits.items()}
         assert got == self.EXPECTED
+
+    def test_likelihood_and_start_are_pinned(self, sample):
+        fits = {o.family: o.result for o in fit_all(sample)}
+        got = {f: (r.log_likelihood, repr(initial_params(f, sample))) for f, r in fits.items()}
+        assert got == self.EXPECTED_LIKELIHOOD_AND_START
 
 
 class TestSimulationRecoveryProperty:

@@ -52,6 +52,14 @@ class TestLoadCsv:
             load_csv(f)
         assert err.value.row == 3
 
+    def test_non_utf8_byte_reports_row_number(self, tmp_path):
+        f = tmp_path / "latin1.csv"
+        f.write_bytes(b"\xef\xbb\xbfvalue\r\n1.0\r\n\r\n2.\xe95\n4.0\n")
+        with pytest.raises(ParseError) as err:
+            load_csv(f)
+        assert err.value.row == 4
+        assert "0xe9" in err.value.reason
+
     def test_non_finite_rejected(self, tmp_path):
         f = tmp_path / "inf.csv"
         f.write_text("1.0\nnan\n")

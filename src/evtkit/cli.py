@@ -229,13 +229,15 @@ def _cmd_return_levels(args) -> int:
 def _cmd_report(args) -> int:
     dataset = load_csv(args.input, columns=args.columns)
     report = run_pipeline(dataset, spec=args.periods, alpha=args.alpha)
-    print(emit_report(report, args.format), end="")
+    # The files are written first, so a directory that cannot be made or
+    # written leaves only the error, not a report that exits with 2.
     if args.out_dir is not None:
         out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         write_text_atomic(out_dir / "report.txt", emit_report(report, "text"))
         write_text_atomic(out_dir / "report.json", emit_report(report, "json") + "\n")
         emit_plot_data(report, dataset, out_dir)
+    print(emit_report(report, args.format), end="")
     return EXIT_OK
 
 

@@ -175,17 +175,32 @@ class _GevForms(_EvdFamily):
         return np.exp(np.negative(w, out=w), out=w)
 
     @staticmethod
-    def log_density(x, location, log_scale, shape=0.0):
-        """Log density; -inf off the support, where log1p(shape*z) is -inf or nan."""
-        # w starts as z, its shape-0 limit; one name keeps one large temporary
-        # fewer alive, which shows in the fitter at n = 100 000. Shape 0 skips
-        # log1p, so the Gumbel costs no more than its own formula would.
-        w = (x - location) / np.exp(log_scale)
-        if not shape:
-            return -log_scale - w - np.exp(-w)
-        lt = np.log1p(shape * w)
-        w = lt / shape
-        return np.where(lt > -np.inf, -log_scale - (lt + w) - np.exp(-w), -np.inf)
+    def log_density(x, location, log_scale, shape=0.0, out=None):
+        """Log density; -inf off the support, where log1p(shape*z) is -inf or nan.
+
+        At shape 0 it is the Gumbel's -log_scale - z - exp(-z), nan at x = -inf.
+        ``out`` is a workspace of two float arrays shaped like ``x``: a pair,
+        or one array with a leading axis of 2. Whatever they hold is
+        overwritten; the result is written into ``out[0]``, which is returned.
+        Without ``out`` a pair is allocated for the call. The fitter
+        passes one workspace to every evaluation of a search, so no evaluation
+        allocates anything the size of the data.
+        """
+        # In place: at n = 100 000 a new temporary per operation costs more
+        # than the arithmetic, as the heap is trimmed and its pages re-faulted
+        # between evaluations. w starts as z, its shape-0 limit; shape 0 skips
+        # log1p, so the Gumbel costs no more than its own formula would. Each
+        # ufunc takes its output by position, which parses faster than out=.
+        a, b = (np.empty(np.shape(x)), np.empty(np.shape(x))) if out is None else out
+        w = np.divide(np.subtract(x, location, a), np.exp(log_scale), a)
+        if shape:
+            np.log1p(np.multiply(shape, w, a), a)  # lt
+            w = np.divide(a, shape, b)
+            np.add(a, w, a)  # lt + w
+        np.exp(np.negative(w, b), b)
+        np.subtract(np.subtract(-log_scale, a, a), b, a)  # ((-log_scale) - (lt + w)) - exp(-w)
+        # At lt = -inf, and below it where lt is nan, the value is nan; fmax makes it -inf.
+        return np.fmax(a, -np.inf, a) if shape else a
 
     def _log_pdf(self, x):
         return self.log_density(x, self.location, math.log(self.scale), self.shape)

@@ -10,9 +10,11 @@ tolerances mean the same at every data scale (Coles 2001, section 3.3).
 Scales are searched on the log scale, and the GEV shape is kept inside
 (-1, 1). The GEV search starts from the fitted Gumbel at shape 0, its nested case.
 Every search sums the one likelihood kernel, ``GEV.log_density``, which at
-shape 0 is the Gumbel's. A point that leaves an observation off the support
-has log-likelihood -inf, the simplex's worst vertex. The parameters are
-mapped back to data units.
+shape 0 is the Gumbel's. Each search allocates one workspace, two arrays
+shaped like its data, and every evaluation writes the kernel into it, so no
+evaluation allocates anything the size of the data. A point that leaves an
+observation off the support has log-likelihood -inf or nan, both the
+simplex's worst vertex. The parameters are mapped back to data units.
 The search has no settings: it runs to the fixed tolerance of
 :func:`~evtkit.simplex.nelder_mead` or its iteration budget of 10 000.
 """
@@ -175,11 +177,12 @@ def fit_mle(family: str, sample: Sample, *, _gumbel_fit: FitResult | None = None
         theta0 = [(gumbel.location - mean) / sd, math.log(gumbel.scale / sd), 0.0]
         steps = [*steps, 0.1]
     init = cls._from_gumbel(*start)
+    workspace = np.empty_like(data), np.empty_like(data)
 
     def nll(theta):
         if bounded and not _GEV_SHAPE_FLOOR < theta[2] < _GEV_SHAPE_CEILING:
             return math.inf
-        value = -GEV.log_density(data, *theta).sum()
+        value = -GEV.log_density(data, *theta, out=workspace).sum()
         return value if math.isfinite(value) else math.inf
 
     with np.errstate(all="ignore"):

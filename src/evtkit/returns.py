@@ -28,6 +28,15 @@ __all__ = [
 DEFAULT_RETURN_PERIODS = (5.0, 10.0, 50.0, 100.0, 200.0)
 
 
+def _check_not_too_large(period: float) -> None:
+    """Raise DomainError when the non-exceedance probability 1 - 1/period rounds to 1."""
+    if 1.0 - 1.0 / period == 1.0:
+        raise DomainError(
+            f"return period {period!r} is too large: 1 - 1/period rounds to 1 "
+            "(periods from about 1.8e16 up)"
+        )
+
+
 @dataclass(frozen=True)
 class ReturnSpec:
     """Strictly increasing return periods in years, each greater than 1."""
@@ -40,6 +49,8 @@ class ReturnSpec:
             raise DomainError("at least one return period is required")
         if any(not np.isfinite(p) or p <= 1.0 for p in periods):
             raise DomainError("return periods must be finite and greater than 1")
+        for p in periods:
+            _check_not_too_large(p)
         if any(b <= a for a, b in zip(periods, periods[1:])):
             raise DomainError("return periods must be strictly increasing")
         object.__setattr__(self, "periods", periods)
@@ -66,11 +77,12 @@ def return_level(dist: Distribution, period: float) -> float:
     Raises
     ------
     DomainError
-        If ``period`` is not greater than 1.
+        If ``period`` is not greater than 1, or so large that 1 - 1/period rounds to 1.
     """
     period = float(period)
     if not (np.isfinite(period) and period > 1.0):
         raise DomainError("return period must be finite and greater than 1")
+    _check_not_too_large(period)
     return float(dist.quantile(1.0 - 1.0 / period))
 
 
@@ -84,10 +96,14 @@ def return_level_table(dist: Distribution, spec: ReturnSpec) -> ReturnLevelTable
 def return_curve(
     dist: Distribution, p_min: float, p_max: float, n_points: int
 ) -> list[tuple[float, float]]:
-    """Return levels over ``n_points`` log-spaced periods from p_min to p_max."""
+    """Return levels over ``n_points`` log-spaced periods from p_min to p_max.
+
+    Every period below an accepted ``p_max`` is accepted too.
+    """
     p_min, p_max = float(p_min), float(p_max)
     if not (1.0 < p_min < p_max):
         raise DomainError("need 1 < p_min < p_max")
+    _check_not_too_large(p_max)
     if int(n_points) < 2:
         raise DomainError("need at least two curve points")
     periods = np.geomspace(p_min, p_max, int(n_points))

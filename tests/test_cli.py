@@ -201,6 +201,15 @@ class TestReturnLevelsCommand:
             main(["return-levels", "--input", str(data_file), "--periods", "50,5"])
         assert exc.value.code == EXIT_USAGE
 
+    def test_period_too_large_for_its_probability_is_usage_error(self, capsys):
+        args = ["return-levels", "--input", str(FIXTURE_FILE), "--dist", "gev", "--periods", "5,1e17"]
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "return period 1e+17 is too large" in captured.err
+
 
 class TestReportCommand:
     def test_text_report(self, data_file, capsys):
@@ -221,9 +230,10 @@ class TestReportCommand:
         blocker = tmp_path / "file"
         blocker.write_text("")
         args = ["report", "--input", str(FIXTURE_FILE), "--out-dir", str(blocker / "sub")]
-        code, _, err = run_main(args, capsys)
+        code, out, err = run_main(args, capsys)
         assert code == EXIT_DATA
         assert err.startswith("evtkit: error:")
+        assert out == ""
 
     def test_out_dir_writes_files(self, data_file, tmp_path, capsys):
         out_dir = tmp_path / "artifacts"

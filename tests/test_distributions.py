@@ -267,6 +267,59 @@ class TestGumbelCase:
         assert np.array_equal(gev.quantile(p), GUMBEL_MM.quantile(p))
 
 
+def _reference_log_density(x, location, log_scale, shape=0.0):
+    """The likelihood kernel as numpy expressions that each allocate their result."""
+    w = (x - location) / np.exp(log_scale)
+    if not shape:
+        return -log_scale - w - np.exp(-w)
+    lt = np.log1p(shape * w)
+    w = lt / shape
+    return np.where(lt > -np.inf, -log_scale - (lt + w) - np.exp(-w), -np.inf)
+
+
+class TestLogDensityWorkspace:
+    """``out=`` gives the bits of the allocating kernel, whatever its buffers held."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        shape=st.one_of(st.just(0.0), st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True)),
+        location=st.floats(-10.0, 10.0),
+        log_scale=st.floats(-5.0, 5.0),
+        values=st.lists(
+            st.one_of(st.floats(-1e3, 1e3), st.sampled_from([np.inf, -np.inf, np.nan])),
+            min_size=1,
+            max_size=40,
+        ),
+        stale=st.sampled_from([np.nan, np.inf, -np.inf, 0.0, -1e308]),
+    )
+    @example(shape=0.5, location=0.0, log_scale=0.0, values=[-2.0, -3.0, 0.0], stale=np.nan)
+    @example(shape=-0.5, location=0.0, log_scale=0.0, values=[2.0, 3.0, 0.0], stale=np.inf)
+    @example(shape=1e-300, location=0.0, log_scale=0.0, values=[-700.0, 0.0, 700.0], stale=0.0)
+    def test_in_place_equals_allocating_call(self, shape, location, log_scale, values, stale):
+        x = np.array(values)
+        if shape:  # the end of the support, where lt is -inf, and points beyond it
+            edge = location - math.exp(log_scale) / shape
+            x = np.append(x, [edge, edge - math.copysign(1.0, shape), np.nextafter(edge, -shape * np.inf)])
+        pair = (np.full_like(x, stale), np.full_like(x, stale))
+        rows = np.full((2, x.size), stale)
+        with np.errstate(all="ignore"):
+            expected = np.fmax(_reference_log_density(x, location, log_scale, shape), -np.inf)
+            allocated = np.fmax(GEV.log_density(x, location, log_scale, shape), -np.inf)
+            # The buffers first hold an evaluation at other parameters.
+            GEV.log_density(x, location + 1.0, log_scale - 1.0, -shape / 2, out=pair)
+            result = GEV.log_density(x, location, log_scale, shape, out=pair)
+            in_rows = GEV.log_density(x, location, log_scale, shape, out=rows)
+        assert result is pair[0]
+        assert not (shape and np.isnan(result).any())  # -inf off the support
+        assert np.shares_memory(in_rows, rows[0]) and in_rows.shape == x.shape
+        assert allocated.tobytes() == expected.tobytes()
+        assert np.fmax(result, -np.inf).tobytes() == expected.tobytes()
+        assert np.fmax(in_rows, -np.inf).tobytes() == expected.tobytes()
+        with np.errstate(all="ignore"):
+            scalar = GEV.log_density(values[0], location, log_scale, shape)
+        assert np.fmax(scalar, -np.inf).tobytes() == expected[:1].tobytes()
+
+
 _SHAPES = st.one_of(
     st.just(0.0),
     st.builds(

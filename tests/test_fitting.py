@@ -293,6 +293,15 @@ class TestFitAll:
         assert tuple(o.family for o in outcomes) == FAMILIES
         assert all(o.ok for o in outcomes)
 
+    def test_refit_in_one_process_is_identical(self):
+        # Each search evaluates into a workspace of its own; fits of other
+        # data of the same size in between must leave nothing behind.
+        s = GEV(92.41, 30.85, -0.2).sample(120, 5)
+        first = fit_all(s)
+        for seed in range(3):
+            fit_all(GEV_MM.sample(120, seed))
+        assert repr(fit_all(s)) == repr(first)
+
     def test_gev_nests_gumbel(self):
         for seed in range(5):
             s = GEV_MM.sample(200, seed)

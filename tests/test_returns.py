@@ -1,6 +1,7 @@
 """Return levels: closed-form values, quantile identity, monotonicity."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -73,6 +74,25 @@ class TestReturnLevel:
     def test_rejects_bad_period(self, period):
         with pytest.raises(DomainError):
             return_level(GEV_MM, period)
+
+    def test_rejects_period_whose_probability_rounds_to_one(self):
+        # 1 - 1/period rounds to 1 from about 1.8e16 up, and quantile(1.0) is rejected.
+        for period in (2.0**54, 1e17, 1e300):
+            assert 1.0 - 1.0 / period == 1.0
+            with pytest.raises(DomainError, match=re.escape(f"return period {period!r} is too large")):
+                return_level(GEV_MM, period)
+            with pytest.raises(DomainError, match="too large"):
+                ReturnSpec((5.0, period))
+            with pytest.raises(DomainError, match="too large"):
+                return_curve(GEV_MM, 2.0, period, 8)
+
+    @pytest.mark.parametrize("period", [1e16, 2.0**54 * (1.0 - 2.0**-52)])
+    def test_largest_periods_keep_their_levels(self, period):
+        assert 1.0 - 1.0 / period < 1.0
+        level = float(GEV_MM.quantile(1.0 - 1.0 / period))
+        assert return_level(GEV_MM, period) == level
+        assert return_level_table(GEV_MM, ReturnSpec((5.0, period))).levels[-1] == level
+        assert return_curve(GEV_MM, 2.0, period, 2)[-1][1] == level
 
 
 class TestReturnLevelTable:

@@ -26,7 +26,7 @@ from .errors import (
 from .fitting import FitOutcome, fit_all, fit_mle
 from .io import load_csv, simulate_to_csv, write_text_atomic
 from .pipeline import REPORT_FORMATS, emit_plot_data, emit_report, goodness_of_fit, run_pipeline
-from .pipeline import fit_outcome_to_dict, gof_to_dict, return_levels_to_dict
+from .pipeline import _no_fit_error, fit_outcome_to_dict, gof_to_dict, return_levels_to_dict
 from .pipeline import render_fit_table, render_gof_table, render_return_table
 from .returns import DEFAULT_RETURN_PERIODS, ReturnSpec, return_level_table
 
@@ -210,7 +210,7 @@ def _cmd_return_levels(args) -> int:
         if o.result is not None
     }
     if not tables:
-        raise NumericalError("no distribution family could be fitted")
+        raise _no_fit_error(outcomes)
     if args.format == "json":
         payload = {
             "dataset": dataset.label,

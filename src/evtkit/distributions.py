@@ -94,43 +94,47 @@ class _EvdFamily:
     def _quantile(self, p: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def _evaluate(self, form, x):
+        """``form(x)`` for ``x`` as a float array of at least one dimension; a float for a scalar ``x``.
+
+        The one ``np.errstate(all="ignore")`` of every probability function: overflow
+        to +-inf, underflow to 0 and nan are values, never warnings.
+        """
+        arr = np.atleast_1d(np.asarray(x, dtype=float))
+        with np.errstate(all="ignore"):
+            out = form(arr)
+        return float(out[0]) if np.ndim(x) == 0 else out
+
+    def _log_pdf_without_nan(self, x):
+        # The closed forms give nan (inf - inf) at +-inf and at nan; fmax maps
+        # nan to -inf and keeps every other value, bit for bit.
+        out = self._log_pdf(x)
+        return np.fmax(out, -np.inf, out=out)
+
     def cdf(self, x):
         """Cumulative distribution function; 0 below and 1 above the support."""
-        arr = np.atleast_1d(np.asarray(x, dtype=float))
-        with np.errstate(over="ignore", under="ignore", divide="ignore"):
-            out = self._cdf(arr)
-        return _match_shape(out, x)
+        return self._evaluate(self._cdf, x)
 
     def log_pdf(self, x):
         """Natural log of the density; -inf wherever the density is zero, at +-inf and at nan."""
-        arr = np.atleast_1d(np.asarray(x, dtype=float))
-        with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
-            out = self._log_pdf(arr)
-        # The closed forms can give nan (inf - inf) at +-inf and at nan; fmax
-        # maps nan to -inf and keeps every other value, bit for bit.
-        return _match_shape(np.fmax(out, -np.inf, out=out), x)
+        return self._evaluate(self._log_pdf_without_nan, x)
 
     def pdf(self, x):
         """Probability density, evaluated in log space to avoid underflow; 0 at +-inf and at nan."""
-        arr = np.atleast_1d(np.asarray(x, dtype=float))
-        with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
-            out = self._log_pdf(arr)
-            np.exp(np.fmax(out, -np.inf, out=out), out=out)
-        return _match_shape(out, x)
+        return self._evaluate(lambda arr: np.exp(self._log_pdf_without_nan(arr)), x)
 
     def quantile(self, p):
-        """Inverse cdf for p strictly inside (0, 1).
+        """Inverse cdf for p strictly inside (0, 1); a level beyond the float range is +-inf, with no warning.
 
         Raises
         ------
         DomainError
             If any p lies outside the open interval (0, 1).
         """
-        arr = np.atleast_1d(np.asarray(p, dtype=float))
+        arr = np.asarray(p, dtype=float)
         if not np.all((arr > 0.0) & (arr < 1.0)):
             raise DomainError("probability must lie strictly between 0 and 1")
-        out = self._quantile(arr)
-        return _match_shape(out, p)
+        return self._evaluate(self._quantile, arr)
 
     def sample(self, n: int, seed: int) -> Sample:
         """Inverse-transform sample of size ``n`` from a seeded uniform stream.
@@ -142,15 +146,8 @@ class _EvdFamily:
             raise DomainError("sample size must be at least 1")
         if seed < 0:
             raise DomainError(f"seed must be at least 0, got {seed}")
-        rng = np.random.default_rng(seed)
-        u = clamp_probability(rng.random(n))
-        return Sample(self._quantile(u))
-
-
-def _match_shape(out: np.ndarray, like):
-    if np.ndim(like) == 0:
-        return float(out[0])
-    return out
+        u = clamp_probability(np.random.default_rng(seed).random(n))
+        return Sample(self._evaluate(self._quantile, u))
 
 
 class _GevForms(_EvdFamily):

@@ -70,9 +70,11 @@ def load_csv(path, columns: str = "auto") -> Dataset:
     The dataset's label is the file name without its suffix. Two layouts
     are accepted: one value per line, or ``year,value`` rows.
     ``columns`` may pin the layout to ``"value"`` or ``"year_value"``;
-    ``"auto"`` infers it from the first data row. A single leading header
-    row is skipped when it is not numeric. Blank lines are ignored but keep
-    their place in row numbering.
+    ``"auto"`` infers it from the first data row. The first non-blank row is
+    a header, and skipped, when none of its cells is a number; one that mixes
+    numbers and text is a data row, so its text cell is a ParseError. In a
+    one-column file a single non-numeric cell is thus a header. Blank lines
+    are ignored but keep their place in row numbering.
 
     Raises
     ------
@@ -107,7 +109,7 @@ def load_csv(path, columns: str = "auto") -> Dataset:
         parts = [p.strip() for p in line.split(",")]
         if allow_header:
             allow_header = False
-            if not all(_is_numeric(p) for p in parts):
+            if not any(_is_numeric(p) for p in parts):
                 continue  # header row
         if n_columns is None:
             if len(parts) not in (1, 2):

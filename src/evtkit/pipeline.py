@@ -83,7 +83,7 @@ def run_pipeline(dataset: Dataset, spec: ReturnSpec | None = None, alpha: float 
     fits = tuple(fit_all(dataset.sample))
     gofs = goodness_of_fit(dataset.sample, fits, alpha)
     if not any(gofs):
-        raise NumericalError("no distribution family could be fitted")
+        raise _no_fit_error(fits)
     if not any(fit.result.converged for fit in fits if fit.result is not None):
         raise NumericalError("no distribution family converged")
     best_family = select_best(gofs)
@@ -100,6 +100,12 @@ def run_pipeline(dataset: Dataset, spec: ReturnSpec | None = None, alpha: float 
 def goodness_of_fit(sample: Sample, fits, alpha: float = 0.05) -> tuple[GofResult | None, ...]:
     """Anderson-Darling test at level ``alpha`` of each fit, aligned with ``fits``; None where a fit failed."""
     return tuple(None if fit.result is None else anderson_darling(sample, fit.result.params, alpha) for fit in fits)
+
+
+def _no_fit_error(fits) -> NumericalError:
+    """The error when no family could be fitted, naming each distinct per-family reason once."""
+    reasons = "; ".join(dict.fromkeys(fit.error for fit in fits if fit.error))
+    return NumericalError(f"no distribution family could be fitted: {reasons}")
 
 
 def _params_for(fits: tuple[FitOutcome, ...], family: str) -> Distribution:
@@ -363,6 +369,8 @@ def emit_plot_data(report: AnalysisReport, dataset: Dataset, out_dir) -> dict[st
     best_params = _params_for(report.fits, report.best_family)
     p_max = max(report.return_levels.periods)
     p_min = RETURN_CURVE_MIN_PERIOD if p_max > RETURN_CURVE_MIN_PERIOD else (1.0 + p_max) / 2.0
+    # Just above 1 the midpoint rounds to 1; the curve is then p_max alone.
+    p_min = p_min if p_min > 1.0 else p_max
     periods, levels = zip(*return_curve(best_params, p_min, p_max, RETURN_CURVE_POINTS))
     write("return_curve", "period,level", format_column(periods), format_column(levels))
     return written

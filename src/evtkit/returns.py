@@ -28,13 +28,23 @@ __all__ = [
 DEFAULT_RETURN_PERIODS = (5.0, 10.0, 50.0, 100.0, 200.0)
 
 
-def _check_not_too_large(period: float) -> None:
-    """Raise DomainError when the non-exceedance probability 1 - 1/period rounds to 1."""
-    if 1.0 - 1.0 / period == 1.0:
-        raise DomainError(
-            f"return period {period!r} is too large: 1 - 1/period rounds to 1 "
-            "(periods from about 1.8e16 up)"
-        )
+def _probabilities(periods) -> np.ndarray:
+    """The probabilities 1 - 1/T of return periods T; the one check on a period.
+
+    Raises DomainError naming the first T that is not greater than 1, or so
+    large (inf included) that 1 - 1/T rounds to 1.
+    """
+    periods = np.asarray(periods, dtype=float)
+    with np.errstate(all="ignore"):  # 1/T is inf at T = 0 and at subnormal T
+        probabilities = 1.0 - 1.0 / periods
+    bad = ~((periods > 1.0) & (probabilities < 1.0))
+    if bad.any():
+        period = float(periods[bad.argmax()])
+        reason = "must be finite and greater than 1"
+        if period > 1.0:
+            reason = "is too large: 1 - 1/period rounds to 1 (periods from about 1.8e16 up)"
+        raise DomainError(f"return period {period!r} {reason}")
+    return probabilities
 
 
 @dataclass(frozen=True)
@@ -47,10 +57,7 @@ class ReturnSpec:
         periods = tuple(float(p) for p in self.periods)
         if not periods:
             raise DomainError("at least one return period is required")
-        if any(not np.isfinite(p) or p <= 1.0 for p in periods):
-            raise DomainError("return periods must be finite and greater than 1")
-        for p in periods:
-            _check_not_too_large(p)
+        _probabilities(periods)
         if any(b <= a for a, b in zip(periods, periods[1:])):
             raise DomainError("return periods must be strictly increasing")
         object.__setattr__(self, "periods", periods)
@@ -79,18 +86,13 @@ def return_level(dist: Distribution, period: float) -> float:
     DomainError
         If ``period`` is not greater than 1, or so large that 1 - 1/period rounds to 1.
     """
-    period = float(period)
-    if not (np.isfinite(period) and period > 1.0):
-        raise DomainError("return period must be finite and greater than 1")
-    _check_not_too_large(period)
-    return float(dist.quantile(1.0 - 1.0 / period))
+    return dist.quantile(_probabilities([period])[0])
 
 
 def return_level_table(dist: Distribution, spec: ReturnSpec) -> ReturnLevelTable:
     """One (period, level) row per requested period."""
-    return ReturnLevelTable(
-        entries=tuple((p, return_level(dist, p)) for p in spec.periods)
-    )
+    levels = dist.quantile(_probabilities(spec.periods))
+    return ReturnLevelTable(entries=tuple(zip(spec.periods, levels.tolist())))
 
 
 def return_curve(
@@ -98,14 +100,14 @@ def return_curve(
 ) -> list[tuple[float, float]]:
     """Return levels over ``n_points`` log-spaced periods from p_min to p_max.
 
-    Every period below an accepted ``p_max`` is accepted too.
+    ``p_min`` may equal ``p_max``. Every period below an accepted ``p_max`` is accepted too.
     """
     p_min, p_max = float(p_min), float(p_max)
-    if not (1.0 < p_min < p_max):
-        raise DomainError("need 1 < p_min < p_max")
-    _check_not_too_large(p_max)
+    _probabilities((p_min, p_max))
+    if p_min > p_max:
+        raise DomainError("need 1 < p_min <= p_max")
     if int(n_points) < 2:
         raise DomainError("need at least two curve points")
     periods = np.geomspace(p_min, p_max, int(n_points))
-    levels = dist.quantile(1.0 - 1.0 / periods)
-    return [(float(p), float(v)) for p, v in zip(periods, levels)]
+    levels = dist.quantile(_probabilities(periods))
+    return list(zip(periods.tolist(), levels.tolist()))

@@ -235,6 +235,29 @@ class TestReportCommand:
         assert err.startswith("evtkit: error:")
         assert out == ""
 
+    def test_period_next_to_one_draws_its_curve(self, tmp_path, capsys):
+        # The curve started at (1 + p_max) / 2, which rounds to 1: 15 files, then exit 2.
+        out_dir = tmp_path / "plots"
+        period = repr(math.nextafter(1.0, 2.0))
+        args = ["report", "--input", str(FIXTURE_FILE), "--periods", period, "--out-dir", str(out_dir)]
+        code, _, err = run_main(args, capsys)
+        assert (code, err) == (EXIT_OK, "")
+        assert len(list(out_dir.iterdir())) == 16
+        rows = (out_dir / "return_curve.csv").read_text().splitlines()[1:]
+        assert len(rows) == 256 and {row.split(",")[0] for row in rows} == {period}
+
+    @pytest.mark.parametrize("command", ["report", "return-levels"])
+    @pytest.mark.parametrize(
+        "text,reason",
+        [("1\n2\n", "need at least 3 observations to fit, got 2"), ("5\n5\n5\n5\n", "sample standard deviation is zero")],
+    )
+    def test_no_fitted_family_says_why(self, tmp_path, capsys, command, text, reason):
+        path = tmp_path / "unfittable.csv"
+        path.write_text(text)
+        code, out, err = run_main([command, "--input", str(path)], capsys)
+        assert (code, out) == (EXIT_NUMERICAL, "")
+        assert err == f"evtkit: error: no distribution family could be fitted: {reason}\n"
+
     def test_out_dir_writes_files(self, data_file, tmp_path, capsys):
         out_dir = tmp_path / "artifacts"
         code, out, _ = run_main(
@@ -430,6 +453,13 @@ class TestSimulateCommand:
         assert exc.value.code == EXIT_USAGE
         assert "at least 0" in capsys.readouterr().err
 
+    def test_draws_beyond_the_float_range_print_only_the_error(self, tmp_path):
+        # A numpy RuntimeWarning and its source line used to come before the error.
+        args = ["--dist", "frechet", "--params", "0.002,1", "--n", "5", "--output", str(tmp_path / "f.csv")]
+        proc = run_module("simulate", *args)
+        assert proc.returncode == EXIT_DATA
+        assert proc.stderr == "evtkit: error: sample values must all be finite\n"
+
     def test_output_under_a_file_is_data_error(self, tmp_path, capsys):
         blocker = tmp_path / "file"
         blocker.write_text("")
@@ -451,31 +481,17 @@ class TestUsageErrors:
         assert exc.value.code == EXIT_USAGE
 
 
-def test_module_entry_point(tmp_path):
-    out = tmp_path / "m.csv"
+def run_module(*args):
+    """``python -m evtkit`` with ``args`` in a child process, with numpy's default warning filters."""
     # The child imports the evtkit this process imported, installed or not.
     src = str(Path(evtkit.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(
-        [
-            sys.executable,
-            "-m",
-            "evtkit",
-            "simulate",
-            "--dist",
-            "gumbel",
-            "--params",
-            "93.61,32.02",
-            "--n",
-            "10",
-            "--seed",
-            "1",
-            "--output",
-            str(out),
-        ],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
+    return subprocess.run([sys.executable, "-m", "evtkit", *args], capture_output=True, text=True, env=env)
+
+
+def test_module_entry_point(tmp_path):
+    out = tmp_path / "m.csv"
+    args = ["--dist", "gumbel", "--params", "93.61,32.02", "--n", "10", "--seed", "1", "--output", str(out)]
+    proc = run_module("simulate", *args)
     assert proc.returncode == 0
     assert out.exists()

@@ -33,6 +33,18 @@ class TestLoadCsv:
         ds = load_csv(f)
         assert ds.years == (1970, 1971)
 
+    def test_first_row_with_a_typo_is_parse_error(self, tmp_path):
+        # It was taken for a header, so its value was dropped without a word.
+        f = tmp_path / "typo.csv"
+        f.write_text("1956,12O\n1957,10.5\n1958,11.0\n1959,12.5\n")
+        with pytest.raises(ParseError, match="row 1: could not parse '12O'"):
+            load_csv(f)
+
+    def test_one_column_text_row_is_header(self, tmp_path):
+        f = tmp_path / "one_column.csv"
+        f.write_text("rainfall_mm\n10.5\n11.0\n")
+        assert load_csv(f).sample.values.tolist() == [10.5, 11.0]
+
     def test_byte_order_mark_keeps_first_row(self, tmp_path):
         f = tmp_path / "bom.csv"
         f.write_bytes(b"\xef\xbb\xbf1.5\n2.5\n3.5\n4.5\n")

@@ -1,6 +1,7 @@
 """End-to-end pipeline, report formats, and plot-data emission."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -187,6 +188,15 @@ class TestEmitPlotData:
         assert xs[-1] == pytest.approx(values.max() + 0.1 * span)
         pdf = np.array([float(r.split(",")[1]) for r in rows])
         assert np.all(pdf >= 0)
+
+    def test_period_next_to_one_draws_its_curve(self, synthetic_dataset, tmp_path):
+        # (1 + p_max) / 2 rounds to 1 here; the curve falls back to p_max alone.
+        p_max = math.nextafter(1.0, 2.0)
+        report = run_pipeline(synthetic_dataset, ReturnSpec((p_max,)))
+        written = emit_plot_data(report, synthetic_dataset, tmp_path)
+        rows = written["return_curve"].read_text().splitlines()[1:]
+        assert len(rows) == RETURN_CURVE_POINTS
+        assert set(rows) == {f"{p_max!r},{report.return_levels.levels[0]!r}"}
 
     def test_return_curve_strictly_increasing(self, plot_files):
         written, _ = plot_files

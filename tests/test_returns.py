@@ -5,8 +5,20 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from evtkit import GEV, ReturnSpec, return_curve, return_level, return_level_table
+from evtkit import (
+    GEV,
+    Frechet,
+    Gumbel,
+    ReturnSpec,
+    Sample,
+    Weibull,
+    return_curve,
+    return_level,
+    return_level_table,
+)
 from evtkit.errors import DomainError
 
 from conftest import ALL_MM, GEV_MM, GUMBEL_MM, bisect_quantile
@@ -147,3 +159,58 @@ class TestReturnCurve:
             return_curve(GEV_MM, 50.0, 10.0, 8)
         with pytest.raises(DomainError):
             return_curve(GEV_MM, 2.0, 100.0, 1)
+
+
+_LOCATIONS = st.floats(-1e4, 1e4)
+_SCALES = st.floats(1e-3, 1e4)
+_RECORDS = st.one_of(
+    st.builds(Gumbel, _LOCATIONS, _SCALES),
+    st.builds(Frechet, st.floats(0.05, 20.0), _SCALES, st.floats(0.0, 1e4)),
+    st.builds(Weibull, st.floats(0.05, 20.0), _SCALES),
+    st.builds(GEV, _LOCATIONS, _SCALES, st.one_of(st.just(0.0), st.floats(-2.0, 2.0))),
+)
+_PERIODS = st.lists(st.floats(1.01, 1e15), min_size=1, max_size=12, unique=True).map(sorted)
+
+
+def _bits(values):
+    return [float(v).hex() for v in values]
+
+
+class TestOnePathForEveryPeriod:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(dist=_RECORDS, periods=_PERIODS, n_points=st.integers(2, 9))
+    def test_table_and_curve_ends_equal_return_level(self, dist, periods, n_points):
+        # One vectorized quantile call gives each period the bits of its own scalar call.
+        expected = [return_level(dist, period) for period in periods]
+        table = return_level_table(dist, ReturnSpec(tuple(periods)))
+        assert table.periods == tuple(periods)
+        assert _bits(table.levels) == _bits(expected)
+        curve = return_curve(dist, periods[0], periods[-1], n_points)
+        assert len(curve) == n_points
+        assert (curve[0][0], curve[-1][0]) == (periods[0], periods[-1])
+        assert _bits([curve[0][1], curve[-1][1]]) == _bits([expected[0], expected[-1]])
+
+    @pytest.mark.parametrize("dist", [GEV(0.0, 1.0, 200.0), Frechet(0.002, 1.0), Weibull(0.001, 1.0)])
+    def test_levels_beyond_the_float_range_are_inf_without_warning(self, dist):
+        # The suite turns an escaping RuntimeWarning into an error.
+        assert dist.quantile(0.999) == math.inf
+        assert return_level(dist, 1e6) == math.inf
+        assert return_level_table(dist, ReturnSpec()).levels[-1] == math.inf
+        try:
+            assert isinstance(dist.sample(5, 1), Sample)
+        except DomainError:
+            pass
+
+    def test_curve_end_at_inf_is_too_large(self):
+        with pytest.raises(DomainError, match="return period inf is too large"):
+            return_curve(GEV_MM, 2.0, math.inf, 8)
+
+    @pytest.mark.parametrize("periods", [(5.0, 0.5, 1e17), (5.0, math.nan, 1.0), (5.0, 1e17, 0.5)])
+    def test_error_names_the_first_bad_period(self, periods):
+        message = f"return period {re.escape(repr(periods[1]))} "
+        with pytest.raises(DomainError, match=message):
+            ReturnSpec(periods)
+        with pytest.raises(DomainError, match=message):
+            return_level(GEV_MM, periods[1])
+        with pytest.raises(DomainError, match=message):
+            return_curve(GEV_MM, periods[1], periods[2], 8)

@@ -52,15 +52,22 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _numbers(text: str, what: str) -> tuple[float, ...]:
+    try:
+        return tuple(float(tok) for tok in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"could not parse {what} {text!r}") from None
+
+
 def _periods_arg(text: str) -> ReturnSpec:
     try:
-        values = tuple(float(tok) for tok in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"could not parse periods {text!r}") from None
-    try:
-        return ReturnSpec(values)
+        return ReturnSpec(_numbers(text, "periods"))
     except DomainError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _params_arg(text: str) -> tuple[float, ...]:
+    return _numbers(text, "parameters")
 
 
 def _int_at_least(minimum: int):
@@ -74,13 +81,6 @@ def _int_at_least(minimum: int):
         return value
 
     return parse
-
-
-def _params_arg(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(tok) for tok in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"could not parse parameters {text!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -109,14 +109,14 @@ def build_parser() -> argparse.ArgumentParser:
     add_input(p_fit)
     add_dist(p_fit)
     add_format(p_fit)
-    p_fit.set_defaults(handler=_cmd_fit)
+    p_fit.set_defaults(handler=_cmd_step, rows=_fit_rows)
 
     p_gof = sub.add_parser("gof", help="Anderson-Darling goodness-of-fit test")
     add_input(p_gof)
     add_dist(p_gof)
     add_format(p_gof)
     add_alpha(p_gof)
-    p_gof.set_defaults(handler=_cmd_gof)
+    p_gof.set_defaults(handler=_cmd_step, rows=_gof_rows)
 
     p_rl = sub.add_parser("return-levels", help="return levels for fitted families")
     add_input(p_rl)
@@ -128,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=ReturnSpec(DEFAULT_RETURN_PERIODS),
         help="comma-separated return periods in years (default: 5,10,50,100,200)",
     )
-    p_rl.set_defaults(handler=_cmd_return_levels)
+    p_rl.set_defaults(handler=_cmd_step, rows=_return_level_rows)
 
     p_report = sub.add_parser("report", help="full pipeline: describe, fit, test, return levels")
     add_input(p_report)
@@ -161,69 +161,49 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _fit_selected(args):
+def _cmd_step(args) -> int:
+    """``fit``, ``gof`` and ``return-levels``: fit ``--dist`` and print the command's rows.
+
+    ``args.rows(args, sample, outcomes)`` gives the JSON payload that follows
+    ``"dataset"`` and the text lines.
+    """
     dataset = load_csv(args.input, columns=args.columns)
     if args.dist == "all":
-        return dataset, fit_all(dataset.sample)
-    # single family: surface data errors directly
-    return dataset, [FitOutcome(args.dist, result=fit_mle(args.dist, dataset.sample))]
-
-
-def _no_usable_fit(outcomes) -> bool:
-    return not any(o.result is not None and o.result.converged for o in outcomes)
-
-
-def _cmd_fit(args) -> int:
-    dataset, outcomes = _fit_selected(args)
+        outcomes = fit_all(dataset.sample)
+    else:  # single family: surface data errors directly
+        outcomes = [FitOutcome(args.dist, result=fit_mle(args.dist, dataset.sample))]
+    payload, lines = args.rows(args, dataset.sample, outcomes)
     if args.format == "json":
-        payload = {"dataset": dataset.label, "fits": [fit_outcome_to_dict(o) for o in outcomes]}
-        print(json.dumps(payload, indent=2))
+        print(json.dumps({"dataset": dataset.label, **payload}, indent=2))
     else:
-        print("\n".join(render_fit_table(outcomes)))
-    return EXIT_NUMERICAL if _no_usable_fit(outcomes) else EXIT_OK
+        print("\n".join(lines))
+    converged = any(o.result is not None and o.result.converged for o in outcomes)
+    return EXIT_OK if converged else EXIT_NUMERICAL
 
 
-def _cmd_gof(args) -> int:
-    dataset, outcomes = _fit_selected(args)
-    gofs = goodness_of_fit(dataset.sample, outcomes, args.alpha)
+def _fit_rows(args, sample, outcomes):
+    return {"fits": [fit_outcome_to_dict(o) for o in outcomes]}, render_fit_table(outcomes)
+
+
+def _gof_rows(args, sample, outcomes):
+    gofs = goodness_of_fit(sample, outcomes, args.alpha)
     best = select_best(gofs) if any(gofs) else None
-    if args.format == "json":
-        payload = {
-            "dataset": dataset.label,
-            "fits": [fit_outcome_to_dict(o) for o in outcomes],
-            "gof": [gof_to_dict(g) for g in gofs],
-            "best_family": best,
-        }
-        print(json.dumps(payload, indent=2))
-    else:
-        print("\n".join(render_gof_table(outcomes, gofs)))
-        if best is not None and len(gofs) > 1:
-            print(f"best family: {FAMILY_LABELS[best]}")
-    return EXIT_NUMERICAL if _no_usable_fit(outcomes) else EXIT_OK
+    lines = render_gof_table(outcomes, gofs)
+    if best is not None and len(gofs) > 1:
+        lines.append(f"best family: {FAMILY_LABELS[best]}")
+    fits = [fit_outcome_to_dict(o) for o in outcomes]
+    return {"fits": fits, "gof": [gof_to_dict(g) for g in gofs], "best_family": best}, lines
 
 
-def _cmd_return_levels(args) -> int:
-    dataset, outcomes = _fit_selected(args)
+def _return_level_rows(args, sample, outcomes):
     tables = {
-        o.family: return_level_table(o.result.params, args.periods)
-        for o in outcomes
-        if o.result is not None
+        o.family: return_level_table(o.result.params, args.periods) for o in outcomes if o.result is not None
     }
     if not tables:
         raise _no_fit_error(outcomes)
-    if args.format == "json":
-        payload = {
-            "dataset": dataset.label,
-            "return_levels": [
-                {"family": family, "entries": return_levels_to_dict(table)}
-                for family, table in tables.items()
-            ],
-        }
-        print(json.dumps(payload, indent=2))
-    else:
-        columns = {FAMILY_LABELS[family]: table for family, table in tables.items()}
-        print("\n".join(render_return_table(columns)))
-    return EXIT_NUMERICAL if _no_usable_fit(outcomes) else EXIT_OK
+    levels = [{"family": family, "entries": return_levels_to_dict(table)} for family, table in tables.items()]
+    columns = {FAMILY_LABELS[family]: table for family, table in tables.items()}
+    return {"return_levels": levels}, render_return_table(columns)
 
 
 def _cmd_report(args) -> int:
@@ -242,12 +222,13 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    # A parameter choice that fails, in the record or in its draws, is a usage error.
     try:
         dist = params_from_sequence(args.dist, args.params)
+        path = simulate_to_csv(dist, args.n, args.seed, args.output)
     except DomainError as exc:
         print(f"evtkit simulate: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    path = simulate_to_csv(dist, args.n, args.seed, args.output)
     print(path)
     return EXIT_OK
 

@@ -106,6 +106,8 @@ def describe(sample: Sample) -> DescriptiveStats:
     variance = std_dev * std_dev  # inf, not OverflowError, past the float range
     std_error = std_dev / math.sqrt(n)
     coef_variation_pct = 100.0 * std_dev / mean if mean != 0.0 else math.nan
+    if math.isinf(coef_variation_pct):  # 100 * std_dev passed the float range: divide first
+        coef_variation_pct = 100.0 * (std_dev / mean)
 
     m2 = float(np.mean(scaled**2))
     skewness = math.nan

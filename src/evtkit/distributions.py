@@ -140,6 +140,7 @@ class _EvdFamily:
         """Inverse-transform sample of size ``n`` from a seeded uniform stream.
 
         The same seed (>= 0) always produces the same values on a given platform.
+        A draw beyond the float range is a DomainError naming the record and the seed.
         """
         n = int(n)
         if n < 1:
@@ -147,7 +148,10 @@ class _EvdFamily:
         if seed < 0:
             raise DomainError(f"seed must be at least 0, got {seed}")
         u = clamp_probability(np.random.default_rng(seed).random(n))
-        return Sample(self._evaluate(self._quantile, u))
+        values = self._evaluate(self._quantile, u)
+        if not np.all(np.isfinite(values)):
+            raise DomainError(f"{self!r} with seed {seed} draws a value beyond the float range")
+        return Sample(values)
 
 
 class _GevForms(_EvdFamily):

@@ -101,6 +101,8 @@ def return_curve(
     """Return levels over ``n_points`` log-spaced periods from p_min to p_max.
 
     ``p_min`` may equal ``p_max``. Every period below an accepted ``p_max`` is accepted too.
+    Periods lie in [p_min, p_max]: geomspace may round one just past an end,
+    and that one is clipped to it.
     """
     p_min, p_max = float(p_min), float(p_max)
     _probabilities((p_min, p_max))
@@ -108,6 +110,6 @@ def return_curve(
         raise DomainError("need 1 < p_min <= p_max")
     if int(n_points) < 2:
         raise DomainError("need at least two curve points")
-    periods = np.geomspace(p_min, p_max, int(n_points))
+    periods = np.clip(np.geomspace(p_min, p_max, int(n_points)), p_min, p_max)
     levels = dist.quantile(_probabilities(periods))
     return list(zip(periods.tolist(), levels.tolist()))

@@ -53,10 +53,19 @@ class Sample:
 def scaled_deviations(values: np.ndarray) -> tuple[float, float, np.ndarray]:
     """Mean, n-1 standard deviation, and deviations from the mean over their largest magnitude.
 
-    Only deviations scaled into [-1, 1] are squared, so nothing overflows or
-    underflows at data scales such as 1e300 or 1e-300. Needs two values.
+    Only deviations scaled into [-1, 1] are squared, so the spread neither
+    overflows nor underflows at data scales such as 1e300 or 1e-300. The mean
+    is finite whenever every value is: a sum past the float range is taken
+    again over the values times 2**-k, with 2**k >= n, and scaled back.
+    Needs two values.
     """
-    mean = float(np.mean(values))
+    with np.errstate(over="ignore"):
+        total = float(values.sum())  # np.mean's sum, without its Python overhead
+    if math.isfinite(total):
+        mean = total / values.size
+    else:
+        scale = 2.0 ** math.ceil(math.log2(values.size))
+        mean = float((values / scale).sum()) / values.size * scale
     deviations = values - mean
     largest = float(np.max(np.abs(deviations)))
     scaled = deviations / largest if largest > 0.0 else deviations

@@ -386,6 +386,34 @@ class TestStepCommandsPrintTheReportRows:
         assert entry == {"family": best, "entries": report["return_levels"]}
 
 
+UNFITTABLE = {"two_values": "1\n2\n", "equal_values": "5\n5\n5\n5\n"}
+
+
+@pytest.mark.parametrize(
+    "command,dist,data",
+    [
+        *((command, "all", data) for command in ("fit", "gof", "return-levels") for data in UNFITTABLE),
+        ("gof", "gev", "fixture"),
+    ],
+)
+def test_step_command_exit_paths(tmp_path, capsys, command, dist, data):
+    path = FIXTURE_FILE
+    if data in UNFITTABLE:
+        path = tmp_path / "data.csv"
+        path.write_text(UNFITTABLE[data])
+    code, out, err = run_main([command, "--input", str(path), "--dist", dist], capsys)
+    if data == "fixture":  # one family tested: no best family to name
+        assert (code, err) == (EXIT_OK, "")
+        assert len(out.splitlines()) == 2 and "best family:" not in out
+    elif command == "return-levels":  # no table to print: only the reason
+        assert (code, out) == (EXIT_NUMERICAL, "")
+        assert err.startswith("evtkit: error: no distribution family could be fitted: ")
+    else:  # each family's ERROR row
+        assert (code, err) == (EXIT_NUMERICAL, "")
+        rows = out.splitlines()[1:]
+        assert len(rows) == 4 and all("ERROR" in row for row in rows)
+
+
 class TestSimulateCommand:
     def test_round_trip(self, tmp_path, capsys):
         out = tmp_path / "sim.csv"
@@ -457,8 +485,12 @@ class TestSimulateCommand:
         # A numpy RuntimeWarning and its source line used to come before the error.
         args = ["--dist", "frechet", "--params", "0.002,1", "--n", "5", "--output", str(tmp_path / "f.csv")]
         proc = run_module("simulate", *args)
-        assert proc.returncode == EXIT_DATA
-        assert proc.stderr == "evtkit: error: sample values must all be finite\n"
+        assert proc.returncode == EXIT_USAGE
+        assert proc.stderr == (
+            "evtkit simulate: error: Frechet(shape=0.002, scale=1.0, location=0.0) with seed 0"
+            " draws a value beyond the float range\n"
+        )
+        assert not (tmp_path / "f.csv").exists()
 
     def test_output_under_a_file_is_data_error(self, tmp_path, capsys):
         blocker = tmp_path / "file"

@@ -56,7 +56,7 @@ class TestDescribe:
         assert d.skewness == 0.0
         assert d.range == 2.0
 
-    @pytest.mark.parametrize("factor", [1e300, 1e-300])
+    @pytest.mark.parametrize("factor", [1e300, 1e-300, 5e307])
     def test_extreme_scales(self, factor):
         base = describe(Sample(np.array([1.0, 2.0, 3.0])))
         d = describe(Sample(factor * np.array([1.0, 2.0, 3.0])))

@@ -407,6 +407,11 @@ class TestSampling:
         with pytest.raises(DomainError, match="seed"):
             GEV_MM.sample(5, -1)
 
+    def test_draws_beyond_the_float_range_name_the_record_and_seed(self):
+        expected = r"^Frechet\(shape=0\.002, scale=1\.0, location=0\.0\) with seed 1 draws a value beyond the float range$"
+        with pytest.raises(DomainError, match=expected):
+            Frechet(0.002, 1.0).sample(5, 1)
+
     def test_empirical_cdf_close(self, reference_dist):
         s = reference_dist.sample(100_000, 12345)
         assert empirical_cdf_sup_distance(s.values, reference_dist) < 0.01

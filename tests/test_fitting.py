@@ -231,6 +231,7 @@ class TestUnitEquivariance:
     @example(log10_factor=-9.0, relative_shift=-1e6)
     @example(log10_factor=9.0, relative_shift=1e6)
     @example(log10_factor=6.0, relative_shift=0.0)
+    @example(log10_factor=305.0, relative_shift=0.0)  # the values' sum passes the float range
     def test_fits_follow_the_units_of_the_data(self, log10_factor, relative_shift):
         a = 10.0**log10_factor
         c = relative_shift * a * FIXTURE_SD

@@ -5,7 +5,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from evtkit import (
@@ -151,6 +151,21 @@ class TestReturnCurve:
         curve = return_curve(GEV_MM, 10.0, 1000.0, 3)
         periods = [p for p, _ in curve]
         assert periods[1] == pytest.approx(100.0, rel=1e-12)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(p_min=st.floats(1.01, 1e15), ulps=st.integers(0, 4), n_points=st.integers(2, 300))
+    @example(p_min=3.3, ulps=0, n_points=256)
+    @example(p_min=3.3, ulps=1, n_points=256)
+    def test_periods_stay_between_close_ends(self, p_min, ulps, n_points):
+        # geomspace(3.3, 3.3, 256) holds 3.2999999999999994 between its two ends.
+        p_max = p_min
+        for _ in range(ulps):
+            p_max = math.nextafter(p_max, math.inf)
+        periods = [p for p, _ in return_curve(GEV_MM, p_min, p_max, n_points)]
+        assert all(p_min <= p <= p_max for p in periods)
+        assert all(a <= b for a, b in zip(periods, periods[1:]))
+        if ulps == 0:
+            assert periods == [p_min] * n_points
 
     def test_validation(self):
         with pytest.raises(DomainError):

@@ -9,7 +9,7 @@ import numpy as np
 
 from .distributions import FAMILIES, Distribution, clamp_probability
 from .errors import DegenerateSampleError, DomainError, EmptyInputError
-from .sample import Sample, scaled_deviations
+from .sample import Sample, standardize
 
 __all__ = [
     "DescriptiveStats",
@@ -96,34 +96,35 @@ class DiffSeries:
 
 
 def describe(sample: Sample) -> DescriptiveStats:
-    """Descriptive statistics with n-1 variance and bias-adjusted shape estimators."""
+    """Descriptive statistics with n-1 variance and bias-adjusted shape estimators.
+
+    Taken at the unit of :func:`~evtkit.sample.standardize`; a value past the float range is inf.
+    """
     n = sample.n
     if n < 2:
         raise DegenerateSampleError("need at least two observations to describe")
     x = sample.values
-    # The shape estimators are scale-free, so the scaled deviations give them.
-    mean, std_dev, scaled = scaled_deviations(x)
-    variance = std_dev * std_dev  # inf, not OverflowError, past the float range
+    unit, mean, sd, z = standardize(x)
+    std_dev = unit * sd  # Python floats: inf past the float range, with no warning
+    variance = std_dev * std_dev
     std_error = std_dev / math.sqrt(n)
-    coef_variation_pct = 100.0 * std_dev / mean if mean != 0.0 else math.nan
-    if math.isinf(coef_variation_pct):  # 100 * std_dev passed the float range: divide first
-        coef_variation_pct = 100.0 * (std_dev / mean)
+    coef_variation_pct = 100.0 * sd / mean if mean != 0.0 else math.nan
 
-    m2 = float(np.mean(scaled**2))
+    m2 = float(np.mean(z**2))
     skewness = math.nan
     excess_kurtosis = math.nan
     if m2 > 0.0:
         if n > 2:
-            g1 = float(np.mean(scaled**3)) / m2**1.5
+            g1 = float(np.mean(z**3)) / m2**1.5
             skewness = g1 * math.sqrt(n * (n - 1.0)) / (n - 2.0)
         if n > 3:
-            g2 = float(np.mean(scaled**4)) / m2**2 - 3.0
+            g2 = float(np.mean(z**4)) / m2**2 - 3.0
             excess_kurtosis = ((n + 1.0) * g2 + 6.0) * (n - 1.0) / ((n - 2.0) * (n - 3.0))
 
     return DescriptiveStats(
         n=n,
-        range=float(np.max(x) - np.min(x)),
-        mean=mean,
+        range=unit * (float(np.max(x)) / unit - float(np.min(x)) / unit),
+        mean=unit * mean,
         variance=variance,
         std_dev=std_dev,
         coef_variation_pct=coef_variation_pct,

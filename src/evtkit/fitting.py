@@ -5,7 +5,8 @@ simplex search, as a Gumbel or a GEV of its Gumbel values w: x, log x or
 -log x. Each distribution class maps the data to w and a fitted Gumbel or
 GEV back to its record (Coles 2001, section 3.1), so nothing here branches
 on the family except the GEV's shape bounds, its start and its location
-repair. The search runs on ``(w - mean) / sd``, where initial steps and
+repair. The search runs on ``(w - mean) / sd``, taken at the power-of-two
+unit of :func:`~evtkit.sample.standardize`, where initial steps and
 tolerances mean the same at every data scale (Coles 2001, section 3.3).
 Scales are searched on the log scale, and the GEV shape is kept inside
 (-1, 1). The GEV search starts from the fitted Gumbel at shape 0, its nested case.
@@ -28,7 +29,7 @@ import numpy as np
 
 from .distributions import EULER_GAMMA, FAMILIES, GEV, Distribution, _family_class
 from .errors import DegenerateSampleError, DomainError
-from .sample import Sample, scaled_deviations
+from .sample import Sample, standardize
 from .simplex import nelder_mead
 
 __all__ = [
@@ -83,8 +84,8 @@ def log_likelihood(dist: Distribution, sample: Sample) -> float:
     return float(np.sum(dist.log_pdf(sample.values)))
 
 
-def _fit_data(family: str, sample: Sample, min_size: int) -> tuple[type, np.ndarray, float, float]:
-    """The family's class, its Gumbel values w as ``(w - mean) / sd``, and that mean and sd."""
+def _fit_data(family: str, sample: Sample, min_size: int) -> tuple[type, np.ndarray, float, float, float]:
+    """The family's class, its Gumbel values w as ``(w - mean) / sd``, and the unit of w and, at it, that mean and sd."""
     cls = _family_class(family)
     if sample.n < min_size:
         raise DegenerateSampleError(f"need at least {min_size} observations to fit, got {sample.n}")
@@ -94,16 +95,16 @@ def _fit_data(family: str, sample: Sample, min_size: int) -> tuple[type, np.ndar
         raise DomainError(
             f"{family} supports only positive values; sample minimum is {float(sample.values.min())}"
         )
-    mean, sd, _ = scaled_deviations(work)
+    unit, mean, sd, data = standardize(work)
     if sd == 0.0:
         raise DegenerateSampleError("sample standard deviation is zero")
-    return cls, (work - mean) / sd, mean, sd
+    return cls, data, unit, mean, sd
 
 
-def _moment_gumbel(mean: float, sd: float) -> tuple[float, float]:
-    """Location and scale of the Gumbel with the given mean and standard deviation."""
+def _moment_gumbel(unit: float, mean: float, sd: float) -> tuple[float, float]:
+    """Location and scale of the Gumbel with the given mean and standard deviation at ``unit``, in data units."""
     scale = sd * math.sqrt(6.0) / math.pi
-    return mean - EULER_GAMMA * scale, scale
+    return unit * (mean - EULER_GAMMA * scale), unit * scale
 
 
 def initial_params(family: str, sample: Sample) -> Distribution:
@@ -123,14 +124,14 @@ def initial_params(family: str, sample: Sample) -> Distribution:
     DomainError
         Unknown family, or Frechet/Weibull requested for data with non-positive values.
     """
-    cls, _, mean, sd = _fit_data(family, sample, 2)
-    return cls._from_gumbel(*_moment_gumbel(mean, sd))
+    cls, _, unit, mean, sd = _fit_data(family, sample, 2)
+    return cls._from_gumbel(*_moment_gumbel(unit, mean, sd))
 
 
-def _unpack(cls: type, theta, mean: float, sd: float) -> Distribution | None:
+def _unpack(cls: type, theta, unit: float, mean: float, sd: float) -> Distribution | None:
     """Parameters in data units of a search point on ``(w - mean) / sd``; None when infeasible."""
     try:
-        return cls._from_gumbel(mean + sd * theta[0], sd * math.exp(theta[1]), *theta[2:])
+        return cls._from_gumbel(unit * (mean + sd * float(theta[0])), unit * (sd * math.exp(theta[1])), *theta[2:])
     except (DomainError, OverflowError):
         return None
 
@@ -166,15 +167,15 @@ def fit_mle(family: str, sample: Sample, *, _gumbel_fit: FitResult | None = None
     DomainError
         Unknown family, or data outside the family support.
     """
-    cls, data, mean, sd = _fit_data(family, sample, _MIN_FIT_SIZE)
-    location, scale = _moment_gumbel(0.0, 1.0)
+    cls, data, unit, mean, sd = _fit_data(family, sample, _MIN_FIT_SIZE)
+    location, scale = _moment_gumbel(1.0, 0.0, 1.0)
     theta0, steps = [location, math.log(scale)], [0.1 * scale, 0.1]
-    start = _moment_gumbel(mean, sd)
+    start = _moment_gumbel(unit, mean, sd)
     bounded = family == "gev"
     if bounded:
         gumbel = (_gumbel_fit or fit_mle("gumbel", sample)).params
         start = gumbel.location, gumbel.scale
-        theta0 = [(gumbel.location - mean) / sd, math.log(gumbel.scale / sd), 0.0]
+        theta0 = [(gumbel.location / unit - mean) / sd, math.log(gumbel.scale / unit / sd), 0.0]
         steps = [*steps, 0.1]
     init = cls._from_gumbel(*start)
     workspace = np.empty_like(data), np.empty_like(data)
@@ -187,7 +188,7 @@ def fit_mle(family: str, sample: Sample, *, _gumbel_fit: FitResult | None = None
 
     with np.errstate(all="ignore"):
         best = nelder_mead(nll, theta0, initial_steps=steps)
-    params = _unpack(cls, best.x, mean, sd) if math.isfinite(best.fun) else None
+    params = _unpack(cls, best.x, unit, mean, sd) if math.isfinite(best.fun) else None
     loglik = -math.inf if params is None else log_likelihood(params, sample)
     if bounded and params is not None and params.shape and not math.isfinite(loglik):
         # Rounding on the way back to data units can put the finite end of the

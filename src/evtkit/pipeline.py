@@ -25,7 +25,7 @@ from .errors import NumericalError, UnsupportedFormatError
 from .fitting import FitOutcome, FitResult, fit_all
 from .io import Dataset, format_column, write_csv
 from .returns import ReturnLevelTable, ReturnSpec, return_curve, return_level_table
-from .sample import Sample
+from .sample import Sample, standardize
 
 __all__ = [
     "AnalysisReport",
@@ -118,11 +118,16 @@ def _params_for(fits: tuple[FitOutcome, ...], family: str) -> Distribution:
 # --- serialization ---------------------------------------------------------
 
 
+def _finite_or_none(value: float) -> float | None:
+    """``value``, or None when it is not finite: strict JSON has no inf or nan."""
+    return value if math.isfinite(value) else None
+
+
 def report_to_dict(report: AnalysisReport) -> dict:
-    """Plain-dict form of a report (stable field names, full precision, None for non-finite statistics)."""
+    """Plain-dict form of a report (stable field names, full precision, None for non-finite numbers)."""
     descriptive = dataclasses.asdict(report.descriptive)
     return {
-        "descriptive": {name: value if math.isfinite(value) else None for name, value in descriptive.items()},
+        "descriptive": {name: _finite_or_none(value) for name, value in descriptive.items()},
         "fits": [fit_outcome_to_dict(fit) for fit in report.fits],
         "gof": [gof_to_dict(g) for g in report.gofs],
         "best_family": report.best_family,
@@ -131,7 +136,7 @@ def report_to_dict(report: AnalysisReport) -> dict:
 
 
 def fit_outcome_to_dict(fit: FitOutcome) -> dict:
-    """Plain-dict form of one per-family fit entry."""
+    """Plain-dict form of one per-family fit entry; a log-likelihood that is not finite is None."""
     if fit.result is None:
         return {"family": fit.family, "error": fit.error, "fit": None}
     result = fit.result
@@ -140,7 +145,7 @@ def fit_outcome_to_dict(fit: FitOutcome) -> dict:
         "error": None,
         "fit": {
             "params": params_to_dict(result.params),
-            "log_likelihood": result.log_likelihood,
+            "log_likelihood": _finite_or_none(result.log_likelihood),
             "converged": result.converged,
             "iterations": result.iterations,
             "n_evaluations": result.n_evaluations,
@@ -155,15 +160,17 @@ def gof_to_dict(gof: GofResult | None) -> dict | None:
 
 
 def return_levels_to_dict(table: ReturnLevelTable) -> list[dict]:
-    """Plain-dict form of a return-level table: one ``{"period", "level"}`` entry per period."""
-    return [{"period": period, "level": level} for period, level in table.entries]
+    """Plain-dict form of a return-level table: one ``{"period", "level"}`` entry per period, None for an inf level."""
+    return [{"period": period, "level": _finite_or_none(level)} for period, level in table.entries]
 
 
 def report_from_dict(data: dict) -> AnalysisReport:
     """Rebuild a report from :func:`report_to_dict` output (exact round trip).
 
-    A ``None`` statistic reads back as NaN, except the variance, which is
-    ``std_dev * std_dev`` as :func:`describe` computes it (inf past the float range).
+    A ``None`` descriptive statistic reads back as NaN, except the variance,
+    which is ``std_dev * std_dev`` as :func:`describe` computes it (inf past
+    the float range). A ``None`` return level reads back as inf and a
+    ``None`` log-likelihood as -inf, the non-finite values that each can take.
     """
     descriptive = {name: math.nan if value is None else value for name, value in data["descriptive"].items()}
     if data["descriptive"]["variance"] is None:
@@ -175,7 +182,7 @@ def report_from_dict(data: dict) -> AnalysisReport:
         best_family=data["best_family"],
         return_levels=ReturnLevelTable(
             entries=tuple(
-                (float(row["period"]), float(row["level"]))
+                (float(row["period"]), math.inf if row["level"] is None else float(row["level"]))
                 for row in data["return_levels"]
             )
         ),
@@ -188,7 +195,7 @@ def _fit_from_dict(entry: dict) -> FitOutcome:
     payload = entry["fit"]
     result = FitResult(
         params=params_from_dict(payload["params"]),
-        log_likelihood=float(payload["log_likelihood"]),
+        log_likelihood=-math.inf if payload["log_likelihood"] is None else float(payload["log_likelihood"]),
         converged=bool(payload["converged"]),
         iterations=int(payload["iterations"]),
         n_evaluations=int(payload["n_evaluations"]),
@@ -225,14 +232,16 @@ _PERIOD_WIDTH, _LEVEL_WIDTH = 13, 10
 def _cell(value, width: int, nd: int = 2) -> str:
     """``value`` right-aligned in ``width`` characters, after at least one space.
 
-    Numbers get ``nd`` decimals when that text is shorter than ``width``, else ``nd``
-    significant digits in scientific notation; None prints as ``-``, text as is.
+    Numbers get ``nd`` decimals when that text is shorter than ``width`` and
+    does not round a nonzero number to zero, else ``nd`` significant digits in
+    scientific notation; None prints as ``-``, text as is.
     """
     if value is None:
         value = "-"
     elif not isinstance(value, str):
         text = f"{value:.{nd}f}"
-        value = text if len(text) < width else f"{value:.{nd - 1}e}"
+        fixed = len(text) < width and (value == 0.0 or float(text) != 0.0)
+        value = text if fixed else f"{value:.{nd - 1}e}"
     return f"{value:>{width}}"
 
 
@@ -349,9 +358,10 @@ def emit_plot_data(report: AnalysisReport, dataset: Dataset, out_dir) -> dict[st
     years = np.array(dataset.years or range(1, sample.n + 1), dtype=object)
     write("timeseries", "year,value", format_column(years), format_column(x))
 
-    lo, hi = float(np.min(x)), float(np.max(x))
-    margin = PDF_GRID_MARGIN * (hi - lo)
-    grid = np.linspace(lo - margin, hi + margin, PDF_GRID_POINTS)
+    unit = standardize(x)[0]  # pad at the data's unit, then clip to the finite floats
+    lo, hi = float(np.min(x)) / unit, float(np.max(x)) / unit
+    margin, limit = PDF_GRID_MARGIN * (hi - lo), float(np.finfo(float).max) / unit
+    grid = np.clip(np.linspace(lo - margin, hi + margin, PDF_GRID_POINTS), -limit, limit) * unit
     # Columns that several files share are formatted once.
     grid_text = format_column(grid)
     positions_text = format_column(plotting_positions(sample.n))

@@ -50,23 +50,20 @@ class Sample:
         return f"Sample(n={self.n})"
 
 
-def scaled_deviations(values: np.ndarray) -> tuple[float, float, np.ndarray]:
-    """Mean, n-1 standard deviation, and deviations from the mean over their largest magnitude.
+def standardize(values: np.ndarray) -> tuple[float, float, float, np.ndarray]:
+    """A power-of-two unit u of ``values``, and at u their mean, n-1 sd and ``(values - mean) / sd``.
 
-    Only deviations scaled into [-1, 1] are squared, so the spread neither
-    overflows nor underflows at data scales such as 1e300 or 1e-300. The mean
-    is finite whenever every value is: a sum past the float range is taken
-    again over the values times 2**-k, with 2**k >= n, and scaled back.
-    Needs two values.
+    u = 2**(e-1) for the ``frexp`` exponent e of the largest magnitude, so
+    ``values / u`` is exact and nothing taken at u passes the float range.
+    ``u * mean`` and ``u * sd`` are the data-unit values, bit for bit, and as
+    Python floats are inf past the float range, with no warning. Needs two values.
     """
-    with np.errstate(over="ignore"):
-        total = float(values.sum())  # np.mean's sum, without its Python overhead
-    if math.isfinite(total):
-        mean = total / values.size
-    else:
-        scale = 2.0 ** math.ceil(math.log2(values.size))
-        mean = float((values / scale).sum()) / values.size * scale
-    deviations = values - mean
+    unit = 2.0 ** (math.frexp(max(float(values.max()), -float(values.min())))[1] - 1)
+    deviations = values / unit
+    mean = float(deviations.sum()) / deviations.size
+    deviations -= mean
     largest = float(np.max(np.abs(deviations)))
     scaled = deviations / largest if largest > 0.0 else deviations
-    return mean, largest * math.sqrt(float(np.dot(scaled, scaled)) / (values.size - 1)), scaled
+    sd = largest * math.sqrt(float(np.dot(scaled, scaled)) / (values.size - 1))
+    deviations /= sd or 1.0  # sd is 0 only when every deviation is
+    return unit, mean, sd, deviations

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -51,17 +52,26 @@ def _scaled_inputs():
     fixture = load_csv(FIXTURE_FILE).sample.values
     for sign in (1.0, -1.0):
         yield pytest.param(sign * np.array(HUGE_VALUES), id=f"{sign:+g}e200")
-        for k in range(3, 16):
+        for k in (*range(-15, -2), *range(3, 16)):
             yield pytest.param(sign * 10.0**k * fixture, id=f"fixture{sign:+g}e{k}")
 
 
 def assert_columns_kept(rows, lead, widths):
-    """Every row fills its columns exactly, and each right-aligned cell starts with a space."""
+    """Every row fills its columns exactly, each right-aligned cell starts with a space, and none reads zero.
+
+    The only zero in these tables is the Frechet location, which the fit holds
+    at 0, so any other cell such as ``0.00`` or ``-0.000`` is a nonzero number
+    rounded away.
+    """
     starts = list(itertools.accumulate(widths[:-1], initial=lead))
     for row in rows:
         if "ERROR:" not in row:  # a failed fit's message spans the row
             assert len(row) == lead + sum(widths), row
             assert all(row[start] == " " for start in starts), row
+            cells = [row[start:end] for start, end in itertools.pairwise([*starts, len(row)])]
+            if row.lstrip().startswith("Frechet"):
+                cells = cells[1:]
+            assert not any(re.fullmatch(r" *-?0\.0+", cell) for cell in cells), row
 
 
 @pytest.fixture(scope="module")
@@ -330,6 +340,26 @@ class TestReportCommand:
         doc = json.loads(out, parse_constant=reject)
         assert doc["descriptive"]["variance"] is None
         assert report_from_dict(doc) == run_pipeline(load_csv(path))
+
+    @pytest.mark.parametrize("command", ["report", "fit", "return-levels"])
+    def test_json_writes_levels_past_the_float_range_as_null(self, tmp_path, capsys, command):
+        # The Gumbel is the best fit here, and its 50- to 200-year levels are inf;
+        # they were written as Infinity.
+        path = tmp_path / "near_max.csv"
+        values = np.random.default_rng(1).uniform(2e307, 1.7e308, 30)
+        path.write_text("".join(f"{value!r}\n" for value in values.tolist()))
+        code, out, _ = run_main([command, "--input", str(path), "--format", "json"], capsys)
+        assert code == EXIT_OK
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        doc = json.loads(out, parse_constant=reject)
+        if command == "report":
+            assert None in [row["level"] for row in doc["return_levels"]]
+            assert report_from_dict(doc) == run_pipeline(load_csv(path))
+        elif command == "return-levels":
+            assert None in [row["level"] for table in doc["return_levels"] for row in table["entries"]]
 
     @pytest.mark.parametrize("values", _scaled_inputs())
     def test_text_tables_keep_their_columns_at_every_scale(self, tmp_path, capsys, values):

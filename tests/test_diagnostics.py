@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats as spstats
 
 from evtkit import (
@@ -65,6 +67,31 @@ class TestDescribe:
         assert d.coef_variation_pct == pytest.approx(base.coef_variation_pct, rel=1e-12)
         assert d.skewness == pytest.approx(base.skewness, abs=1e-12)
         assert d.variance == d.std_dev * d.std_dev
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(2, 200),
+        sign=st.sampled_from([1.0, -1.0]),
+        k=st.integers(-1000, 1000),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n=51, sign=1.0, k=-1000, seed=0)
+    @example(n=51, sign=-1.0, k=1000, seed=0)
+    def test_binary_rescaling_moves_no_bit(self, n, sign, k, seed):
+        # Every value lies in [2**5, 2**10), so x * 2**k is normal for every k drawn.
+        x = sign * np.random.default_rng(seed).uniform(32.0, 1000.0, n)
+        base, scaled = describe(Sample(x)), describe(Sample(x * 2.0**k))
+        for name in ("mean", "std_dev", "range"):
+            assert getattr(scaled, name) == math.ldexp(getattr(base, name), k), name
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_range_past_the_float_range(self):
+        # The deviations from the mean and the range overflowed in the subtraction.
+        d = describe(Sample(np.array([1e308, -1e308, 5e307])))
+        assert d.range == math.inf and d.variance == math.inf
+        assert d.mean == pytest.approx(5e307 / 3, rel=1e-15)
+        assert d.std_dev == pytest.approx(1e300 * np.std([1e8, -1e8, 5e7], ddof=1), rel=1e-14)
+        assert math.isfinite(d.coef_variation_pct) and math.isfinite(d.skewness)
 
     def test_matches_scipy_adjusted_estimators(self):
         rng = np.random.default_rng(99)

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import evtkit.fitting
@@ -249,6 +249,43 @@ class TestUnitEquivariance:
             assert fit.converged, family
             assert fit.params.scale == pytest.approx(a * base.scale, rel=1e-6), family
             assert fit.params.shape == pytest.approx(base.shape, rel=1e-6), family
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(5, 60),
+        sign=st.sampled_from([1.0, -1.0]),
+        k=st.integers(-1000, 1000),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n=51, sign=1.0, k=-1000, seed=22)
+    @example(n=51, sign=-1.0, k=1000, seed=22)
+    def test_binary_rescaling_moves_no_fitted_bit(self, n, sign, k, seed):
+        # Dividing by a power of two is exact, so the search runs on the same bits.
+        x = sign * GEV_MM.sample(n, seed).values
+        assume(np.all(np.abs(x) >= 2.0**-20) and np.all(np.abs(x) < 2.0**20))  # x * 2**k stays normal
+        base, scaled = ({o.family: o.result for o in fit_all(Sample(v))} for v in (x, x * 2.0**k))
+        for family in ("gumbel", "gev"):
+            for fitted, unscaled in (
+                (scaled[family].params, base[family].params),
+                (scaled[family].initial_params, base[family].initial_params),
+            ):
+                assert fitted.location == math.ldexp(unscaled.location, k), family
+                assert fitted.scale == math.ldexp(unscaled.scale, k), family
+                assert getattr(fitted, "shape", 0.0) == getattr(unscaled, "shape", 0.0), family
+            counts = (scaled[family].iterations, scaled[family].n_evaluations, scaled[family].converged)
+            assert counts == (base[family].iterations, base[family].n_evaluations, base[family].converged)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_fits_of_data_whose_range_passes_the_float_range(self):
+        # values - mean overflowed, and the moment start's sd * sqrt(6) alone does here.
+        s = Sample(np.array([1e308, -1e308, 5e307]))
+        start = initial_params("gumbel", s)
+        assert math.isfinite(start.location) and math.isfinite(start.scale)
+        for family in ("gumbel", "gev"):
+            fit = fit_mle(family, s)
+            assert fit.converged, family
+            assert math.isfinite(fit.log_likelihood), family
+            assert fit.log_likelihood == log_likelihood(fit.params, s), family
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(k=st.integers(-300, 300))

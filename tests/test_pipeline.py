@@ -1,5 +1,6 @@
 """End-to-end pipeline, report formats, and plot-data emission."""
 
+import dataclasses
 import json
 import math
 
@@ -25,7 +26,7 @@ from evtkit.pipeline import (
     RETURN_CURVE_MIN_PERIOD,
     RETURN_CURVE_POINTS,
 )
-from evtkit.returns import return_curve
+from evtkit.returns import ReturnLevelTable, return_curve
 
 from conftest import GEV_MM
 
@@ -140,6 +141,24 @@ class TestEmitReport:
         partial = run_pipeline(ds)
         assert report_from_dict(json.loads(emit_report(partial, "json"))) == partial
 
+    def test_json_round_trip_past_the_float_range(self, report):
+        # A level of inf and a log-likelihood of -inf were written as Infinity and -Infinity.
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        first = report.fits[0]
+        fits = (dataclasses.replace(first, result=dataclasses.replace(first.result, log_likelihood=-math.inf)),)
+        *entries, (period, _) = report.return_levels.entries
+        beyond = dataclasses.replace(
+            report,
+            fits=fits + report.fits[1:],
+            return_levels=ReturnLevelTable(entries=(*entries, (period, math.inf))),
+        )
+        doc = json.loads(emit_report(beyond, "json"), parse_constant=reject)
+        assert doc["fits"][0]["fit"]["log_likelihood"] is None
+        assert doc["return_levels"][-1]["level"] is None
+        assert report_from_dict(doc) == beyond
+
     def test_unknown_format(self, report):
         with pytest.raises(UnsupportedFormatError):
             emit_report(report, "xml")
@@ -188,6 +207,40 @@ class TestEmitPlotData:
         assert xs[-1] == pytest.approx(values.max() + 0.1 * span)
         pdf = np.array([float(r.split(",")[1]) for r in rows])
         assert np.all(pdf >= 0)
+
+    @pytest.mark.parametrize("k", [-1000, -20, 20, 1000])
+    def test_grid_follows_a_binary_rescaling(self, tmp_path, k):
+        sample = GEV_MM.sample(51, 22)
+        grids = []
+        for name, factor in (("base", 1.0), ("scaled", 2.0**k)):
+            dataset = Dataset(name, Sample(sample.values * factor))
+            written = emit_plot_data(run_pipeline(dataset), dataset, tmp_path / name)
+            rows = written["pdf_gumbel"].read_text().splitlines()[1:]
+            grids.append([float(row.split(",")[0]) for row in rows])
+        assert grids[1] == [math.ldexp(x, k) for x in grids[0]]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_grid_stays_finite_when_the_range_passes_the_float_range(self, tmp_path):
+        # hi - lo overflowed, and every pdf row was nan or inf, with a RuntimeWarning.
+        dataset = Dataset("wide", Sample(np.array([1e308, -1e308, 5e307])))
+        report = run_pipeline(dataset)
+        assert report.descriptive.range == math.inf
+        written = emit_plot_data(report, dataset, tmp_path)
+        for family in ("gumbel", "gev"):
+            rows = [r.split(",") for r in written[f"pdf_{family}"].read_text().splitlines()[1:]]
+            xs, pdf = (np.array([float(r[i]) for r in rows]) for i in (0, 1))
+            assert len(xs) == PDF_GRID_POINTS and np.all(np.isfinite(xs)), family
+            assert np.all(np.diff(xs) >= 0.0) and xs[0] < -1e308 and xs[-1] > 1e308, family
+            assert np.all(np.isfinite(pdf)) and np.all(pdf >= 0.0), family
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_values_at_the_float_maximum_fail_only_numerically(self, tmp_path):
+        dataset = Dataset("edge", Sample(np.array([1.7e308, 1.7e308, -1.7e308])))
+        try:
+            report = run_pipeline(dataset)
+        except NumericalError:
+            return
+        emit_plot_data(report, dataset, tmp_path)
 
     def test_period_next_to_one_draws_its_curve(self, synthetic_dataset, tmp_path):
         # (1 + p_max) / 2 rounds to 1 here; the curve falls back to p_max alone.

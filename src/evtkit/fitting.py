@@ -153,7 +153,8 @@ def fit_mle(family: str, sample: Sample, *, _gumbel_fit: FitResult | None = None
     ``sample`` itself. The fitted parameters follow any change of units of
     the data. When rounding on the way back to data units puts the finite
     end of a GEV support onto an observation, the location moves outward by
-    1, 2, 4, ... floats, at most 64 times, until the likelihood is finite.
+    1, 2, 4, ... floats, at most 64 times, until the likelihood is finite;
+    the moves stop before the location would leave the float range.
 
     A result with ``converged=False`` (rather than an exception) is returned
     when the iteration budget of :func:`~evtkit.simplex.nelder_mead` runs out
@@ -194,12 +195,16 @@ def fit_mle(family: str, sample: Sample, *, _gumbel_fit: FitResult | None = None
         # Rounding on the way back to data units can put the finite end of the
         # support onto an extreme observation; near shape -1, undoing it can take
         # hundreds of floats of location. Move the location outward by 1, 2, 4,
-        # ... floats, at most 64 times, until the log-likelihood is finite.
+        # ... floats, at most 64 times, until the log-likelihood is finite, or
+        # until the location leaves the float range.
         fitted = params
         outward = math.copysign(math.inf, -fitted.shape)
         one_float = math.nextafter(fitted.location, outward) - fitted.location
         for doubling in range(64):
-            params = GEV(fitted.location + one_float * 2.0**doubling, fitted.scale, fitted.shape)
+            location = fitted.location + one_float * 2.0**doubling
+            if not math.isfinite(location):
+                break
+            params = GEV(location, fitted.scale, fitted.shape)
             loglik = log_likelihood(params, sample)
             if math.isfinite(loglik):
                 break

@@ -164,17 +164,26 @@ def return_levels_to_dict(table: ReturnLevelTable) -> list[dict]:
     return [{"period": period, "level": _finite_or_none(level)} for period, level in table.entries]
 
 
+# Descriptive statistics that are never NaN for n >= 2, only inf past the float range.
+_MAGNITUDES = frozenset({"range", "variance", "std_dev", "std_error"})
+
+
 def report_from_dict(data: dict) -> AnalysisReport:
     """Rebuild a report from :func:`report_to_dict` output (exact round trip).
 
-    A ``None`` descriptive statistic reads back as NaN, except the variance,
-    which is ``std_dev * std_dev`` as :func:`describe` computes it (inf past
-    the float range). A ``None`` return level reads back as inf and a
-    ``None`` log-likelihood as -inf, the non-finite values that each can take.
+    A ``None`` range, variance, standard deviation or standard error reads
+    back as inf, the one non-finite value each takes for n >= 2 (past the
+    float range); any other ``None`` descriptive statistic reads back as NaN,
+    as the sample does not define it. The one exception left: the
+    coefficient of variation is inf when ``100 * sd / mean`` overflows, as
+    on ``[1.0, -1.0, 3e-320]``, and it reads back as NaN. A ``None``
+    return level reads back as inf and a ``None`` log-likelihood as -inf, the
+    non-finite values that each can take.
     """
-    descriptive = {name: math.nan if value is None else value for name, value in data["descriptive"].items()}
-    if data["descriptive"]["variance"] is None:
-        descriptive["variance"] = descriptive["std_dev"] * descriptive["std_dev"]
+    descriptive = {
+        name: (math.inf if name in _MAGNITUDES else math.nan) if value is None else value
+        for name, value in data["descriptive"].items()
+    }
     return AnalysisReport(
         descriptive=DescriptiveStats(**descriptive),
         fits=tuple(_fit_from_dict(entry) for entry in data["fits"]),

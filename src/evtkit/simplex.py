@@ -4,10 +4,14 @@ Plain reflection/expansion/contraction/shrink scheme. Objective values of
 +inf (or NaN, treated as +inf) mark infeasible points and are handled as
 worst-vertex, so hard constraint violations simply repel the simplex.
 
-The bookkeeping runs on Python floats: with at most 4 vertices of 3
-coordinates, numpy's fixed cost per call would dominate the arithmetic.
-The order of each floating-point operation is part of the contract (the
-centroid is summed in value order, then divided): it fixes every fit to the bit.
+The simplex is one list of ``(value, vertex)`` pairs, each vertex a list
+of Python floats: with at most 4 vertices of 3 coordinates, numpy's fixed
+cost per call would dominate the arithmetic. Every point is evaluated into
+such a pair, and each iteration starts with a stable sort of the list by
+value, so ties keep their order. The order of each floating-point
+operation is part of the contract (the centroid is summed in value order,
+then divided; a shrink evaluates the vertices in that order): it fixes
+every fit to the bit.
 """
 
 from __future__ import annotations
@@ -15,8 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import reduce
-from itertools import combinations
-from operator import add
+from operator import add, itemgetter
 from typing import Callable
 
 import numpy as np
@@ -86,28 +89,28 @@ def nelder_mead(
 
     n_evaluations = 0
 
-    def evaluate(x: list[float]) -> float:
+    def evaluate(x: list[float]) -> tuple[float, list[float]]:
         nonlocal n_evaluations
         n_evaluations += 1
         value = float(func(np.array(x)))
-        return math.inf if math.isnan(value) else value
+        return (math.inf if math.isnan(value) else value), x
 
     start = x0.tolist()
-    vertices = [start] + [
-        start[:i] + [start[i] + step] + start[i + 1 :] for i, step in enumerate(steps.tolist())
+    simplex = [evaluate(start)] + [
+        evaluate(start[:i] + [start[i] + step] + start[i + 1 :]) for i, step in enumerate(steps.tolist())
     ]
-    values = [evaluate(v) for v in vertices]
 
     converged = False
     iterations = 0
     while True:
-        order = sorted(range(ndim + 1), key=values.__getitem__)  # stable, as argsort's
-        vertices = [vertices[i] for i in order]
-        values = [values[i] for i in order]
+        simplex.sort(key=itemgetter(0))  # stable, as argsort(kind="stable")
+        (f_best, best), (f_worst, worst) = simplex[0], simplex[-1]
 
-        # The widest pair of a coordinate rounds to its max - min; NaN fails, as in numpy.
-        if values[-1] - values[0] < _TOLERANCE and all(
-            abs(a - b) < _TOLERANCE for col in zip(*vertices) for a, b in combinations(col, 2)
+        # Rounding is monotone, so the widest pair of a coordinate rounds to its
+        # max - min; a coordinate holding NaN fails, as in numpy.
+        if f_worst - f_best < _TOLERANCE and all(
+            max(col) - min(col) < _TOLERANCE and not any(map(math.isnan, col))
+            for col in zip(*(x for _, x in simplex))
         ):
             converged = True
             break
@@ -115,45 +118,32 @@ def nelder_mead(
             break
         iterations += 1
 
-        centroid = [reduce(add, col) / ndim for col in zip(*vertices[:-1])]
-        reflected = [c + _REFLECT * (c - w) for c, w in zip(centroid, vertices[-1])]
-        f_reflected = evaluate(reflected)
+        centroid = [reduce(add, col) / ndim for col in zip(*(x for _, x in simplex[:-1]))]
+        reflected = evaluate([c + _REFLECT * (c - w) for c, w in zip(centroid, worst)])
 
-        if f_reflected < values[0]:
-            expanded = [c + _EXPAND * (c - w) for c, w in zip(centroid, vertices[-1])]
-            f_expanded = evaluate(expanded)
-            if f_expanded < f_reflected:
-                vertices[-1], values[-1] = expanded, f_expanded
-            else:
-                vertices[-1], values[-1] = reflected, f_reflected
-        elif f_reflected < values[-2]:
-            vertices[-1], values[-1] = reflected, f_reflected
-        elif f_reflected < values[-1]:
-            contracted = [c + _CONTRACT * (r - c) for c, r in zip(centroid, reflected)]
-            f_contracted = evaluate(contracted)
-            if f_contracted <= f_reflected:
-                vertices[-1], values[-1] = contracted, f_contracted
-            else:
-                _shrink(vertices, values, evaluate)
+        if reflected[0] < f_best:
+            expanded = evaluate([c + _EXPAND * (c - w) for c, w in zip(centroid, worst)])
+            simplex[-1] = expanded if expanded[0] < reflected[0] else reflected
+        elif reflected[0] < simplex[-2][0]:
+            simplex[-1] = reflected
         else:
-            contracted = [c - _CONTRACT * (c - w) for c, w in zip(centroid, vertices[-1])]
-            f_contracted = evaluate(contracted)
-            if f_contracted < values[-1]:
-                vertices[-1], values[-1] = contracted, f_contracted
+            # Contract toward the reflected point when it beats the worst vertex
+            # (outside), else toward the worst vertex (inside); c + 0.5 * (w - c)
+            # is the same float as c - 0.5 * (c - w), as negation is exact.
+            toward = reflected[1] if reflected[0] < f_worst else worst
+            contracted = evaluate([c + _CONTRACT * (t - c) for c, t in zip(centroid, toward)])
+            if contracted[0] < f_worst and contracted[0] <= reflected[0]:
+                simplex[-1] = contracted
             else:
-                _shrink(vertices, values, evaluate)
+                simplex[1:] = [
+                    evaluate([b + _SHRINK * (v - b) for b, v in zip(best, x)]) for _, x in simplex[1:]
+                ]
 
-    # The vertices were just sorted, so the first is the first minimum.
+    # The simplex was just sorted, so its first vertex is the first minimum.
     return SimplexResult(
-        x=np.array(vertices[0]),
-        fun=values[0],
+        x=np.array(best),
+        fun=f_best,
         converged=converged,
         iterations=iterations,
         n_evaluations=n_evaluations,
     )
-
-
-def _shrink(vertices: list[list[float]], values: list[float], evaluate) -> None:
-    for i in range(1, len(vertices)):
-        vertices[i] = [b + _SHRINK * (v - b) for b, v in zip(vertices[0], vertices[i])]
-        values[i] = evaluate(vertices[i])

@@ -287,6 +287,16 @@ class TestUnitEquivariance:
             assert math.isfinite(fit.log_likelihood), family
             assert fit.log_likelihood == log_likelihood(fit.params, s), family
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_gev_location_repair_stops_at_the_float_range(self):
+        # The repair stepped the location to inf, and GEV(inf, ...) raised DomainError.
+        s = Sample(np.array([1.7e308, 1.7e308, -1.7e308]))
+        fit = fit_mle("gev", s)
+        assert not fit.converged
+        assert fit.params == fit.initial_params
+        gev = {outcome.family: outcome for outcome in fit_all(s)}["gev"]
+        assert gev.error is None and gev.result == fit
+
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(k=st.integers(-300, 300))
     @example(k=200)

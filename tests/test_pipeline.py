@@ -159,6 +159,13 @@ class TestEmitReport:
         assert doc["return_levels"][-1]["level"] is None
         assert report_from_dict(doc) == beyond
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_json_round_trip_of_magnitudes_past_the_float_range(self):
+        # The range of inf was written as null and read back as NaN.
+        wide = run_pipeline(Dataset("wide", Sample(np.array([1e308, -1e308, 5e307]))))
+        assert wide.descriptive.range == math.inf
+        assert report_from_dict(json.loads(emit_report(wide, "json"))) == wide
+
     def test_unknown_format(self, report):
         with pytest.raises(UnsupportedFormatError):
             emit_report(report, "xml")

@@ -201,16 +201,33 @@ def nan_hole(x):
     return float("nan") if abs(x[0]) < 0.05 else float(np.sum(x**2))
 
 
+def unbounded(x):
+    # Falls without bound as x grows, so the points pass the float range to inf
+    # and, where inf meets inf, to NaN; those are the infeasible ones.
+    value = -float(np.sum(x))
+    return value if np.isfinite(value) else np.inf
+
+
+def floored(x):
+    # The same descent, floored at -1e308: finite everywhere, also where the
+    # points reach NaN, so a simplex can settle with NaN in a coordinate.
+    return float(np.fmax(-np.sum(x), -1e308))
+
+
 # objective -> the dimensions it is drawn in
-ORACLE_OBJECTIVES = {quadratic: (1, 2, 3), rosenbrock: (2,), half_plane: (2, 3), nan_hole: (1, 2, 3)}
+ORACLE_OBJECTIVES = {quadratic: (1, 2, 3), rosenbrock: (2,), half_plane: (2, 3), nan_hole: (1, 2, 3),
+                     unbounded: (1, 2, 3), floored: (1, 2, 3)}
+# objective -> the factor on its drawn start and steps, when not 1
+ORACLE_SCALES = {unbounded: 1e307, floored: 1e307}
 
 
 @st.composite
 def oracle_problems(draw):
     func = draw(st.sampled_from(list(ORACLE_OBJECTIVES)))
     ndim = draw(st.sampled_from(ORACLE_OBJECTIVES[func]))
-    x0 = draw(st.lists(st.floats(-3.0, 3.0), min_size=ndim, max_size=ndim))
-    step = st.floats(-1.0, 1.0).filter(lambda s: s != 0.0)
+    scale = ORACLE_SCALES.get(func, 1.0)
+    x0 = draw(st.lists(st.floats(-3.0, 3.0).map(scale.__mul__), min_size=ndim, max_size=ndim))
+    step = st.floats(-1.0, 1.0).filter(lambda s: s != 0.0).map(scale.__mul__)
     steps = draw(step | st.lists(step, min_size=ndim, max_size=ndim))
     return func, x0, steps, draw(st.integers(0, 300))
 
@@ -221,6 +238,11 @@ def oracle_problems(draw):
 @example((quadratic, [0.1, 0.7, -0.3], 0.1, 10_000))
 @example((half_plane, [-0.5, 1.0], [0.3, -0.2], 50))
 @example((nan_hole, [3.0], -0.5, 200))
+@example((unbounded, [1e308, -1e308], 1e307, 300))
+@example((unbounded, [-1.7e308, 1e308, 1.5e308], [1e308, -5e307, 2e307], 300))
+@example((unbounded, [1.7e308], -1e308, 50))
+@example((floored, [1e308, -1e308], 1e307, 300))
+@example((floored, [1.5e307, -4e306], [1e307, -1e306], 300))
 def test_matches_the_numpy_reference_bit_for_bit(problem):
     func, x0, steps, budget = problem
     points = {}

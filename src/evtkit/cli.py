@@ -89,21 +89,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_input(p):
         p.add_argument("--input", required=True, help="CSV file: value per line or year,value rows")
-        p.add_argument(
-            "--columns",
-            choices=("auto", "value", "year_value"),
-            default="auto",
-            help="input column layout (default: auto-detect)",
-        )
 
-    def add_dist(p, default="all"):
-        p.add_argument("--dist", choices=FAMILIES + ("all",), default=default)
+    def add_dist(p):
+        p.add_argument("--dist", choices=FAMILIES + ("all",), default="all")
 
     def add_format(p):
         p.add_argument("--format", choices=REPORT_FORMATS, default="text")
 
     def add_alpha(p):
         p.add_argument("--alpha", type=float, choices=tuple(AD_CRITICAL_VALUES), default=0.05)
+
+    def add_periods(p):
+        default = ",".join(f"{period:g}" for period in DEFAULT_RETURN_PERIODS)
+        p.add_argument(
+            "--periods",
+            type=_periods_arg,
+            default=ReturnSpec(DEFAULT_RETURN_PERIODS),
+            help=f"comma-separated return periods in years (default: {default})",
+        )
 
     p_fit = sub.add_parser("fit", help="fit distribution parameters by maximum likelihood")
     add_input(p_fit)
@@ -122,21 +125,14 @@ def build_parser() -> argparse.ArgumentParser:
     add_input(p_rl)
     add_dist(p_rl)
     add_format(p_rl)
-    p_rl.add_argument(
-        "--periods",
-        type=_periods_arg,
-        default=ReturnSpec(DEFAULT_RETURN_PERIODS),
-        help="comma-separated return periods in years (default: 5,10,50,100,200)",
-    )
+    add_periods(p_rl)
     p_rl.set_defaults(handler=_cmd_step, rows=_return_level_rows)
 
     p_report = sub.add_parser("report", help="full pipeline: describe, fit, test, return levels")
     add_input(p_report)
     add_format(p_report)
     add_alpha(p_report)
-    p_report.add_argument(
-        "--periods", type=_periods_arg, default=ReturnSpec(DEFAULT_RETURN_PERIODS)
-    )
+    add_periods(p_report)
     p_report.add_argument(
         "--out-dir", default=None, help="also write report files and plot-data CSVs here"
     )
@@ -167,7 +163,7 @@ def _cmd_step(args) -> int:
     ``args.rows(args, sample, outcomes)`` gives the JSON payload that follows
     ``"dataset"`` and the text lines.
     """
-    dataset = load_csv(args.input, columns=args.columns)
+    dataset = load_csv(args.input)
     if args.dist == "all":
         outcomes = fit_all(dataset.sample)
     else:  # single family: surface data errors directly
@@ -207,7 +203,7 @@ def _return_level_rows(args, sample, outcomes):
 
 
 def _cmd_report(args) -> int:
-    dataset = load_csv(args.input, columns=args.columns)
+    dataset = load_csv(args.input)
     report = run_pipeline(dataset, spec=args.periods, alpha=args.alpha)
     # The files are written first, so a directory that cannot be made or
     # written leaves only the error, not a report that exits with 2.

@@ -99,6 +99,8 @@ def describe(sample: Sample) -> DescriptiveStats:
     """Descriptive statistics with n-1 variance and bias-adjusted shape estimators.
 
     Taken at the unit of :func:`~evtkit.sample.standardize`; a value past the float range is inf.
+    The coefficient of variation is NaN where it is not finite: at mean 0, and
+    where ``100 * sd / mean`` overflows on a subnormal mean.
     """
     n = sample.n
     if n < 2:
@@ -109,6 +111,8 @@ def describe(sample: Sample) -> DescriptiveStats:
     variance = std_dev * std_dev
     std_error = std_dev / math.sqrt(n)
     coef_variation_pct = 100.0 * sd / mean if mean != 0.0 else math.nan
+    if not math.isfinite(coef_variation_pct):
+        coef_variation_pct = math.nan  # math.nan itself: report equality matches NaN by identity
 
     m2 = float(np.mean(z**2))
     skewness = math.nan

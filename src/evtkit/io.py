@@ -64,17 +64,17 @@ def _is_numeric(token: str) -> bool:
     return True
 
 
-def load_csv(path, columns: str = "auto") -> Dataset:
+def load_csv(path) -> Dataset:
     """Load a block-maxima series from a comma-delimited UTF-8 file (BOM ignored).
 
     The dataset's label is the file name without its suffix. Two layouts
-    are accepted: one value per line, or ``year,value`` rows.
-    ``columns`` may pin the layout to ``"value"`` or ``"year_value"``;
-    ``"auto"`` infers it from the first data row. The first non-blank row is
-    a header, and skipped, when none of its cells is a number; one that mixes
-    numbers and text is a data row, so its text cell is a ParseError. In a
-    one-column file a single non-numeric cell is thus a header. Blank lines
-    are ignored but keep their place in row numbering.
+    are accepted: one value per line, or ``year,value`` rows. The cell count
+    of the first data row sets the layout, and every later row must match it.
+    The first non-blank row is a header, and skipped, when none of its cells
+    is a number; one that mixes numbers and text is a data row, so its text
+    cell is a ParseError. In a one-column file a single non-numeric cell is
+    thus a header. Blank lines are ignored but keep their place in row
+    numbering.
 
     Raises
     ------
@@ -86,8 +86,6 @@ def load_csv(path, columns: str = "auto") -> Dataset:
     EmptyDatasetError
         No data rows at all.
     """
-    if columns not in ("auto", "value", "year_value"):
-        raise DomainError(f"unknown column spec {columns!r}")
     path = Path(path)
     data = path.read_bytes()
     try:
@@ -99,7 +97,7 @@ def load_csv(path, columns: str = "auto") -> Dataset:
 
     years: list[int] = []
     values: list[float] = []
-    n_columns = {"value": 1, "year_value": 2}.get(columns)
+    n_columns = None  # set by the first data row
     allow_header = True  # only the first non-blank row may be a header
 
     for row, raw in enumerate(text.splitlines(), start=1):

@@ -174,11 +174,9 @@ def report_from_dict(data: dict) -> AnalysisReport:
     A ``None`` range, variance, standard deviation or standard error reads
     back as inf, the one non-finite value each takes for n >= 2 (past the
     float range); any other ``None`` descriptive statistic reads back as NaN,
-    as the sample does not define it. The one exception left: the
-    coefficient of variation is inf when ``100 * sd / mean`` overflows, as
-    on ``[1.0, -1.0, 3e-320]``, and it reads back as NaN. A ``None``
-    return level reads back as inf and a ``None`` log-likelihood as -inf, the
-    non-finite values that each can take.
+    as the sample does not define it. A ``None`` return level reads back as
+    inf and a ``None`` log-likelihood as -inf, the non-finite values that each
+    can take.
     """
     descriptive = {
         name: (math.inf if name in _MAGNITUDES else math.nan) if value is None else value

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, formats, and exit codes."""
 
+import argparse
 import itertools
 import json
 import math
@@ -23,7 +24,7 @@ from evtkit import (
     run_pipeline,
     simulate_to_csv,
 )
-from evtkit.cli import EXIT_DATA, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
+from evtkit.cli import EXIT_DATA, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, build_parser, main
 
 from conftest import GEV_MM
 
@@ -541,6 +542,44 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["fit", "--input", str(data_file), "--dist", "normal"])
         assert exc.value.code == EXIT_USAGE
+
+
+class TestOptionSurface:
+    OPTIONS = {
+        "fit": {"--input", "--dist", "--format"},
+        "gof": {"--input", "--dist", "--format", "--alpha"},
+        "return-levels": {"--input", "--dist", "--format", "--periods"},
+        "report": {"--input", "--format", "--alpha", "--periods", "--out-dir"},
+        "simulate": {"--dist", "--params", "--n", "--seed", "--output"},
+    }
+
+    def test_each_command_has_exactly_its_options(self):
+        (commands,) = [a.choices for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        options = {
+            name: {s for a in command._actions if a.dest != "help" for s in a.option_strings}
+            for name, command in commands.items()
+        }
+        assert options == self.OPTIONS
+
+    def test_periods_help_is_the_same_on_both_commands(self, capsys):
+        entries = []
+        for command in ("report", "return-levels"):
+            with pytest.raises(SystemExit):
+                main([command, "--help"])
+            lines = capsys.readouterr().out.splitlines()
+            start = next(i for i, line in enumerate(lines) if line.startswith("  --periods"))
+            end = next((i for i in range(start + 1, len(lines)) if not lines[i].startswith("   ")), len(lines))
+            entries.append(lines[start:end])
+        assert entries[0] == entries[1]
+        assert "(default: 5,10,50,100,200)" in " ".join(" ".join(entries[0]).split())
+
+    @pytest.mark.parametrize("command", ["fit", "gof", "return-levels", "report"])
+    def test_the_layout_option_is_gone(self, data_file, capsys, command):
+        # The first data row alone sets the layout of an input file.
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--input", str(data_file), "--columns", "value"])
+        assert exc.value.code == EXIT_USAGE
+        assert "unrecognized arguments: --columns value" in capsys.readouterr().err
 
 
 def run_module(*args):

@@ -2,12 +2,47 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evtkit import Dataset, Sample, load_csv, simulate_to_csv
 from evtkit.errors import DomainError, EmptyDatasetError, ParseError
 from evtkit.io import CHUNK_CELLS, format_column, write_csv
 
 from conftest import GEV_MM
+
+
+def _is_text(cell: str) -> bool:
+    try:
+        float(cell)
+    except ValueError:
+        return True
+    return False
+
+
+@st.composite
+def csv_texts(draw):
+    """A file's text in either layout, with the values and years (or None) it holds.
+
+    Values are finite and written by ``repr``. The file may carry a non-numeric
+    header of one or two cells, blank lines anywhere, and a BOM.
+    """
+    values = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=20))
+    years = None
+    if draw(st.booleans()):
+        n = len(values)
+        years = tuple(sorted(draw(st.sets(st.integers(-5000, 5000), min_size=n, max_size=n))))
+        rows = [f"{year},{value!r}" for year, value in zip(years, values)]
+    else:
+        rows = [repr(value) for value in values]
+    header_cell = st.text(alphabet="abcdefghijklmnopqrstuvwxyz_ ", max_size=10).filter(_is_text)
+    header = draw(st.none() | st.lists(header_cell, min_size=1, max_size=2))
+    if header is not None:
+        rows.insert(0, ",".join(header))
+    for at in sorted(draw(st.lists(st.integers(0, len(rows)), max_size=4)), reverse=True):
+        rows.insert(at, draw(st.sampled_from(["", " ", "\t"])))
+    bom = "\ufeff" if draw(st.booleans()) else ""
+    return bom + "\n".join(rows) + "\n", values, years
 
 
 class TestLoadCsv:
@@ -116,14 +151,15 @@ class TestLoadCsv:
         with pytest.raises(ParseError):
             load_csv(f)
 
-    def test_forced_layout(self, tmp_path):
-        f = tmp_path / "two.csv"
-        f.write_text("1956,131.2\n")
-        assert load_csv(f, columns="year_value").years == (1956,)
-        with pytest.raises(ParseError):
-            load_csv(f, columns="value")
-        with pytest.raises(DomainError):
-            load_csv(f, columns="wide")
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(written=csv_texts())
+    def test_layout_comes_from_the_first_data_row(self, tmp_path_factory, written):
+        text, values, years = written
+        f = tmp_path_factory.mktemp("layout") / "series.csv"
+        f.write_text(text, encoding="utf-8")
+        ds = load_csv(f)
+        assert [v.hex() for v in ds.sample.values.tolist()] == [v.hex() for v in values]
+        assert ds.years == years
 
     def test_bad_year(self, tmp_path):
         f = tmp_path / "year.csv"

@@ -166,6 +166,14 @@ class TestEmitReport:
         assert wide.descriptive.range == math.inf
         assert report_from_dict(json.loads(emit_report(wide, "json"))) == wide
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("values", [[1.0, -1.0, 3e-320], [-1.0, 1.0, -3e-320]])
+    def test_json_round_trip_of_a_coefficient_of_variation_past_the_float_range(self, values):
+        # 100 * sd / mean overflowed to inf or -inf, which was written as null and read back as NaN.
+        report = run_pipeline(Dataset("tiny_mean", Sample(np.array(values))))
+        assert math.isnan(report.descriptive.coef_variation_pct)
+        assert report_from_dict(json.loads(emit_report(report, "json"))) == report
+
     def test_unknown_format(self, report):
         with pytest.raises(UnsupportedFormatError):
             emit_report(report, "xml")

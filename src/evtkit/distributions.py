@@ -62,10 +62,12 @@ class _EvdFamily:
     Each family says once, for its density and its fit, how it is a Gumbel:
     ``_gumbel_values(x)`` is x, log x or -log x from the lower end (+-inf off
     the support and at nan), which is Gumbel or GEV (Coles 2001, section
-    3.1), and ``_from_gumbel(location, scale[, shape])`` is the record whose
-    values have that Gumbel or GEV. The one likelihood kernel, the static
-    ``GEV.log_density``, is used by every ``_log_pdf`` and summed by the
-    fitter. It takes the scale as a logarithm and validates nothing.
+    3.1), and ``_from_gumbel(unit, location, scale[, shape])`` is the record
+    of ``unit * x`` for the x whose Gumbel values have that Gumbel or GEV.
+    ``_in_unit(unit)`` is the record of ``x / unit``. The one likelihood
+    kernel, the static ``GEV.log_density``, is used by every ``_log_pdf``
+    and by the fitter's GEV search. It takes the scale as a logarithm and
+    validates nothing.
     """
 
     family: ClassVar[str]
@@ -80,6 +82,11 @@ class _EvdFamily:
             elif not math.isfinite(value):
                 raise DomainError(f"{name} must be finite, got {value!r}")
             object.__setattr__(self, name, value)
+
+    def _in_unit(self, unit: float):
+        """The record of the values ``x / unit``: its location and scale divided by ``unit``."""
+        names = [field.name for field in dataclasses.fields(self) if field.name in ("location", "scale")]
+        return dataclasses.replace(self, **{name: getattr(self, name) / unit for name in names})
 
     def support(self) -> tuple[float, float]:
         """Open interval on which the density is positive."""
@@ -231,8 +238,8 @@ class Gumbel(_GevForms):
     shape: ClassVar[float] = 0.0
 
     @classmethod
-    def _from_gumbel(cls, location, scale):
-        return cls(location, scale)
+    def _from_gumbel(cls, unit, location, scale):
+        return cls(unit * location, unit * scale)
 
 
 class _LogGumbel(_EvdFamily):
@@ -254,8 +261,8 @@ class _LogGumbel(_EvdFamily):
         return Gumbel.log_density(w, self.sign * math.log(self.scale), -math.log(self.shape)) - self.sign * w
 
     @classmethod
-    def _from_gumbel(cls, location, scale):
-        return cls(shape=1.0 / scale, scale=math.exp(cls.sign * location))
+    def _from_gumbel(cls, unit, location, scale):
+        return cls(shape=1.0 / scale, scale=unit * math.exp(cls.sign * location))
 
 
 @dataclass(frozen=True)
@@ -324,8 +331,8 @@ class GEV(_GevForms):
     family: ClassVar[str] = "gev"
 
     @classmethod
-    def _from_gumbel(cls, location, scale, shape=0.0):
-        return cls(location, scale, shape)
+    def _from_gumbel(cls, unit, location, scale, shape=0.0):
+        return cls(unit * location, unit * scale, shape)
 
 
 Distribution = Union[Gumbel, Frechet, Weibull, GEV]

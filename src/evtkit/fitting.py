@@ -2,34 +2,41 @@
 
 Every family is fitted by log-likelihood maximization with one Nelder-Mead
 simplex search, as a Gumbel or a GEV of its Gumbel values w: x, log x or
--log x. Each distribution class maps the data to w and a fitted Gumbel or
-GEV back to its record (Coles 2001, section 3.1), so nothing here branches
-on the family except the GEV's shape bounds, its start and its location
-repair. The search runs on ``(w - mean) / sd``, taken at the power-of-two
-unit of :func:`~evtkit.sample.standardize`, where initial steps and
-tolerances mean the same at every data scale (Coles 2001, section 3.3).
-Scales are searched on the log scale, and the GEV shape is kept inside
-(-1, 1). The GEV search starts from the fitted Gumbel at shape 0, its nested case.
-Every search sums the one likelihood kernel, ``GEV.log_density``, which at
-shape 0 is the Gumbel's. Each search allocates one workspace, two arrays
-shaped like its data, and every evaluation writes the kernel into it, so no
+-log x, taken of x / u for the power-of-two unit u of the data
+(:func:`~evtkit.sample.binary_unit`), so that rescaling the data by a power
+of two moves no fitted bit. Each distribution class maps the data to w and
+a fitted Gumbel or GEV back to its record (Coles 2001, section 3.1), so
+nothing here branches on the family except to give the GEV its own search.
+The search runs on ``(w - mean) / sd``, taken at the power-of-two unit of
+:func:`~evtkit.sample.standardize`, where initial steps and tolerances mean
+the same at every data scale (Coles 2001, section 3.3). Scales are searched
+on the log scale. The Gumbel's location has a closed-form maximum at each
+scale (Lawless 2003), so the Gumbel, Frechet and Weibull search runs over
+the log scale alone, on that profile likelihood. The GEV search runs over
+location, log scale and shape, with the shape kept inside (-1, 1), from
+the fitted Gumbel at shape 0, its nested case; it sums the one likelihood
+kernel, ``GEV.log_density``. Each search allocates one workspace, two
+arrays shaped like its data, and every evaluation writes into it, so no
 evaluation allocates anything the size of the data. A point that leaves an
 observation off the support has log-likelihood -inf or nan, both the
-simplex's worst vertex. The parameters are mapped back to data units.
-The search has no settings: it runs to the fixed tolerance of
+simplex's worst vertex. The parameters are mapped back to data units, and
+the reported log-likelihood is :func:`log_likelihood` of them on the data,
+which evaluates the kernel at the data's power-of-two unit. The search has
+no settings: it runs to the fixed tolerance of
 :func:`~evtkit.simplex.nelder_mead` or its iteration budget of 10 000.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .distributions import EULER_GAMMA, FAMILIES, GEV, Distribution, _family_class
 from .errors import DegenerateSampleError, DomainError
-from .sample import Sample, standardize
+from .sample import Sample, binary_unit, standardize
 from .simplex import nelder_mead
 
 __all__ = [
@@ -49,6 +56,8 @@ _GEV_SHAPE_FLOOR = -1.0
 # At shape 1 and above the GEV mean is infinite (Coles & Dixon 1999); on a few
 # values the search could run away there until its iteration budget was spent.
 _GEV_SHAPE_CEILING = 1.0
+# The scale of the Gumbel with standard deviation 1, where every search starts its scale.
+_UNIT_SD_SCALE = math.sqrt(6.0) / math.pi
 
 
 @dataclass(frozen=True)
@@ -79,18 +88,33 @@ class FitOutcome:
 def log_likelihood(dist: Distribution, sample: Sample) -> float:
     """Sum of the log density over all observations.
 
+    Evaluated at the :func:`~evtkit.sample.binary_unit` u of the sample, as
+    l(x/u; location/u, scale/u) - n*log(u). The first term is the same float
+    when the data and the record are rescaled together by a power of two, and
+    it stays finite on data whose range passes the float maximum. A record
+    whose location or scale would leave the float range at u, or whose scale
+    would not be a normal float there, is evaluated in data units.
+
     Returns -inf when any observation lies outside the support of ``dist``.
     """
-    return float(np.sum(dist.log_pdf(sample.values)))
+    unit = binary_unit(sample.values)
+    if not (math.isfinite(dist.location / unit) and sys.float_info.min <= dist.scale / unit < math.inf):
+        unit = 1.0
+    log_densities = dist._in_unit(unit).log_pdf(sample.values / unit)
+    return float(np.sum(log_densities)) - sample.n * math.log(unit)
 
 
-def _fit_data(family: str, sample: Sample, min_size: int) -> tuple[type, np.ndarray, float, float, float]:
-    """The family's class, its Gumbel values w as ``(w - mean) / sd``, and the unit of w and, at it, that mean and sd."""
+def _fit_data(family: str, sample: Sample, min_size: int) -> tuple[type, float, np.ndarray, float, float, float]:
+    """The family's class, the sample's unit u, and the Gumbel values w of x / u standardized.
+
+    That is ``(w - mean) / sd``, the unit of w and, at it, that mean and sd.
+    """
     cls = _family_class(family)
     if sample.n < min_size:
         raise DegenerateSampleError(f"need at least {min_size} observations to fit, got {sample.n}")
+    sample_unit = binary_unit(sample.values)
     with np.errstate(divide="ignore"):
-        work = cls._gumbel_values(sample.values)
+        work = cls._gumbel_values(sample.values / sample_unit)
     if not np.all(np.isfinite(work)):
         raise DomainError(
             f"{family} supports only positive values; sample minimum is {float(sample.values.min())}"
@@ -98,7 +122,7 @@ def _fit_data(family: str, sample: Sample, min_size: int) -> tuple[type, np.ndar
     unit, mean, sd, data = standardize(work)
     if sd == 0.0:
         raise DegenerateSampleError("sample standard deviation is zero")
-    return cls, data, unit, mean, sd
+    return cls, sample_unit, data, unit, mean, sd
 
 
 def _moment_gumbel(unit: float, mean: float, sd: float) -> tuple[float, float]:
@@ -112,10 +136,11 @@ def initial_params(family: str, sample: Sample) -> Distribution:
 
     The Gumbel that matches the mean and standard deviation of the values
     the family is fitted on: x for Gumbel and GEV (the GEV at shape 0, its
-    Gumbel case), log x for Frechet and -log x for Weibull, mapped to the
-    family. It lies inside the parameter domain whenever the data are
-    strictly positive. :func:`fit_mle` starts the Gumbel, Frechet and
-    Weibull searches here, but the GEV search from the fitted Gumbel.
+    Gumbel case), log(x/u) for Frechet and -log(x/u) for Weibull, with u the
+    power-of-two unit of x, mapped to the family. It lies inside the
+    parameter domain whenever the data are strictly positive.
+    :func:`fit_mle` starts the Gumbel, Frechet and Weibull searches at its
+    scale, but the GEV search from the fitted Gumbel.
 
     Raises
     ------
@@ -124,37 +149,73 @@ def initial_params(family: str, sample: Sample) -> Distribution:
     DomainError
         Unknown family, or Frechet/Weibull requested for data with non-positive values.
     """
-    cls, _, unit, mean, sd = _fit_data(family, sample, 2)
-    return cls._from_gumbel(*_moment_gumbel(unit, mean, sd))
+    cls, sample_unit, _, unit, mean, sd = _fit_data(family, sample, 2)
+    return cls._from_gumbel(sample_unit, *_moment_gumbel(unit, mean, sd))
 
 
-def _unpack(cls: type, theta, unit: float, mean: float, sd: float) -> Distribution | None:
+def _unpack(cls: type, theta, sample_unit: float, unit: float, mean: float, sd: float) -> Distribution | None:
     """Parameters in data units of a search point on ``(w - mean) / sd``; None when infeasible."""
     try:
-        return cls._from_gumbel(unit * (mean + sd * float(theta[0])), unit * (sd * math.exp(theta[1])), *theta[2:])
+        location, scale = unit * (mean + sd * float(theta[0])), unit * (sd * math.exp(theta[1]))
+        return cls._from_gumbel(sample_unit, location, scale, *theta[2:])
     except (DomainError, OverflowError):
         return None
+
+
+def _gumbel_profile_search(data: np.ndarray, workspace) -> tuple:
+    """Maximize the Gumbel likelihood of ``data`` over log(scale), the location at its maximum.
+
+    For w_i = data - min(data) and scale s the location's maximum is
+    min(data) - s*L(s), L(s) = log((1/n) * sum(exp(-w_i/s))), where the sum
+    is at least its minimum's term 1, and the negative log-likelihood there
+    is n*(log(s) + mean(w)/s + L(s) + 1) (Lawless 2003). The search runs on
+    log(s) from log(sqrt(6)/pi), the scale of the moment start, with step
+    0.1. ``workspace`` holds -w and each evaluation's terms. Returns the
+    search and its point (location, log(scale)).
+    """
+    n = data.size
+    low = float(data.min())
+    shifted, terms = workspace
+    np.subtract(low, data, shifted)
+    excess = -float(shifted.sum()) / n
+
+    def log_mean_exp(scale):
+        return math.log(float(np.exp(np.divide(shifted, scale, terms), terms).sum()) / n)
+
+    def nll(theta):
+        scale = np.exp(theta[0])  # a numpy float: inf or 0 past the float range, never an exception
+        return n * (theta[0] + excess / scale + log_mean_exp(scale) + 1.0)
+
+    best = nelder_mead(nll, [math.log(_UNIT_SD_SCALE)], initial_steps=0.1)
+    scale = np.exp(best.x[0])
+    return best, [low - scale * log_mean_exp(scale), best.x[0]]
 
 
 def fit_mle(family: str, sample: Sample, *, _gumbel_fit: FitResult | None = None) -> FitResult:
     """Fit ``family`` to ``sample`` by maximum likelihood, with one simplex search.
 
-    Gumbel, Frechet and Weibull are a Gumbel search on their standardized
-    Gumbel values (x, log x and -log x) from :func:`initial_params`, mapped
-    back by the family's class. The GEV search starts from the fitted Gumbel
-    with shape 0 (which :func:`fit_all` passes in, as it has already made
-    it). The simplex never trades its best vertex for a worse one, so the
-    fitted GEV log-likelihood never falls below the fitted Gumbel one. The
-    GEV shape is kept inside (-1, 1): at -1 and below the likelihood is
-    unbounded, and at 1 and above the mean is infinite. ``initial_params`` of
-    the result is the point the search started from, in data units;
-    ``iterations`` and ``n_evaluations`` count the family's own search, not
-    the Gumbel fit. ``log_likelihood`` is that of the fitted parameters on
-    ``sample`` itself. The fitted parameters follow any change of units of
-    the data. When rounding on the way back to data units puts the finite
-    end of a GEV support onto an observation, the location moves outward by
-    1, 2, 4, ... floats, at most 64 times, until the likelihood is finite;
-    the moves stop before the location would leave the float range.
+    Gumbel, Frechet and Weibull are a Gumbel fit to their standardized
+    Gumbel values (x, log(x/u) and -log(x/u), u the power-of-two unit of x),
+    mapped back by the family's class. The Gumbel's location has a closed
+    form at each scale, so their search runs over log(scale) alone, started
+    at the scale of :func:`initial_params`. The GEV search runs over
+    location, log(scale) and shape, on the one likelihood kernel, from the
+    fitted Gumbel with shape 0 (which :func:`fit_all` passes in, as it has
+    already made it). The simplex never trades its best vertex for a worse
+    one, so the fitted GEV log-likelihood never falls below the fitted
+    Gumbel one. The GEV shape is kept inside (-1, 1): at -1 and below the
+    likelihood is unbounded, and at 1 and above the mean is infinite.
+    ``initial_params`` of the result is the point the search started from,
+    in data units; ``iterations`` and ``n_evaluations`` count the family's
+    own search, not the Gumbel fit, and a Gumbel-type search evaluates one
+    coordinate. ``log_likelihood`` is :func:`log_likelihood` of the fitted
+    parameters on ``sample`` itself, evaluated at the sample's power-of-two
+    unit. The fitted parameters follow any change of units of the data,
+    and a change by a power of two moves no fitted bit. When rounding on
+    the way back to data units puts the finite end of a GEV support onto an
+    observation, the location moves outward by 1, 2, 4, ... floats, at most
+    64 times, until the likelihood is finite; the moves stop before the
+    location would leave the float range.
 
     A result with ``converged=False`` (rather than an exception) is returned
     when the iteration budget of :func:`~evtkit.simplex.nelder_mead` runs out
@@ -168,28 +229,29 @@ def fit_mle(family: str, sample: Sample, *, _gumbel_fit: FitResult | None = None
     DomainError
         Unknown family, or data outside the family support.
     """
-    cls, data, unit, mean, sd = _fit_data(family, sample, _MIN_FIT_SIZE)
-    location, scale = _moment_gumbel(1.0, 0.0, 1.0)
-    theta0, steps = [location, math.log(scale)], [0.1 * scale, 0.1]
-    start = _moment_gumbel(unit, mean, sd)
+    cls, sample_unit, data, unit, mean, sd = _fit_data(family, sample, _MIN_FIT_SIZE)
+    workspace = np.empty_like(data), np.empty_like(data)
     bounded = family == "gev"
     if bounded:
         gumbel = (_gumbel_fit or fit_mle("gumbel", sample)).params
-        start = gumbel.location, gumbel.scale
-        theta0 = [(gumbel.location / unit - mean) / sd, math.log(gumbel.scale / unit / sd), 0.0]
-        steps = [*steps, 0.1]
-    init = cls._from_gumbel(*start)
-    workspace = np.empty_like(data), np.empty_like(data)
+        init = GEV(gumbel.location, gumbel.scale, 0.0)
+        location, scale = gumbel.location / sample_unit / unit, gumbel.scale / sample_unit / unit
+        theta0 = [(location - mean) / sd, math.log(scale / sd), 0.0]
 
-    def nll(theta):
-        if bounded and not _GEV_SHAPE_FLOOR < theta[2] < _GEV_SHAPE_CEILING:
-            return math.inf
-        value = -GEV.log_density(data, *theta, out=workspace).sum()
-        return value if math.isfinite(value) else math.inf
+        def nll(theta):
+            if not _GEV_SHAPE_FLOOR < theta[2] < _GEV_SHAPE_CEILING:
+                return math.inf
+            value = -GEV.log_density(data, *theta, out=workspace).sum()
+            return value if math.isfinite(value) else math.inf
 
-    with np.errstate(all="ignore"):
-        best = nelder_mead(nll, theta0, initial_steps=steps)
-    params = _unpack(cls, best.x, unit, mean, sd) if math.isfinite(best.fun) else None
+        with np.errstate(all="ignore"):
+            best = nelder_mead(nll, theta0, initial_steps=[0.1 * _UNIT_SD_SCALE, 0.1, 0.1])
+        theta = best.x
+    else:
+        init = cls._from_gumbel(sample_unit, *_moment_gumbel(unit, mean, sd))
+        with np.errstate(all="ignore"):
+            best, theta = _gumbel_profile_search(data, workspace)
+    params = _unpack(cls, theta, sample_unit, unit, mean, sd) if math.isfinite(best.fun) else None
     loglik = -math.inf if params is None else log_likelihood(params, sample)
     if bounded and params is not None and params.shape and not math.isfinite(loglik):
         # Rounding on the way back to data units can put the finite end of the

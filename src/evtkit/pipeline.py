@@ -25,7 +25,7 @@ from .errors import NumericalError, UnsupportedFormatError
 from .fitting import FitOutcome, FitResult, fit_all
 from .io import Dataset, format_column, write_csv
 from .returns import ReturnLevelTable, ReturnSpec, return_curve, return_level_table
-from .sample import Sample, standardize
+from .sample import Sample, binary_unit
 
 __all__ = [
     "AnalysisReport",
@@ -365,7 +365,7 @@ def emit_plot_data(report: AnalysisReport, dataset: Dataset, out_dir) -> dict[st
     years = np.array(dataset.years or range(1, sample.n + 1), dtype=object)
     write("timeseries", "year,value", format_column(years), format_column(x))
 
-    unit = standardize(x)[0]  # pad at the data's unit, then clip to the finite floats
+    unit = binary_unit(x)  # pad at the data's unit, then clip to the finite floats
     lo, hi = float(np.min(x)) / unit, float(np.max(x)) / unit
     margin, limit = PDF_GRID_MARGIN * (hi - lo), float(np.finfo(float).max) / unit
     grid = np.clip(np.linspace(lo - margin, hi + margin, PDF_GRID_POINTS), -limit, limit) * unit

@@ -50,17 +50,27 @@ class Sample:
         return f"Sample(n={self.n})"
 
 
-def standardize(values: np.ndarray) -> tuple[float, float, float, np.ndarray]:
-    """A power-of-two unit u of ``values``, and at u their mean, n-1 sd and ``(values - mean) / sd``.
+def binary_unit(values: np.ndarray) -> float:
+    """The power-of-two unit u of ``values``: 2**(e-1) for the ``frexp`` exponent e of the largest magnitude.
 
-    u = 2**(e-1) for the ``frexp`` exponent e of the largest magnitude, so
-    ``values / u`` is exact and nothing taken at u passes the float range.
+    ``values / u`` is exact and lies in (-2, 2), and it is the same array of
+    bits for ``values * 2**k`` as long as no value leaves the normal range.
+    """
+    return 2.0 ** (math.frexp(max(float(values.max()), -float(values.min())))[1] - 1)
+
+
+def standardize(values: np.ndarray) -> tuple[float, float, float, np.ndarray]:
+    """The :func:`binary_unit` u of ``values``, and at u their mean, n-1 sd and ``(values - mean) / sd``.
+
+    ``values / u`` is exact, and nothing taken at u passes the float range.
     ``u * mean`` and ``u * sd`` are the data-unit values, bit for bit, and as
     Python floats are inf past the float range, with no warning. Needs two values.
     """
-    unit = 2.0 ** (math.frexp(max(float(values.max()), -float(values.min())))[1] - 1)
+    unit = binary_unit(values)
     deviations = values / unit
+    # The rounded mean can leave [min, max]; kept inside, equal values have sd 0.
     mean = float(deviations.sum()) / deviations.size
+    mean = min(max(mean, float(deviations.min())), float(deviations.max()))
     deviations -= mean
     largest = float(np.max(np.abs(deviations)))
     scaled = deviations / largest if largest > 0.0 else deviations

@@ -84,6 +84,14 @@ class TestDescribe:
         for name in ("mean", "std_dev", "range"):
             assert getattr(scaled, name) == math.ldexp(getattr(base, name), k), name
 
+    @pytest.mark.parametrize("n, value", [(3, 0.1), (5, 3.0), (7, 0.7668222740913637)])
+    def test_equal_values_have_no_spread(self, n, value):
+        # The rounded mean of equal values fell outside them: sd 1.7e-17 and skewness -2.45 on (0.1,) * 3.
+        d = describe(Sample(np.full(n, value)))
+        assert d.mean == value
+        assert d.variance == 0.0 and d.std_dev == 0.0 and d.coef_variation_pct == 0.0
+        assert math.isnan(d.skewness)
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_range_past_the_float_range(self):
         # The deviations from the mean and the range overflowed in the subtraction.

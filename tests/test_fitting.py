@@ -14,6 +14,7 @@ from evtkit import (
     FAMILIES,
     GEV,
     Frechet,
+    Gumbel,
     Weibull,
     Sample,
     fit_all,
@@ -23,6 +24,9 @@ from evtkit import (
     log_likelihood,
 )
 from evtkit.errors import DegenerateSampleError, DomainError
+from evtkit.distributions import EULER_GAMMA
+from evtkit.sample import binary_unit
+from evtkit.simplex import nelder_mead
 
 from conftest import GEV_MM, GUMBEL_MM, RAIN_MEAN, RAIN_SD
 
@@ -34,6 +38,18 @@ class TestLogLikelihood:
 
     def test_support_violation_is_minus_inf(self):
         assert log_likelihood(GEV_MM, Sample(np.array([-500.0]))) == -np.inf
+
+    def test_a_record_far_from_the_data_is_evaluated_in_data_units(self):
+        # At the data's unit these records would have a location or a scale past
+        # the float range, or a scale of 0 or a subnormal one.
+        for dist, x in (
+            (Gumbel(1e300, 1.0), [1e-10, 2e-10]),
+            (Gumbel(0.0, 1e300), [1e-10, 2e-10]),
+            (Gumbel(1e10, 1e-300), [1e10, 1e10]),
+            (Gumbel(1e30, 1e-300), [1e30, 1e30]),
+        ):
+            s = Sample(np.array(x))
+            assert log_likelihood(dist, s) == float(np.sum(dist.log_pdf(s.values))), dist
 
     def test_additivity(self):
         x = 140.0
@@ -197,7 +213,7 @@ FLOOR_FIT = fit_mle("gev", Sample(FLOOR_SAMPLE))
 
 
 class TestGumbelOfLogData:
-    """Frechet and Weibull are fitted as the Gumbel of log x and -log x, bit for bit."""
+    """Frechet and Weibull are fitted as the Gumbel of log(x/u) and -log(x/u), bit for bit, u the unit of x."""
 
     @settings(max_examples=50, deadline=None, derandomize=True)
     @given(
@@ -208,9 +224,10 @@ class TestGumbelOfLogData:
     )
     def test_fits_are_the_mapped_gumbel_fits(self, n, log_location, log_sd, seed):
         x = np.exp(log_location + log_sd * np.random.default_rng(seed).standard_normal(n))
+        unit = binary_unit(x)
         for family, work, mapped in (
-            ("frechet", np.log(x), lambda g: Frechet(1.0 / g.scale, math.exp(g.location))),
-            ("weibull", -np.log(x), lambda g: Weibull(1.0 / g.scale, math.exp(-g.location))),
+            ("frechet", np.log(x / unit), lambda g: Frechet(1.0 / g.scale, unit * math.exp(g.location))),
+            ("weibull", -np.log(x / unit), lambda g: Weibull(1.0 / g.scale, unit * math.exp(-g.location))),
         ):
             fit, gumbel = fit_mle(family, Sample(x)), fit_mle("gumbel", Sample(work))
             assert repr(fit.params) == repr(mapped(gumbel.params)), family
@@ -220,6 +237,42 @@ class TestGumbelOfLogData:
                 gumbel.n_evaluations,
                 gumbel.converged,
             ), family
+
+
+class TestGumbelProfileFit:
+    """The Gumbel-type fits search log(scale) alone, the location at its maximum at each scale."""
+
+    @staticmethod
+    def two_dimensional_fit(s):
+        # Nelder-Mead over location and log(scale) of the kernel, on standardized data.
+        mean, sd = float(np.mean(s.values)), float(np.std(s.values, ddof=1))
+        data = (s.values - mean) / sd
+        scale = math.sqrt(6.0) / math.pi
+
+        def nll(theta):
+            value = -float(GEV.log_density(data, *theta).sum())
+            return value if math.isfinite(value) else math.inf
+
+        best = nelder_mead(nll, [-EULER_GAMMA * scale, math.log(scale)], initial_steps=[0.1 * scale, 0.1])
+        assert best.converged
+        return Gumbel(mean + sd * best.x[0], sd * math.exp(best.x[1]))
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(3, 200),
+        location=st.floats(-100.0, 100.0),
+        scale=st.floats(0.1, 100.0),
+        shape=st.sampled_from([None]) | st.floats(-0.9, 0.9),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_meets_the_score_equation_and_the_two_dimensional_search(self, n, location, scale, shape, seed):
+        s = (Gumbel(location, scale) if shape is None else GEV(location, scale, shape)).sample(n, seed)
+        fit = fit_mle("gumbel", s)
+        assert fit.converged
+        # At the location's maximum, sum(exp(-z)) = n for z = (x - location) / scale.
+        z = (s.values - fit.params.location) / fit.params.scale
+        assert float(np.sum(np.exp(-z))) == pytest.approx(n, rel=1e-12)
+        assert fit.log_likelihood >= log_likelihood(self.two_dimensional_fit(s), s) - 1e-9
 
 
 class TestUnitEquivariance:
@@ -259,12 +312,17 @@ class TestUnitEquivariance:
     )
     @example(n=51, sign=1.0, k=-1000, seed=22)
     @example(n=51, sign=-1.0, k=1000, seed=22)
+    # The GEV reaches the location repair, whose likelihood in data units rounded differently at each k.
+    @example(n=5, sign=1.0, k=46, seed=5)
     def test_binary_rescaling_moves_no_fitted_bit(self, n, sign, k, seed):
         # Dividing by a power of two is exact, so the search runs on the same bits.
         x = sign * GEV_MM.sample(n, seed).values
         assume(np.all(np.abs(x) >= 2.0**-20) and np.all(np.abs(x) < 2.0**20))  # x * 2**k stays normal
         base, scaled = ({o.family: o.result for o in fit_all(Sample(v))} for v in (x, x * 2.0**k))
-        for family in ("gumbel", "gev"):
+        for family in FAMILIES:
+            assert (scaled[family] is None) == (base[family] is None), family
+            if base[family] is None:  # Frechet and Weibull of negative values
+                continue
             for fitted, unscaled in (
                 (scaled[family].params, base[family].params),
                 (scaled[family].initial_params, base[family].initial_params),
@@ -288,14 +346,19 @@ class TestUnitEquivariance:
             assert fit.log_likelihood == log_likelihood(fit.params, s), family
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_gev_location_repair_stops_at_the_float_range(self):
-        # The repair stepped the location to inf, and GEV(inf, ...) raised DomainError.
+    def test_fits_of_data_at_the_float_maximum_converge(self):
+        # The search converged at the unit, but the log-likelihood in data units
+        # overflowed: both fits reported their start, unconverged, with -inf. The
+        # GEV's location repair had stepped the location to inf, and GEV(inf, ...)
+        # raised DomainError.
         s = Sample(np.array([1.7e308, 1.7e308, -1.7e308]))
-        fit = fit_mle("gev", s)
-        assert not fit.converged
-        assert fit.params == fit.initial_params
-        gev = {outcome.family: outcome for outcome in fit_all(s)}["gev"]
-        assert gev.error is None and gev.result == fit
+        fits = {outcome.family: outcome for outcome in fit_all(s)}
+        for family in ("gumbel", "gev"):
+            fit = fit_mle(family, s)
+            assert fit.converged, family
+            assert math.isfinite(fit.log_likelihood), family
+            assert fit.log_likelihood == log_likelihood(fit.params, s), family
+            assert fits[family].error is None and fits[family].result == fit, family
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(k=st.integers(-300, 300))
@@ -406,8 +469,10 @@ class TestFitAll:
         assert math.isfinite(gev)
         assert gev >= gumbel - 1e-9 * max(1.0, abs(gumbel))
 
-    def test_degenerate_sample_captured_per_family(self):
-        outcomes = fit_all(Sample(np.full(5, 3.0)))
+    @pytest.mark.parametrize("n, value", [(5, 3.0), (3, 0.1), (7, 0.7668222740913637)])
+    def test_degenerate_sample_captured_per_family(self, n, value):
+        # On (0.1,) * 3 the rounded mean left the values, and the Gumbel and GEV were "fitted", unconverged.
+        outcomes = fit_all(Sample(np.full(n, value)))
         assert all(not o.ok for o in outcomes)
         assert all(o.error for o in outcomes)
 
@@ -419,13 +484,13 @@ class TestRepositoryFixturePinned:
     """
 
     EXPECTED = {
-        "gumbel": ("Gumbel(location=94.09438209748623, scale=29.73609090391562)", 52, 107),
-        "frechet": ("Frechet(shape=3.2317172303714083, scale=89.41286556435305, location=0.0)", 56, 115),
-        "weibull": ("Weibull(shape=2.801919553857037, scale=125.21070339510516)", 60, 122),
+        "gumbel": ("Gumbel(location=94.09438221184517, scale=29.73609109205359)", 25, 53),
+        "frechet": ("Frechet(shape=3.231717221999593, scale=89.41286576351193, location=0.0)", 25, 53),
+        "weibull": ("Weibull(shape=2.8019195785212494, scale=125.21070333109328)", 26, 54),
         "gev": (
-            "GEV(location=93.04927530558993, scale=29.011560652513175, shape=0.06429702426524181)",
-            84,
-            170,
+            "GEV(location=93.04927552159657, scale=29.01156118307318, shape=0.06429699477643956)",
+            82,
+            162,
         ),
     }
 
@@ -433,10 +498,10 @@ class TestRepositoryFixturePinned:
     EXPECTED_LIKELIHOOD_AND_START = {
         "gumbel": (-254.2385318552818, "Gumbel(location=93.28026548506195, scale=31.944608684223606)"),
         "frechet": (
-            -255.84345502167918,
-            "Frechet(shape=3.7809613524033967, scale=90.48110146203479, location=0.0)",
+            -255.84345502167915,
+            "Frechet(shape=3.7809613524033967, scale=90.4811014620348, location=0.0)",
         ),
-        "weibull": (-260.6085471943081, "Weibull(shape=3.7809613524033967, scale=122.78912660834106)"),
+        "weibull": (-260.608547194308, "Weibull(shape=3.7809613524033967, scale=122.78912660834098)"),
         "gev": (
             -254.035499695575,
             "GEV(location=93.28026548506195, scale=31.944608684223606, shape=0.0)",

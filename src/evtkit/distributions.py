@@ -64,14 +64,17 @@ class _EvdFamily:
     the support and at nan), which is Gumbel or GEV (Coles 2001, section
     3.1), and ``_from_gumbel(unit, location, scale[, shape])`` is the record
     of ``unit * x`` for the x whose Gumbel values have that Gumbel or GEV.
-    ``_in_unit(unit)`` is the record of ``x / unit``. The one likelihood
-    kernel, the static ``GEV.log_density``, is used by every ``_log_pdf``
-    and by the fitter's GEV search. It takes the scale as a logarithm and
-    validates nothing.
+    ``_in_unit(unit)`` is the record of ``x / unit``, and ``_logarithmic``
+    says whether the family's unit is the one for logarithms (see
+    :func:`~evtkit.sample.binary_unit`). The one likelihood kernel, the
+    static ``GEV.log_density``, is used by every ``_log_pdf`` and by the
+    fitter's GEV search. It takes the scale as a logarithm and validates
+    nothing.
     """
 
     family: ClassVar[str]
     _positive: ClassVar[tuple[str, ...]] = ("scale",)
+    _logarithmic: ClassVar[bool] = False
 
     def __post_init__(self):
         for field in dataclasses.fields(self):
@@ -247,6 +250,7 @@ class _LogGumbel(_EvdFamily):
 
     sign: ClassVar[float]
     _positive: ClassVar[tuple[str, ...]] = ("shape", "scale")
+    _logarithmic: ClassVar[bool] = True
 
     def support(self) -> tuple[float, float]:
         return (self.location, np.inf)

@@ -3,9 +3,10 @@
 Every family is fitted by log-likelihood maximization with one Nelder-Mead
 simplex search, as a Gumbel or a GEV of its Gumbel values w: x, log x or
 -log x, taken of x / u for the power-of-two unit u of the data
-(:func:`~evtkit.sample.binary_unit`), so that rescaling the data by a power
-of two moves no fitted bit. Each distribution class maps the data to w and
-a fitted Gumbel or GEV back to its record (Coles 2001, section 3.1), so
+(:func:`~evtkit.sample.binary_unit`; for the logarithms, one that keeps each
+x / u a normal float where it can), so that rescaling the data by a power of
+two moves no fitted bit. Each distribution class maps the data to w and a
+fitted Gumbel or GEV back to its record (Coles 2001, section 3.1), so
 nothing here branches on the family except to give the GEV its own search.
 The search runs on ``(w - mean) / sd``, taken at the power-of-two unit of
 :func:`~evtkit.sample.standardize`, where initial steps and tolerances mean
@@ -13,16 +14,16 @@ the same at every data scale (Coles 2001, section 3.3). Scales are searched
 on the log scale. The Gumbel's location has a closed-form maximum at each
 scale (Lawless 2003), so the Gumbel, Frechet and Weibull search runs over
 the log scale alone, on that profile likelihood. The GEV search runs over
-location, log scale and shape, with the shape kept inside (-1, 1), from
-the fitted Gumbel at shape 0, its nested case; it sums the one likelihood
-kernel, ``GEV.log_density``. Each search allocates one workspace, two
-arrays shaped like its data, and every evaluation writes into it, so no
-evaluation allocates anything the size of the data. A point that leaves an
-observation off the support has log-likelihood -inf or nan, both the
-simplex's worst vertex. The parameters are mapped back to data units, and
-the reported log-likelihood is :func:`log_likelihood` of them on the data,
-which evaluates the kernel at the data's power-of-two unit. The search has
-no settings: it runs to the fixed tolerance of
+location, log scale and shape, with the shape kept inside (-1, 1), from the
+fitted Gumbel at shape 0, its nested case; it sums the one likelihood
+kernel, ``GEV.log_density``. Each search allocates one workspace, two arrays
+shaped like its data, and every evaluation writes into it, so no evaluation
+allocates anything the size of the data. A point that leaves an observation
+off the support has log-likelihood -inf or nan, both the simplex's worst
+vertex. The parameters are mapped back to data units, and the reported
+log-likelihood is :func:`log_likelihood` of them on the data, which
+evaluates the kernel at the data's power-of-two unit. The search has no
+settings: it runs to the fixed tolerance of
 :func:`~evtkit.simplex.nelder_mead` or its iteration budget of 10 000.
 """
 
@@ -88,16 +89,18 @@ class FitOutcome:
 def log_likelihood(dist: Distribution, sample: Sample) -> float:
     """Sum of the log density over all observations.
 
-    Evaluated at the :func:`~evtkit.sample.binary_unit` u of the sample, as
+    Evaluated at the :func:`~evtkit.sample.binary_unit` u of the sample (for
+    Frechet and Weibull, the one for logarithms), as
     l(x/u; location/u, scale/u) - n*log(u). The first term is the same float
     when the data and the record are rescaled together by a power of two, and
-    it stays finite on data whose range passes the float maximum. A record
-    whose location or scale would leave the float range at u, or whose scale
-    would not be a normal float there, is evaluated in data units.
+    it stays finite on data whose range passes the float maximum. No
+    observation is 0 or inf at u. A record whose location or scale would
+    leave the float range at u, or whose scale would not be a normal float
+    there, is evaluated in data units.
 
     Returns -inf when any observation lies outside the support of ``dist``.
     """
-    unit = binary_unit(sample.values)
+    unit = binary_unit(sample.values, logarithmic=dist._logarithmic)
     if not (math.isfinite(dist.location / unit) and sys.float_info.min <= dist.scale / unit < math.inf):
         unit = 1.0
     log_densities = dist._in_unit(unit).log_pdf(sample.values / unit)
@@ -112,7 +115,7 @@ def _fit_data(family: str, sample: Sample, min_size: int) -> tuple[type, float, 
     cls = _family_class(family)
     if sample.n < min_size:
         raise DegenerateSampleError(f"need at least {min_size} observations to fit, got {sample.n}")
-    sample_unit = binary_unit(sample.values)
+    sample_unit = binary_unit(sample.values, logarithmic=cls._logarithmic)
     with np.errstate(divide="ignore"):
         work = cls._gumbel_values(sample.values / sample_unit)
     if not np.all(np.isfinite(work)):
@@ -127,7 +130,7 @@ def _fit_data(family: str, sample: Sample, min_size: int) -> tuple[type, float, 
 
 def _moment_gumbel(unit: float, mean: float, sd: float) -> tuple[float, float]:
     """Location and scale of the Gumbel with the given mean and standard deviation at ``unit``, in data units."""
-    scale = sd * math.sqrt(6.0) / math.pi
+    scale = sd * _UNIT_SD_SCALE
     return unit * (mean - EULER_GAMMA * scale), unit * scale
 
 
@@ -137,8 +140,8 @@ def initial_params(family: str, sample: Sample) -> Distribution:
     The Gumbel that matches the mean and standard deviation of the values
     the family is fitted on: x for Gumbel and GEV (the GEV at shape 0, its
     Gumbel case), log(x/u) for Frechet and -log(x/u) for Weibull, with u the
-    power-of-two unit of x, mapped to the family. It lies inside the
-    parameter domain whenever the data are strictly positive.
+    power-of-two unit of x for logarithms, mapped to the family. It lies
+    inside the parameter domain whenever the data are strictly positive.
     :func:`fit_mle` starts the Gumbel, Frechet and Weibull searches at its
     scale, but the GEV search from the fitted Gumbel.
 
@@ -195,7 +198,7 @@ def fit_mle(family: str, sample: Sample, *, _gumbel_fit: FitResult | None = None
     """Fit ``family`` to ``sample`` by maximum likelihood, with one simplex search.
 
     Gumbel, Frechet and Weibull are a Gumbel fit to their standardized
-    Gumbel values (x, log(x/u) and -log(x/u), u the power-of-two unit of x),
+    Gumbel values (x, log(x/u) and -log(x/u), u a power-of-two unit of x),
     mapped back by the family's class. The Gumbel's location has a closed
     form at each scale, so their search runs over log(scale) alone, started
     at the scale of :func:`initial_params`. The GEV search runs over

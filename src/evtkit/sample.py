@@ -50,13 +50,23 @@ class Sample:
         return f"Sample(n={self.n})"
 
 
-def binary_unit(values: np.ndarray) -> float:
+def binary_unit(values: np.ndarray, *, logarithmic: bool = False) -> float:
     """The power-of-two unit u of ``values``: 2**(e-1) for the ``frexp`` exponent e of the largest magnitude.
 
     ``values / u`` is exact and lies in (-2, 2), and it is the same array of
     bits for ``values * 2**k`` as long as no value leaves the normal range.
+    With ``logarithmic``, for positive values whose logarithms are taken, u
+    is lowered as far as needed to keep the smallest value normal at u, but
+    never so far that the largest would pass the float range. ``values / u``
+    is then never 0 or inf, and it is all normal floats whenever the largest
+    value is less than 2**2045 times the smallest.
     """
-    return 2.0 ** (math.frexp(max(float(values.max()), -float(values.min())))[1] - 1)
+    low, high = float(values.min()), float(values.max())
+    exponent = math.frexp(max(high, -low))[1] - 1
+    if logarithmic:
+        lowest = math.frexp(low)[1] - 1
+        exponent = max(min(exponent, lowest + 1022), exponent - 1023)
+    return 2.0**exponent
 
 
 def standardize(values: np.ndarray) -> tuple[float, float, float, np.ndarray]:

@@ -25,6 +25,7 @@ from evtkit import (
 )
 from evtkit.errors import DegenerateSampleError, DomainError
 from evtkit.distributions import EULER_GAMMA
+from evtkit.fitting import _UNIT_SD_SCALE
 from evtkit.sample import binary_unit
 from evtkit.simplex import nelder_mead
 
@@ -224,7 +225,7 @@ class TestGumbelOfLogData:
     )
     def test_fits_are_the_mapped_gumbel_fits(self, n, log_location, log_sd, seed):
         x = np.exp(log_location + log_sd * np.random.default_rng(seed).standard_normal(n))
-        unit = binary_unit(x)
+        unit = binary_unit(x, logarithmic=True)
         for family, work, mapped in (
             ("frechet", np.log(x / unit), lambda g: Frechet(1.0 / g.scale, unit * math.exp(g.location))),
             ("weibull", -np.log(x / unit), lambda g: Weibull(1.0 / g.scale, unit * math.exp(-g.location))),
@@ -247,7 +248,7 @@ class TestGumbelProfileFit:
         # Nelder-Mead over location and log(scale) of the kernel, on standardized data.
         mean, sd = float(np.mean(s.values)), float(np.std(s.values, ddof=1))
         data = (s.values - mean) / sd
-        scale = math.sqrt(6.0) / math.pi
+        scale = _UNIT_SD_SCALE
 
         def nll(theta):
             value = -float(GEV.log_density(data, *theta).sum())
@@ -359,6 +360,51 @@ class TestUnitEquivariance:
             assert math.isfinite(fit.log_likelihood), family
             assert fit.log_likelihood == log_likelihood(fit.params, s), family
             assert fits[family].error is None and fits[family].result == fit, family
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_gev_location_repair_stops_at_the_float_range(self):
+        # The fitted GEV's lower end rounds onto the five values at -max, and its
+        # location is -max already, so the first outward step leaves the float
+        # range. Stepping on would raise DomainError from GEV(-inf, ...).
+        top = np.finfo(float).max
+        s = Sample(-np.array([top] * 5 + [top - 13 * math.ulp(top)]))
+        fit = fit_mle("gev", s)
+        assert not fit.converged
+        assert fit.params == fit.initial_params
+        assert fit.log_likelihood == log_likelihood(fit.params, s)
+        gev = {outcome.family: outcome for outcome in fit_all(s)}["gev"]
+        assert gev.error is None and gev.result == fit
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "x, expected",
+        [
+            ([1e-300, 1e300, 1.0], {"frechet": -23.312297747238816, "weibull": -23.312297747238816}),
+            ([5e-324, 1.7e308, 1.0], {"frechet": 11.232733918878145, "weibull": 11.261506295257664}),
+        ],
+    )
+    def test_log_fits_of_positive_data_spanning_the_float_range(self, x, expected):
+        # At the largest value's unit the smallest value / u was 0, and both fits
+        # raised DomainError "supports only positive values". The expected values
+        # are those of the logarithms taken in data units.
+        s = Sample(np.array(x))
+        for family, loglik in expected.items():
+            fit = fit_mle(family, s)
+            assert fit.converged, family
+            assert fit.log_likelihood == log_likelihood(fit.params, s), family
+            assert fit.log_likelihood == pytest.approx(loglik, rel=1e-12), family
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(low=st.integers(-1074, 1023), high=st.integers(-1074, 1023), k=st.integers(-20, 20))
+    def test_unit_for_logarithms_keeps_every_value_finite_and_nonzero(self, low, high, k):
+        low, high = sorted((low, high))
+        x = np.array([2.0**low, 1.5 * 2.0**high if high < 1023 else 2.0**high, 2.0**high])
+        y = x / binary_unit(x, logarithmic=True)
+        assert np.all(np.isfinite(y)) and np.all(y > 0.0)
+        if high - low < 2045:
+            assert np.all(y >= np.finfo(float).tiny)
+        if -1022 <= low + k and high + k <= 1022:  # x * 2**k stays normal
+            assert binary_unit(x * 2.0**k, logarithmic=True) == math.ldexp(binary_unit(x, logarithmic=True), k)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(k=st.integers(-300, 300))
@@ -496,15 +542,15 @@ class TestRepositoryFixturePinned:
 
     # Log-likelihood of the fit, and repr of initial_params.
     EXPECTED_LIKELIHOOD_AND_START = {
-        "gumbel": (-254.2385318552818, "Gumbel(location=93.28026548506195, scale=31.944608684223606)"),
+        "gumbel": (-254.2385318552818, "Gumbel(location=93.28026548506195, scale=31.9446086842236)"),
         "frechet": (
             -255.84345502167915,
-            "Frechet(shape=3.7809613524033967, scale=90.4811014620348, location=0.0)",
+            "Frechet(shape=3.7809613524033976, scale=90.4811014620348, location=0.0)",
         ),
-        "weibull": (-260.608547194308, "Weibull(shape=3.7809613524033967, scale=122.78912660834098)"),
+        "weibull": (-260.608547194308, "Weibull(shape=3.7809613524033976, scale=122.78912660834098)"),
         "gev": (
             -254.035499695575,
-            "GEV(location=93.28026548506195, scale=31.944608684223606, shape=0.0)",
+            "GEV(location=93.28026548506195, scale=31.9446086842236, shape=0.0)",
         ),
     }
 

@@ -67,9 +67,10 @@ class _EvdFamily:
     ``_in_unit(unit)`` is the record of ``x / unit``, and ``_logarithmic``
     says whether the family's unit is the one for logarithms (see
     :func:`~evtkit.sample.binary_unit`). The one likelihood kernel, the
-    static ``GEV.log_density``, is used by every ``_log_pdf`` and by the
-    fitter's GEV search. It takes the scale as a logarithm and validates
-    nothing.
+    static ``GEV.log_density``, is used by every ``_log_pdf``, and so by the
+    reported log-likelihood of every fit; the fitter's searches minimize
+    summed forms of the likelihood instead. It takes the scale as a
+    logarithm and validates nothing.
     """
 
     family: ClassVar[str]
@@ -186,23 +187,17 @@ class _GevForms(_EvdFamily):
         return np.exp(np.negative(w, out=w), out=w)
 
     @staticmethod
-    def log_density(x, location, log_scale, shape=0.0, out=None):
+    def log_density(x, location, log_scale, shape=0.0):
         """Log density; -inf off the support, where log1p(shape*z) is -inf or nan.
 
         At shape 0 it is the Gumbel's -log_scale - z - exp(-z), nan at x = -inf.
-        ``out`` is a workspace of two float arrays shaped like ``x``: a pair,
-        or one array with a leading axis of 2. Whatever they hold is
-        overwritten; the result is written into ``out[0]``, which is returned.
-        Without ``out`` a pair is allocated for the call. The fitter
-        passes one workspace to every evaluation of a search, so no evaluation
-        allocates anything the size of the data.
         """
-        # In place: at n = 100 000 a new temporary per operation costs more
-        # than the arithmetic, as the heap is trimmed and its pages re-faulted
-        # between evaluations. w starts as z, its shape-0 limit; shape 0 skips
-        # log1p, so the Gumbel costs no more than its own formula would. Each
-        # ufunc takes its output by position, which parses faster than out=.
-        a, b = (np.empty(np.shape(x)), np.empty(np.shape(x))) if out is None else out
+        # In place, in two arrays: at n = 100 000 a new temporary per operation
+        # costs more than the arithmetic, as the heap is trimmed and its pages
+        # re-faulted. w starts as z, its shape-0 limit; shape 0 skips log1p, so
+        # the Gumbel costs no more than its own formula would. Each ufunc takes
+        # its output by position, which parses faster than out=.
+        a, b = np.empty(np.shape(x)), np.empty(np.shape(x))
         w = np.divide(np.subtract(x, location, a), np.exp(log_scale), a)
         if shape:
             np.log1p(np.multiply(shape, w, a), a)  # lt

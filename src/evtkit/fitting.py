@@ -15,14 +15,18 @@ on the log scale. The Gumbel's location has a closed-form maximum at each
 scale (Lawless 2003), so the Gumbel, Frechet and Weibull search runs over
 the log scale alone, on that profile likelihood. The GEV search runs over
 location, log scale and shape, with the shape kept inside (-1, 1), from the
-fitted Gumbel at shape 0, its nested case; it sums the one likelihood
-kernel, ``GEV.log_density``. Each search allocates one workspace, two arrays
-shaped like its data, and every evaluation writes into it, so no evaluation
-allocates anything the size of the data. A point that leaves an observation
-off the support has log-likelihood -inf or nan, both the simplex's worst
-vertex. The parameters are mapped back to data units, and the reported
-log-likelihood is :func:`log_likelihood` of them on the data, which
-evaluates the kernel at the data's power-of-two unit. The search has no
+fitted Gumbel at shape 0, its nested case, on the GEV negative
+log-likelihood written as sums (Coles 2001, section 3.3.2): two in-place
+passes over the data and two sums per evaluation. Both objectives are
+second expressions of a likelihood beside the one kernel,
+``GEV.log_density``, kept because they are faster: a GEV evaluation at
+n = 85 takes about three quarters of the kernel's time. Each search allocates its workspace
+once, and every evaluation writes into it, so no evaluation allocates
+anything the size of the data. A point that leaves an observation off the
+support has objective inf, the simplex's worst vertex. The parameters are
+mapped back to data units, and the reported log-likelihood is
+:func:`log_likelihood` of them on the data, which evaluates the kernel at
+the data's power-of-two unit. The search has no
 settings: it runs to the fixed tolerance of
 :func:`~evtkit.simplex.nelder_mead` or its iteration budget of 10 000.
 """
@@ -128,10 +132,16 @@ def _fit_data(family: str, sample: Sample, min_size: int) -> tuple[type, float, 
     return cls, sample_unit, data, unit, mean, sd
 
 
-def _moment_gumbel(unit: float, mean: float, sd: float) -> tuple[float, float]:
-    """Location and scale of the Gumbel with the given mean and standard deviation at ``unit``, in data units."""
+def _moment_start(cls: type, sample_unit: float, unit: float, mean: float, sd: float) -> Distribution:
+    """The record of the Gumbel with the given mean and standard deviation at ``unit``, mapped by ``cls``.
+
+    Its location is clipped to the float range in data units: on data within
+    a few floats of -max (or max), mean - EULER_GAMMA * scale passes it.
+    """
     scale = sd * _UNIT_SD_SCALE
-    return unit * (mean - EULER_GAMMA * scale), unit * scale
+    bound = sys.float_info.max / sample_unit  # a power of two: exact, or inf where no clip is needed
+    location = min(max(unit * (mean - EULER_GAMMA * scale), -bound), bound)
+    return cls._from_gumbel(sample_unit, location, unit * scale)
 
 
 def initial_params(family: str, sample: Sample) -> Distribution:
@@ -153,7 +163,7 @@ def initial_params(family: str, sample: Sample) -> Distribution:
         Unknown family, or Frechet/Weibull requested for data with non-positive values.
     """
     cls, sample_unit, _, unit, mean, sd = _fit_data(family, sample, 2)
-    return cls._from_gumbel(sample_unit, *_moment_gumbel(unit, mean, sd))
+    return _moment_start(cls, sample_unit, unit, mean, sd)
 
 
 def _unpack(cls: type, theta, sample_unit: float, unit: float, mean: float, sd: float) -> Distribution | None:
@@ -165,7 +175,7 @@ def _unpack(cls: type, theta, sample_unit: float, unit: float, mean: float, sd: 
         return None
 
 
-def _gumbel_profile_search(data: np.ndarray, workspace) -> tuple:
+def _gumbel_profile_search(data: np.ndarray) -> tuple:
     """Maximize the Gumbel likelihood of ``data`` over log(scale), the location at its maximum.
 
     For w_i = data - min(data) and scale s the location's maximum is
@@ -173,13 +183,12 @@ def _gumbel_profile_search(data: np.ndarray, workspace) -> tuple:
     is at least its minimum's term 1, and the negative log-likelihood there
     is n*(log(s) + mean(w)/s + L(s) + 1) (Lawless 2003). The search runs on
     log(s) from log(sqrt(6)/pi), the scale of the moment start, with step
-    0.1. ``workspace`` holds -w and each evaluation's terms. Returns the
+    0.1. Its workspace holds -w and each evaluation's terms. Returns the
     search and its point (location, log(scale)).
     """
     n = data.size
     low = float(data.min())
-    shifted, terms = workspace
-    np.subtract(low, data, shifted)
+    shifted, terms = np.subtract(low, data), np.empty_like(data)
     excess = -float(shifted.sum()) / n
 
     def log_mean_exp(scale):
@@ -194,6 +203,43 @@ def _gumbel_profile_search(data: np.ndarray, workspace) -> tuple:
     return best, [low - scale * log_mean_exp(scale), best.x[0]]
 
 
+def _gev_objective(data: np.ndarray):
+    """The GEV's negative log-likelihood of ``data`` at (location, log(scale), shape), summed.
+
+    With t = 1 + shape*(x - location)/scale it is n*log(scale) +
+    (1 + 1/shape)*sum(log t) + sum(t**(-1/shape)) (Coles 2001, section
+    3.3.2): one in-place pass into a workspace shaped like ``data`` for
+    log t, one for the powers, and a sum of each. At shape 0 it is the
+    Gumbel's n*log(scale) + sum(z) + sum(exp(-z)), z = (x - location)/scale,
+    with sum(z) from the sum of the data, taken once. A shape outside
+    (-1, 1), or a value that is not finite (an observation off the support,
+    or a scale past the float range), is inf. Call it under
+    ``np.errstate(all="ignore")``.
+    """
+    n = data.size
+    total = float(data.sum())
+    workspace = np.empty_like(data)
+
+    def nll(theta):
+        location, log_scale, shape = theta.tolist()
+        if not _GEV_SHAPE_FLOOR < shape < _GEV_SHAPE_CEILING:
+            return math.inf
+        inverse_scale = np.exp(-log_scale)  # a numpy float: inf past the float range, never an exception
+        shifted = np.subtract(data, location, workspace)
+        if shape:
+            log_t = np.log1p(np.multiply(shifted, shape * inverse_scale, shifted), shifted)
+            # Divided by the shape, not multiplied by 1/shape, which overflows below 1/max.
+            total_log_t = log_t.sum()
+            value = n * log_scale + total_log_t + total_log_t / shape
+            value += np.exp(np.divide(log_t, -shape, log_t), log_t).sum()
+        else:
+            value = n * log_scale + (total - n * location) * inverse_scale
+            value += np.exp(np.multiply(shifted, -inverse_scale, shifted), shifted).sum()
+        return value if math.isfinite(value) else math.inf
+
+    return nll
+
+
 def fit_mle(family: str, sample: Sample, *, _gumbel_fit: FitResult | None = None) -> FitResult:
     """Fit ``family`` to ``sample`` by maximum likelihood, with one simplex search.
 
@@ -202,7 +248,7 @@ def fit_mle(family: str, sample: Sample, *, _gumbel_fit: FitResult | None = None
     mapped back by the family's class. The Gumbel's location has a closed
     form at each scale, so their search runs over log(scale) alone, started
     at the scale of :func:`initial_params`. The GEV search runs over
-    location, log(scale) and shape, on the one likelihood kernel, from the
+    location, log(scale) and shape, on the likelihood written as sums, from the
     fitted Gumbel with shape 0 (which :func:`fit_all` passes in, as it has
     already made it). The simplex never trades its best vertex for a worse
     one, so the fitted GEV log-likelihood never falls below the fitted
@@ -233,27 +279,19 @@ def fit_mle(family: str, sample: Sample, *, _gumbel_fit: FitResult | None = None
         Unknown family, or data outside the family support.
     """
     cls, sample_unit, data, unit, mean, sd = _fit_data(family, sample, _MIN_FIT_SIZE)
-    workspace = np.empty_like(data), np.empty_like(data)
     bounded = family == "gev"
     if bounded:
         gumbel = (_gumbel_fit or fit_mle("gumbel", sample)).params
         init = GEV(gumbel.location, gumbel.scale, 0.0)
         location, scale = gumbel.location / sample_unit / unit, gumbel.scale / sample_unit / unit
         theta0 = [(location - mean) / sd, math.log(scale / sd), 0.0]
-
-        def nll(theta):
-            if not _GEV_SHAPE_FLOOR < theta[2] < _GEV_SHAPE_CEILING:
-                return math.inf
-            value = -GEV.log_density(data, *theta, out=workspace).sum()
-            return value if math.isfinite(value) else math.inf
-
         with np.errstate(all="ignore"):
-            best = nelder_mead(nll, theta0, initial_steps=[0.1 * _UNIT_SD_SCALE, 0.1, 0.1])
+            best = nelder_mead(_gev_objective(data), theta0, initial_steps=[0.1 * _UNIT_SD_SCALE, 0.1, 0.1])
         theta = best.x
     else:
-        init = cls._from_gumbel(sample_unit, *_moment_gumbel(unit, mean, sd))
+        init = _moment_start(cls, sample_unit, unit, mean, sd)
         with np.errstate(all="ignore"):
-            best, theta = _gumbel_profile_search(data, workspace)
+            best, theta = _gumbel_profile_search(data)
     params = _unpack(cls, theta, sample_unit, unit, mean, sd) if math.isfinite(best.fun) else None
     loglik = -math.inf if params is None else log_likelihood(params, sample)
     if bounded and params is not None and params.shape and not math.isfinite(loglik):

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 from dataclasses import dataclass
 from typing import ClassVar, Union, get_args
 
@@ -165,6 +166,23 @@ class _EvdFamily:
         return Sample(values)
 
 
+# Below this |shape|, shape*z can be subnormal, where log1p(shape*z)/shape keeps few bits.
+_TINY_SHAPE = 2.0**-970
+
+
+def _log_t(y, inverse_scale, shape, log_t, minus_w):
+    """The GEV's log t = log1p(y * (shape*inverse_scale)) into ``log_t`` (which may be ``y``),
+    and -w = log t / -shape into ``minus_w``, returned; z = y*inverse_scale and t = 1 + shape*z.
+    Below |shape| 2**-970, where shape*z is not a normal float, -w is -z, exact there."""
+    factor = shape * inverse_scale
+    if not -_TINY_SHAPE < shape < _TINY_SHAPE:
+        return np.divide(np.log1p(np.multiply(y, factor, log_t), log_t), -shape, minus_w)
+    u = np.multiply(y, factor)
+    np.multiply(y, -inverse_scale, minus_w)
+    np.copyto(minus_w, np.divide(np.log1p(u, log_t), -shape), where=np.abs(u) >= sys.float_info.min)
+    return minus_w
+
+
 class _GevForms(_EvdFamily):
     """The closed forms of :class:`GEV`, which :class:`Gumbel` shares as its shape-0 case."""
 
@@ -198,12 +216,13 @@ class _GevForms(_EvdFamily):
         # the Gumbel costs no more than its own formula would. Each ufunc takes
         # its output by position, which parses faster than out=.
         a, b = np.empty(np.shape(x)), np.empty(np.shape(x))
-        w = np.divide(np.subtract(x, location, a), np.exp(log_scale), a)
+        z = np.divide(np.subtract(x, location, a), np.exp(log_scale), a)
         if shape:
-            np.log1p(np.multiply(shape, w, a), a)  # lt
-            w = np.divide(a, shape, b)
-            np.add(a, w, a)  # lt + w
-        np.exp(np.negative(w, b), b)
+            _log_t(z, 1.0, shape, a, b)  # lt, -w
+            np.subtract(a, b, a)  # lt + w
+        else:
+            np.negative(z, b)
+        np.exp(b, b)
         np.subtract(np.subtract(-log_scale, a, a), b, a)  # ((-log_scale) - (lt + w)) - exp(-w)
         # At lt = -inf, and below it where lt is nan, the value is nan; fmax makes it -inf.
         return np.fmax(a, -np.inf, a) if shape else a

@@ -17,17 +17,25 @@ the log scale alone, on that profile likelihood. The GEV search runs over
 location, log scale and shape, with the shape kept inside (-1, 1), from the
 fitted Gumbel at shape 0, its nested case, on the GEV negative
 log-likelihood written as sums (Coles 2001, section 3.3.2): two in-place
-passes over the data and two sums per evaluation. Both objectives are
+passes write log t and t**(-1/shape) into the two rows of a (2, n)
+workspace, and one reduction sums both rows. Both objectives are
 second expressions of a likelihood beside the one kernel,
 ``GEV.log_density``, kept because they are faster: a GEV evaluation at
-n = 85 takes about three quarters of the kernel's time. Each search allocates its workspace
-once, and every evaluation writes into it, so no evaluation allocates
+n = 85 takes about three quarters of the kernel's time. A fit is three
+steps: :func:`_prepare` makes the standardized data and the start, a search
+runs, and :func:`_finish` maps it back, repairs a GEV location or falls back
+to the start. The Gumbel-type searches of one sample are lanes of one
+(K, n) profile objective (:func:`~evtkit.simplex._lockstep`), so numpy's
+fixed cost per call, which dominates near n = 100, is paid once per step
+for all; each lane is its search alone, to the bit. They step together only
+while K*n is at most 2**15 cells, and alone above it. Workspaces are
+allocated once per set of running lanes, so no evaluation allocates
 anything the size of the data. A point that leaves an observation off the
 support has objective inf, the simplex's worst vertex. The parameters are
 mapped back to data units, and the reported log-likelihood is
 :func:`log_likelihood` of them on the data, which evaluates the kernel at
-the data's power-of-two unit. The search has no
-settings: it runs to the fixed tolerance of
+the data's power-of-two unit. The search has no settings: it runs to the
+fixed tolerance of
 :func:`~evtkit.simplex.nelder_mead` or its iteration budget of 10 000.
 """
 
@@ -39,10 +47,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import EULER_GAMMA, FAMILIES, GEV, Distribution, _family_class
+from .distributions import EULER_GAMMA, FAMILIES, GEV, Distribution, _family_class, _log_t, _TINY_SHAPE
 from .errors import DegenerateSampleError, DomainError
 from .sample import Sample, binary_unit, standardize
-from .simplex import nelder_mead
+from .simplex import _lockstep, _search, nelder_mead
 
 __all__ = [
     "FitResult",
@@ -63,6 +71,8 @@ _GEV_SHAPE_FLOOR = -1.0
 _GEV_SHAPE_CEILING = 1.0
 # The scale of the Gumbel with standard deviation 1, where every search starts its scale.
 _UNIT_SD_SCALE = math.sqrt(6.0) / math.pi
+# The Gumbel-type searches step together while their data fit in this many cells.
+_LOCKSTEP_CELLS = 2**15
 
 
 @dataclass(frozen=True)
@@ -111,10 +121,15 @@ def log_likelihood(dist: Distribution, sample: Sample) -> float:
     return float(np.sum(log_densities)) - sample.n * math.log(unit)
 
 
-def _fit_data(family: str, sample: Sample, min_size: int) -> tuple[type, float, np.ndarray, float, float, float]:
-    """The family's class, the sample's unit u, and the Gumbel values w of x / u standardized.
+def _prepare(family: str, sample: Sample, min_size: int = _MIN_FIT_SIZE, start: Distribution | None = None) -> tuple:
+    """The search problem of ``family``: its class, the sample's unit u, the Gumbel values w of x / u
+    standardized, that is ``(w - mean) / sd``, the unit of w, that mean and sd at it, and the start.
 
-    That is ``(w - mean) / sd``, the unit of w and, at it, that mean and sd.
+    The start is ``start``, or else the record of the Gumbel with that mean and
+    sd, mapped by the class. That is clipped to the float range in the
+    family's own units: on data within a few floats of -max (or max), the
+    Gumbel and GEV location mean - EULER_GAMMA * scale passes it, and on data
+    near max, the Weibull scale u*exp(-location).
     """
     cls = _family_class(family)
     if sample.n < min_size:
@@ -129,19 +144,16 @@ def _fit_data(family: str, sample: Sample, min_size: int) -> tuple[type, float, 
     unit, mean, sd, data = standardize(work)
     if sd == 0.0:
         raise DegenerateSampleError("sample standard deviation is zero")
-    return cls, sample_unit, data, unit, mean, sd
-
-
-def _moment_start(cls: type, sample_unit: float, unit: float, mean: float, sd: float) -> Distribution:
-    """The record of the Gumbel with the given mean and standard deviation at ``unit``, mapped by ``cls``.
-
-    Its location is clipped to the float range in data units: on data within
-    a few floats of -max (or max), mean - EULER_GAMMA * scale passes it.
-    """
-    scale = sd * _UNIT_SD_SCALE
-    bound = sys.float_info.max / sample_unit  # a power of two: exact, or inf where no clip is needed
-    location = min(max(unit * (mean - EULER_GAMMA * scale), -bound), bound)
-    return cls._from_gumbel(sample_unit, location, unit * scale)
+    if start is None:
+        scale = sd * _UNIT_SD_SCALE
+        location = unit * (mean - EULER_GAMMA * scale)
+        if cls._logarithmic:
+            record_scale = min(sample_unit * math.exp(cls.sign * location), sys.float_info.max)
+            start = cls(shape=1.0 / (unit * scale), scale=record_scale)
+        else:
+            bound = sys.float_info.max / sample_unit  # a power of two: exact, or inf where no clip is needed
+            start = cls._from_gumbel(sample_unit, min(max(location, -bound), bound), unit * scale)
+    return cls, sample_unit, data, unit, mean, sd, start
 
 
 def initial_params(family: str, sample: Sample) -> Distribution:
@@ -162,8 +174,7 @@ def initial_params(family: str, sample: Sample) -> Distribution:
     DomainError
         Unknown family, or Frechet/Weibull requested for data with non-positive values.
     """
-    cls, sample_unit, _, unit, mean, sd = _fit_data(family, sample, 2)
-    return _moment_start(cls, sample_unit, unit, mean, sd)
+    return _prepare(family, sample, 2)[-1]
 
 
 def _unpack(cls: type, theta, sample_unit: float, unit: float, mean: float, sd: float) -> Distribution | None:
@@ -175,32 +186,48 @@ def _unpack(cls: type, theta, sample_unit: float, unit: float, mean: float, sd: 
         return None
 
 
-def _gumbel_profile_search(data: np.ndarray) -> tuple:
-    """Maximize the Gumbel likelihood of ``data`` over log(scale), the location at its maximum.
+def _gumbel_profile_search(datas: list[np.ndarray]) -> list[tuple]:
+    """Maximize the Gumbel likelihood of each of ``datas``, all of one size, over log(scale).
 
     For w_i = data - min(data) and scale s the location's maximum is
     min(data) - s*L(s), L(s) = log((1/n) * sum(exp(-w_i/s))), where the sum
     is at least its minimum's term 1, and the negative log-likelihood there
-    is n*(log(s) + mean(w)/s + L(s) + 1) (Lawless 2003). The search runs on
+    is n*(log(s) + mean(w)/s + L(s) + 1) (Lawless 2003). Each search runs on
     log(s) from log(sqrt(6)/pi), the scale of the moment start, with step
-    0.1. Its workspace holds -w and each evaluation's terms. Returns the
-    search and its point (location, log(scale)).
+    0.1, as a lane of one objective over the rows of -w (alone above the
+    cells cap). Returns each search and its point (location, log(scale)).
     """
-    n = data.size
-    low = float(data.min())
-    shifted, terms = np.subtract(low, data), np.empty_like(data)
-    excess = -float(shifted.sum()) / n
+    if not datas:
+        return []
+    if len(datas) > 1 and len(datas) * datas[0].size > _LOCKSTEP_CELLS:
+        return [found for data in datas for found in _gumbel_profile_search([data])]
+    data = np.array(datas)
+    n = data.shape[1]
+    low = data.min(axis=1, keepdims=True)
+    shifted = np.subtract(low, data)
+    excess = (-np.add.reduce(shifted, 1) / n).tolist()
 
-    def log_mean_exp(scale):
-        return math.log(float(np.exp(np.divide(shifted, scale, terms), terms).sum()) / n)
+    def log_mean_exp(rows, points, scales, terms):
+        # L of each row, at its point's scale, which stays a numpy float: past the float range it is inf or 0.
+        np.exp(points, scales)
+        totals = np.add.reduce(np.exp(np.divide(rows, scales, terms), terms), 1).tolist()
+        return [math.log(total / n) for total in totals]
 
-    def nll(theta):
-        scale = np.exp(theta[0])  # a numpy float: inf or 0 past the float range, never an exception
-        return n * (theta[0] + excess / scale + log_mean_exp(scale) + 1.0)
+    def objective(lanes):
+        rows, rests = shifted[lanes], [excess[lane] for lane in lanes]
+        terms, scales = np.empty_like(rows), np.empty((len(lanes), 1))
+        column = scales[:, 0]
 
-    best = nelder_mead(nll, [math.log(_UNIT_SD_SCALE)], initial_steps=0.1)
-    scale = np.exp(best.x[0])
-    return best, [low - scale * log_mean_exp(scale), best.x[0]]
+        def nll(points):
+            lme = log_mean_exp(rows, points, scales, terms)
+            return [n * (t + e / s + m + 1.0) for (t,), e, s, m in zip(points, rests, column, lme)]
+
+        return nll
+
+    found = _lockstep(objective, [_search([math.log(_UNIT_SD_SCALE)], 0.1) for _ in datas])
+    scales = np.empty((len(datas), 1))
+    lme = log_mean_exp(shifted, [best.x for best in found], scales, np.empty_like(shifted))
+    return [(best, [lo - s * m, best.x[0]]) for best, (lo,), s, m in zip(found, low.tolist(), scales[:, 0], lme)]
 
 
 def _gev_objective(data: np.ndarray):
@@ -208,30 +235,34 @@ def _gev_objective(data: np.ndarray):
 
     With t = 1 + shape*(x - location)/scale it is n*log(scale) +
     (1 + 1/shape)*sum(log t) + sum(t**(-1/shape)) (Coles 2001, section
-    3.3.2): one in-place pass into a workspace shaped like ``data`` for
-    log t, one for the powers, and a sum of each. At shape 0 it is the
-    Gumbel's n*log(scale) + sum(z) + sum(exp(-z)), z = (x - location)/scale,
-    with sum(z) from the sum of the data, taken once. A shape outside
-    (-1, 1), or a value that is not finite (an observation off the support,
-    or a scale past the float range), is inf. Call it under
-    ``np.errstate(all="ignore")``.
+    3.3.2): one in-place pass for log t, formed as in the kernel, and one for
+    the powers, into the rows of a (2, n) workspace, summed in one reduction.
+    At shape 0 it is the Gumbel's n*log(scale) + sum(z) + sum(exp(-z)),
+    z = (x - location)/scale, with sum(z) from the sum of the data, taken
+    once. A shape outside (-1, 1), or a value that is not finite (an
+    observation off the support, or a scale past the float range), is inf.
+    Call it under ``np.errstate(all="ignore")``.
     """
     n = data.size
     total = float(data.sum())
-    workspace = np.empty_like(data)
+    workspace = np.empty((2, n))
+    shifted, powers = workspace
 
     def nll(theta):
         location, log_scale, shape = theta.tolist()
         if not _GEV_SHAPE_FLOOR < shape < _GEV_SHAPE_CEILING:
             return math.inf
         inverse_scale = np.exp(-log_scale)  # a numpy float: inf past the float range, never an exception
-        shifted = np.subtract(data, location, workspace)
+        np.subtract(data, location, shifted)
         if shape:
-            log_t = np.log1p(np.multiply(shifted, shape * inverse_scale, shifted), shifted)
+            minus_w = _log_t(shifted, inverse_scale, shape, shifted, powers)
+            # sum(w) is sum(log t) / shape, except below |shape| 2**-970, where that keeps few bits.
+            total_w = -float(minus_w.sum()) if -_TINY_SHAPE < shape < _TINY_SHAPE else None
+            np.exp(minus_w, powers)
+            total_log_t, total_power = np.add.reduce(workspace, 1).tolist()
             # Divided by the shape, not multiplied by 1/shape, which overflows below 1/max.
-            total_log_t = log_t.sum()
-            value = n * log_scale + total_log_t + total_log_t / shape
-            value += np.exp(np.divide(log_t, -shape, log_t), log_t).sum()
+            total_w = total_log_t / shape if total_w is None else total_w
+            value = n * log_scale + total_log_t + total_w + total_power
         else:
             value = n * log_scale + (total - n * location) * inverse_scale
             value += np.exp(np.multiply(shifted, -inverse_scale, shifted), shifted).sum()
@@ -278,23 +309,28 @@ def fit_mle(family: str, sample: Sample, *, _gumbel_fit: FitResult | None = None
     DomainError
         Unknown family, or data outside the family support.
     """
-    cls, sample_unit, data, unit, mean, sd = _fit_data(family, sample, _MIN_FIT_SIZE)
-    bounded = family == "gev"
-    if bounded:
+    start = None
+    if family == "gev":
         gumbel = (_gumbel_fit or fit_mle("gumbel", sample)).params
-        init = GEV(gumbel.location, gumbel.scale, 0.0)
-        location, scale = gumbel.location / sample_unit / unit, gumbel.scale / sample_unit / unit
-        theta0 = [(location - mean) / sd, math.log(scale / sd), 0.0]
-        with np.errstate(all="ignore"):
+        start = GEV(gumbel.location, gumbel.scale, 0.0)
+    problem = cls, sample_unit, data, unit, mean, sd, start = _prepare(family, sample, start=start)
+    with np.errstate(all="ignore"):
+        if family == "gev":
+            location, scale = start.location / sample_unit / unit, start.scale / sample_unit / unit
+            theta0 = [(location - mean) / sd, math.log(scale / sd), 0.0]
             best = nelder_mead(_gev_objective(data), theta0, initial_steps=[0.1 * _UNIT_SD_SCALE, 0.1, 0.1])
-        theta = best.x
-    else:
-        init = _moment_start(cls, sample_unit, unit, mean, sd)
-        with np.errstate(all="ignore"):
-            best, theta = _gumbel_profile_search(data)
+            found = best, best.x
+        else:
+            (found,) = _gumbel_profile_search([data])
+    return _finish(problem, *found, sample)
+
+
+def _finish(problem: tuple, best, theta, sample: Sample) -> FitResult:
+    """The fit from ``problem``'s search: mapped back to data units, the GEV location repaired, or the start."""
+    cls, sample_unit, _, unit, mean, sd, init = problem
     params = _unpack(cls, theta, sample_unit, unit, mean, sd) if math.isfinite(best.fun) else None
     loglik = -math.inf if params is None else log_likelihood(params, sample)
-    if bounded and params is not None and params.shape and not math.isfinite(loglik):
+    if cls is GEV and params is not None and params.shape and not math.isfinite(loglik):
         # Rounding on the way back to data units can put the finite end of the
         # support onto an extreme observation; near shape -1, undoing it can take
         # hundreds of floats of location. Move the location outward by 1, 2, 4,
@@ -331,17 +367,25 @@ def fit_mle(family: str, sample: Sample, *, _gumbel_fit: FitResult | None = None
 def fit_all(sample: Sample) -> list[FitOutcome]:
     """Fit all four families, in the fixed family order.
 
-    The Gumbel fit also serves as the shape-0 anchor of the GEV fit.
+    The Gumbel, Frechet and Weibull searches run as lanes of one profile
+    objective, and the Gumbel fit also serves as the shape-0 anchor of the
+    GEV fit. Each outcome is that of :func:`fit_mle` of its family.
 
     Per-family failures (support violations, degenerate input) are captured
     in the returned entries instead of aborting the batch.
     """
-    outcomes = []
-    for family in FAMILIES:
-        gumbel = outcomes[0].result if family == "gev" else None  # FAMILIES starts with gumbel
+    outcomes, problems = {}, {}
+    for family in FAMILIES[:-1]:  # the Gumbel-type families; FAMILIES ends with the GEV
         try:
-            result = fit_mle(family, sample, _gumbel_fit=gumbel)
-            outcomes.append(FitOutcome(family, result=result))
+            problems[family] = _prepare(family, sample)
         except (DomainError, DegenerateSampleError) as exc:
-            outcomes.append(FitOutcome(family, error=str(exc)))
-    return outcomes
+            outcomes[family] = FitOutcome(family, error=str(exc))
+    with np.errstate(all="ignore"):
+        found = _gumbel_profile_search([data for _, _, data, *_ in problems.values()])
+    for (family, problem), (best, theta) in zip(problems.items(), found):
+        outcomes[family] = FitOutcome(family, result=_finish(problem, best, theta, sample))
+    try:
+        outcomes["gev"] = FitOutcome("gev", result=fit_mle("gev", sample, _gumbel_fit=outcomes["gumbel"].result))
+    except (DomainError, DegenerateSampleError) as exc:
+        outcomes["gev"] = FitOutcome("gev", error=str(exc))
+    return [outcomes[family] for family in FAMILIES]

@@ -4,9 +4,15 @@ Plain reflection/expansion/contraction/shrink scheme. Objective values of
 +inf (or NaN, treated as +inf) mark infeasible points and are handled as
 worst-vertex, so hard constraint violations simply repel the simplex.
 
+The search is one generator, :func:`_search`: it yields each point and
+receives that point's value. :func:`nelder_mead` drives one search;
+:func:`_lockstep` drives K of them in lanes, with one call of a K-lane
+objective per step, and a lane leaves when its search ends (Nelder & Mead
+1965; Lagarias et al. 1998). A lane is its search driven alone, to the bit.
+
 The simplex is one list of ``(value, vertex)`` pairs, each vertex a list
 of Python floats: with at most 4 vertices of 3 coordinates, numpy's fixed
-cost per call would dominate the arithmetic. Every point is evaluated into
+cost per call would dominate the arithmetic. Every point's value makes
 such a pair, and each iteration starts with a stable sort of the list by
 value, so ties keep their order. The order of each floating-point
 operation is part of the contract (the centroid is summed in value order,
@@ -76,29 +82,43 @@ def nelder_mead(
         Non-finite ``x0``; steps that are zero, non-finite, or neither a
         scalar nor one per coordinate.
     """
-    x0 = np.asarray(x0, dtype=float).ravel()
-    ndim = x0.size
-    try:
-        steps = np.broadcast_to(np.asarray(initial_steps, dtype=float), (ndim,))
-    except ValueError:
-        raise DomainError(f"initial simplex steps must be a scalar or one per coordinate ({ndim})") from None
-    if not np.all(np.isfinite(steps)) or np.any(steps == 0.0):
+    search = _search(x0, initial_steps, max_iterations)
+    x = next(search)  # a search evaluates its start before it can end
+    while True:
+        value = func(np.array(x))
+        try:
+            x = search.send(value)
+        except StopIteration as stop:
+            return stop.value
+
+
+def _search(x0, initial_steps=0.1, max_iterations: int = 10_000):
+    """The search of :func:`nelder_mead` as a generator: it yields each point, a list of floats,
+    receives its value by ``send``, and returns the :class:`SimplexResult`. Its
+    :class:`DomainError` comes before the first point."""
+    # Checked on lists: numpy's all and any cost microseconds each, a share of a short search.
+    start = np.asarray(x0, dtype=float).ravel().tolist()
+    ndim = len(start)
+    steps = np.asarray(initial_steps, dtype=float)
+    if steps.ndim > 1 or steps.size not in (1, ndim):
+        raise DomainError(f"initial simplex steps must be a scalar or one per coordinate ({ndim})")
+    steps = steps.ravel().tolist() * (ndim if steps.size == 1 else 1)
+    if not all(map(math.isfinite, steps)) or 0.0 in steps:
         raise DomainError("initial simplex steps must be finite and nonzero")
-    if not np.all(np.isfinite(x0)):
+    if not all(map(math.isfinite, start)):
         raise DomainError("starting point must be finite")
 
     n_evaluations = 0
 
-    def evaluate(x: list[float]) -> tuple[float, list[float]]:
+    def pair(value, x: list[float]) -> tuple[float, list[float]]:
         nonlocal n_evaluations
         n_evaluations += 1
-        value = float(func(np.array(x)))
+        value = float(value)
         return (math.inf if math.isnan(value) else value), x
 
-    start = x0.tolist()
-    simplex = [evaluate(start)] + [
-        evaluate(start[:i] + [start[i] + step] + start[i + 1 :]) for i, step in enumerate(steps.tolist())
-    ]
+    simplex = []
+    for x in [start] + [start[:i] + [start[i] + step] + start[i + 1 :] for i, step in enumerate(steps)]:
+        simplex.append(pair((yield x), x))
 
     converged = False
     iterations = 0
@@ -119,10 +139,12 @@ def nelder_mead(
         iterations += 1
 
         centroid = [reduce(add, col) / ndim for col in zip(*(x for _, x in simplex[:-1]))]
-        reflected = evaluate([c + _REFLECT * (c - w) for c, w in zip(centroid, worst)])
+        x = [c + _REFLECT * (c - w) for c, w in zip(centroid, worst)]
+        reflected = pair((yield x), x)
 
         if reflected[0] < f_best:
-            expanded = evaluate([c + _EXPAND * (c - w) for c, w in zip(centroid, worst)])
+            x = [c + _EXPAND * (c - w) for c, w in zip(centroid, worst)]
+            expanded = pair((yield x), x)
             simplex[-1] = expanded if expanded[0] < reflected[0] else reflected
         elif reflected[0] < simplex[-2][0]:
             simplex[-1] = reflected
@@ -131,13 +153,14 @@ def nelder_mead(
             # (outside), else toward the worst vertex (inside); c + 0.5 * (w - c)
             # is the same float as c - 0.5 * (c - w), as negation is exact.
             toward = reflected[1] if reflected[0] < f_worst else worst
-            contracted = evaluate([c + _CONTRACT * (t - c) for c, t in zip(centroid, toward)])
+            x = [c + _CONTRACT * (t - c) for c, t in zip(centroid, toward)]
+            contracted = pair((yield x), x)
             if contracted[0] < f_worst and contracted[0] <= reflected[0]:
                 simplex[-1] = contracted
             else:
-                simplex[1:] = [
-                    evaluate([b + _SHRINK * (v - b) for b, v in zip(best, x)]) for _, x in simplex[1:]
-                ]
+                for i, (_, vertex) in enumerate(simplex[1:], 1):
+                    x = [b + _SHRINK * (v - b) for b, v in zip(best, vertex)]
+                    simplex[i] = pair((yield x), x)
 
     # The simplex was just sorted, so its first vertex is the first minimum.
     return SimplexResult(
@@ -147,3 +170,27 @@ def nelder_mead(
         iterations=iterations,
         n_evaluations=n_evaluations,
     )
+
+
+def _lockstep(objective, searches: list) -> list[SimplexResult]:
+    """Drive the generators ``searches`` of :func:`_search` in lanes; their results, in their order.
+
+    ``objective(lanes)`` makes the objective of the searches numbered ``lanes``:
+    it takes their pending points, in that order, and returns their values. It
+    is made again for the lanes left whenever searches end.
+    """
+    results = [None] * len(searches)
+    lanes = list(range(len(searches)))
+    points = [next(search) for search in searches]
+    while lanes:
+        func, running = objective(lanes), [searches[lane] for lane in lanes]
+        ended = False
+        while not ended:
+            for i, value in enumerate(func(points)):
+                try:
+                    points[i] = running[i].send(value)
+                except StopIteration as stop:
+                    results[lanes[i]], ended = stop.value, True
+        points = [x for lane, x in zip(lanes, points) if results[lane] is None]
+        lanes = [lane for lane in lanes if results[lane] is None]
+    return results

@@ -252,6 +252,13 @@ class TestGumbelLimit:
 class TestGumbelCase:
     """Shape 0 is the Gumbel case of the GEV formulas, to the last bit."""
 
+    def test_log_pdf_at_a_subnormal_shape_is_the_gumbel_one(self):
+        # shape * z rounded onto the subnormal grid, and log1p(shape*z)/shape
+        # gave [-1.0, -2.1353, -1.0].
+        x = [0.3, 1.7, -0.4]
+        for shape in (5e-324, -5e-324, 1e-320, 2.0**-1000):
+            assert GEV(0.0, 1.0, shape).log_pdf(x) == pytest.approx(Gumbel(0.0, 1.0).log_pdf(x), rel=1e-12)
+
     def test_log_density_is_gumbel_bit_for_bit(self):
         x = np.concatenate([np.linspace(-20000.0, 20000.0, 4001), [93.61, 1e300, -1e300]])
         with np.errstate(over="ignore"):
@@ -273,7 +280,8 @@ def _reference_log_density(x, location, log_scale, shape=0.0):
     if not shape:
         return -log_scale - w - np.exp(-w)
     lt = np.log1p(shape * w)
-    w = lt / shape
+    # Below |shape| 2**-970, w is its Gumbel limit z wherever shape * z is not a normal float.
+    w = np.where((abs(shape) < 2.0**-970) & (np.abs(shape * w) < np.finfo(float).tiny), w, lt / shape)
     return np.where(lt > -np.inf, -log_scale - (lt + w) - np.exp(-w), -np.inf)
 
 
@@ -294,6 +302,7 @@ class TestLogDensityWorkspace:
     @example(shape=0.5, location=0.0, log_scale=0.0, values=[-2.0, -3.0, 0.0])
     @example(shape=-0.5, location=0.0, log_scale=0.0, values=[2.0, 3.0, 0.0])
     @example(shape=1e-300, location=0.0, log_scale=0.0, values=[-700.0, 0.0, 700.0])
+    @example(shape=5e-324, location=0.0, log_scale=0.0, values=[0.3, 1.7, -0.4, 1e300])
     def test_in_place_equals_allocating_call(self, shape, location, log_scale, values):
         x = np.array(values)
         if shape:  # the end of the support, where lt is -inf, and points beyond it

@@ -31,6 +31,11 @@ from evtkit.simplex import nelder_mead
 
 from conftest import GEV_MM, GUMBEL_MM, RAIN_MEAN, RAIN_SD
 
+try:
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+except ImportError:  # numpy 1.x
+    from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
 
 class TestLogLikelihood:
     def test_single_point_hand_value(self):
@@ -183,8 +188,8 @@ class TestFitMle:
 
     def test_iteration_budget_flags_nonconvergence(self, monkeypatch):
         s = GEV_MM.sample(500, 3)
-        search = functools.partial(evtkit.fitting.nelder_mead, max_iterations=2)
-        monkeypatch.setattr(evtkit.fitting, "nelder_mead", search)
+        search = functools.partial(evtkit.fitting._search, max_iterations=2)
+        monkeypatch.setattr(evtkit.fitting, "_search", search)
         fit = fit_mle("gumbel", s)
         assert not fit.converged
         assert fit.iterations <= 2
@@ -279,14 +284,12 @@ class TestGumbelProfileFit:
 class TestGevObjective:
     """The GEV search minimizes a summed objective, the negative of the kernel's sum."""
 
-    # A subnormal shape is left out: shape * z rounds to a few bits there, in the
-    # kernel as in the objective, so the kernel is no oracle to 1e-12.
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(
         n=st.integers(3, 200),
         location=st.floats(-10.0, 10.0),
         log_scale=st.floats(-700.0, 700.0),
-        shape=st.just(0.0) | st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True, allow_subnormal=False),
+        shape=st.just(0.0) | st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True),
         seed=st.integers(0, 2**32 - 1),
     )
     @example(n=6, location=0.0, log_scale=-748.0, shape=0.5, seed=0)  # exp(748) overflows
@@ -426,6 +429,20 @@ class TestUnitEquivariance:
             assert outcomes[family].error is None and outcomes[family].result == fit, family
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_weibull_start_of_data_near_the_float_maximum(self):
+        # The moment start's scale u*exp(-location) passed max, and the start
+        # raised DomainError before any search, so fit_all reported the Weibull
+        # as an error.
+        top = np.finfo(float).max
+        s = Sample(np.array([top] * 11 + [top - 4 * math.ulp(top)]))
+        assert initial_params("weibull", s).scale == top
+        fit = fit_mle("weibull", s)
+        assert fit.converged or fit.params == fit.initial_params
+        assert fit.log_likelihood == log_likelihood(fit.params, s)
+        weibull = {outcome.family: outcome for outcome in fit_all(s)}["weibull"]
+        assert weibull.error is None and weibull.result == fit
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize(
         "x, expected",
         [
@@ -524,13 +541,19 @@ class TestFitAll:
         assert not outcomes["weibull"].ok and "positive" in outcomes["weibull"].error
 
     def test_gumbel_fit_anchors_gev(self, monkeypatch):
+        # The Gumbel-type searches run as lanes, the GEV's through nelder_mead.
         runs = []
-        search = evtkit.fitting.nelder_mead
+        lane, search = evtkit.fitting._search, evtkit.fitting.nelder_mead
+
+        def counted_lane(*args, **kwargs):
+            runs.append((yield from lane(*args, **kwargs)))
+            return runs[-1]
 
         def counted(*args, **kwargs):
             runs.append(search(*args, **kwargs))
             return runs[-1]
 
+        monkeypatch.setattr(evtkit.fitting, "_search", counted_lane)
         monkeypatch.setattr(evtkit.fitting, "nelder_mead", counted)
         results = [o.result for o in fit_all(FIXTURE)]
         # one search per family, the GEV's from the fitted Gumbel at shape 0
@@ -565,6 +588,47 @@ class TestFitAll:
         assert math.isfinite(gev)
         assert gev >= gumbel - 1e-9 * max(1.0, abs(gumbel))
 
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(3, 200),
+        location=st.floats(-50.0, 300.0),
+        scale=st.floats(0.1, 100.0),
+        shape=st.floats(-0.5, 0.5),
+        decimals=st.sampled_from([None, 0, -2]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_each_outcome_is_the_fit_of_its_family_alone(self, n, location, scale, shape, decimals, seed):
+        # The Gumbel-type searches run as lanes of one objective in fit_all, and
+        # alone in fit_mle. Rounding makes ties, and at -2 decimals often a
+        # sample of one value; a location near 0 puts values at or below 0.
+        values = GEV(location, scale, shape).sample(n, seed).values
+        s = Sample(values if decimals is None else np.round(values, decimals))
+        for outcome in fit_all(s):
+            try:
+                expected = fit_mle(outcome.family, s)
+            except (DomainError, DegenerateSampleError) as exc:
+                assert (outcome.result, outcome.error) == (None, str(exc)), outcome.family
+            else:
+                assert outcome.error is None and repr(outcome.result) == repr(expected), outcome.family
+
+    def test_searches_step_together_only_below_the_cells_cap(self, monkeypatch):
+        lanes = []
+        lockstep = evtkit.fitting._lockstep
+
+        def recorded(objective, searches):
+            lanes.append(len(searches))
+            return lockstep(objective, searches)
+
+        monkeypatch.setattr(evtkit.fitting, "_lockstep", recorded)
+        # 3 * 20 000 cells are above the cap of 2**15, so each search runs alone.
+        for n, expected in ((51, [3]), (20_000, [1, 1, 1])):
+            s = GEV_MM.sample(n, 7)
+            lanes.clear()
+            outcomes = fit_all(s)
+            assert lanes == expected, n
+            for outcome in outcomes:
+                assert repr(outcome.result) == repr(fit_mle(outcome.family, s)), (n, outcome.family)
+
     @pytest.mark.parametrize("n, value", [(5, 3.0), (3, 0.1), (7, 0.7668222740913637)])
     def test_degenerate_sample_captured_per_family(self, n, value):
         # On (0.1,) * 3 the rounded mean left the values, and the Gumbel and GEV were "fitted", unconverged.
@@ -573,10 +637,17 @@ class TestFitAll:
         assert all(o.error for o in outcomes)
 
 
+# numpy's AVX-512 kernels (the X86_V4 dispatch target) of exp, log and log1p give
+# other last bits than its AVX2 ones, and the GEV search takes another path with them.
+X86_V4 = "X86_V4" in __cpu_dispatch__ and bool(__cpu_features__.get("X86_V4"))
+
+
 class TestRepositoryFixturePinned:
     """``fit_all`` on data/synthetic_annual_maxima.csv, to the last bit.
 
-    Any change in the order of the simplex arithmetic moves these values.
+    Any change in the order of the simplex arithmetic moves these values. The
+    GEV fit is pinned once for each numpy dispatch level: with and without
+    X86_V4.
     """
 
     EXPECTED = {
@@ -584,9 +655,9 @@ class TestRepositoryFixturePinned:
         "frechet": ("Frechet(shape=3.231717221999593, scale=89.41286576351193, location=0.0)", 25, 53),
         "weibull": ("Weibull(shape=2.8019195785212494, scale=125.21070333109328)", 26, 54),
         "gev": (
-            "GEV(location=93.0492753572298, scale=29.011561111847612, shape=0.0642970109760477)",
-            84,
-            168,
+            ("GEV(location=93.0492753572298, scale=29.011561111847612, shape=0.0642970109760477)", 84, 168)
+            if X86_V4
+            else ("GEV(location=93.04927544244204, scale=29.011560852355558, shape=0.06429701739647847)", 83, 165)
         ),
     }
 

@@ -7,7 +7,11 @@ checkout it sits in, and the benchmark's seeded record generators from
 ``perfbench/inputs.py`` there (read, never changed). It writes one
 ``<sha256>  <name>`` line per output to FILE, sorted by name, and prints the
 sha256 of FILE. Two runs on one tree give the same FILE; ``diff`` the FILEs of
-two trees to see which outputs differ. The corpus:
+two trees to see which outputs differ. The head of FILE names the numpy
+version, its dispatch targets and those enabled on the host: numpy's
+exp, log, log1p, expm1 and power give other last bits on other targets
+(X86_V4, AVX-512, against X86_V3, AVX2), and so do the fits, so two FILEs
+compare output by output only when their heads match. The corpus:
 
 - the repository fixture: ``evtkit report`` as text and JSON, and every file
   ``report --out-dir`` writes;
@@ -31,6 +35,13 @@ import io
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
+
+try:
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+except ImportError:  # numpy 1.x
+    from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
@@ -117,11 +128,21 @@ def digest() -> dict[str, str]:
     return {name: _sha(data) for name, data in sorted(outputs.items())}
 
 
+def dispatch_head() -> str:
+    """Comment lines naming numpy's version, its dispatch targets and those enabled here."""
+    enabled = [target for target in __cpu_dispatch__ if __cpu_features__.get(target)]
+    return (
+        f"# numpy {np.__version__}\n"
+        f"# dispatch targets: {' '.join(__cpu_dispatch__)}\n"
+        f"# enabled: {' '.join(enabled) or '(baseline only)'}\n"
+    )
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", required=True, help="file for the per-output hashes")
     args = parser.parse_args(argv)
-    text = "".join(f"{sha}  {name}\n" for name, sha in digest().items())
+    text = dispatch_head() + "".join(f"{sha}  {name}\n" for name, sha in digest().items())
     Path(args.out).write_text(text, encoding="utf-8")
     print(_sha(text.encode()))
     return 0

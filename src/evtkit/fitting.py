@@ -27,15 +27,13 @@ runs, and :func:`_finish` maps it back, repairs a GEV location or falls back
 to the start. The Gumbel-type searches of one sample are lanes of one
 (K, n) profile objective (:func:`~evtkit.simplex._lockstep`), so numpy's
 fixed cost per call, which dominates near n = 100, is paid once per step
-for all; each lane is its search alone, to the bit. They step together only
-while K*n is at most 2**15 cells, and alone above it. Workspaces are
-allocated once per set of running lanes, so no evaluation allocates
-anything the size of the data. A point that leaves an observation off the
-support has objective inf, the simplex's worst vertex. The parameters are
-mapped back to data units, and the reported log-likelihood is
-:func:`log_likelihood` of them on the data, which evaluates the kernel at
-the data's power-of-two unit. The search has no settings: it runs to the
-fixed tolerance of
+for all; each lane is its search alone, to the bit. The workspaces are
+allocated once for all lanes, so no evaluation allocates anything the size
+of the data. A point that leaves an observation off the support has
+objective inf, the simplex's worst vertex. The parameters are mapped back to
+data units, and the reported log-likelihood is :func:`log_likelihood` of
+them on the data, which evaluates the kernel at the data's power-of-two
+unit. The search has no settings: it runs to the fixed tolerance of
 :func:`~evtkit.simplex.nelder_mead` or its iteration budget of 10 000.
 """
 
@@ -71,8 +69,6 @@ _GEV_SHAPE_FLOOR = -1.0
 _GEV_SHAPE_CEILING = 1.0
 # The scale of the Gumbel with standard deviation 1, where every search starts its scale.
 _UNIT_SD_SCALE = math.sqrt(6.0) / math.pi
-# The Gumbel-type searches step together while their data fit in this many cells.
-_LOCKSTEP_CELLS = 2**15
 
 
 @dataclass(frozen=True)
@@ -194,40 +190,33 @@ def _gumbel_profile_search(datas: list[np.ndarray]) -> list[tuple]:
     is at least its minimum's term 1, and the negative log-likelihood there
     is n*(log(s) + mean(w)/s + L(s) + 1) (Lawless 2003). Each search runs on
     log(s) from log(sqrt(6)/pi), the scale of the moment start, with step
-    0.1, as a lane of one objective over the rows of -w (alone above the
-    cells cap). Returns each search and its point (location, log(scale)).
+    0.1, as a lane of one objective over the K rows of -w, a block made in
+    place beside one workspace of its size, both reused for the fitted
+    locations. Returns each search and its point (location, log(scale)).
     """
     if not datas:
         return []
-    if len(datas) > 1 and len(datas) * datas[0].size > _LOCKSTEP_CELLS:
-        return [found for data in datas for found in _gumbel_profile_search([data])]
-    data = np.array(datas)
-    n = data.shape[1]
-    low = data.min(axis=1, keepdims=True)
-    shifted = np.subtract(low, data)
-    excess = (-np.add.reduce(shifted, 1) / n).tolist()
+    minus_w = np.array(datas)
+    n = minus_w.shape[1]
+    low = minus_w.min(axis=1, keepdims=True)
+    np.subtract(low, minus_w, minus_w)
+    excess = (-np.add.reduce(minus_w, 1) / n).tolist()
+    terms, scales = np.empty_like(minus_w), np.empty((len(datas), 1))
+    column = scales[:, 0]
 
-    def log_mean_exp(rows, points, scales, terms):
+    def log_mean_exp(points):
         # L of each row, at its point's scale, which stays a numpy float: past the float range it is inf or 0.
         np.exp(points, scales)
-        totals = np.add.reduce(np.exp(np.divide(rows, scales, terms), terms), 1).tolist()
+        totals = np.add.reduce(np.exp(np.divide(minus_w, scales, terms), terms), 1).tolist()
         return [math.log(total / n) for total in totals]
 
-    def objective(lanes):
-        rows, rests = shifted[lanes], [excess[lane] for lane in lanes]
-        terms, scales = np.empty_like(rows), np.empty((len(lanes), 1))
-        column = scales[:, 0]
+    def nll(points):
+        lme = log_mean_exp(points)
+        return [n * (t + e / s + m + 1.0) for (t,), e, s, m in zip(points, excess, column, lme)]
 
-        def nll(points):
-            lme = log_mean_exp(rows, points, scales, terms)
-            return [n * (t + e / s + m + 1.0) for (t,), e, s, m in zip(points, rests, column, lme)]
-
-        return nll
-
-    found = _lockstep(objective, [_search([math.log(_UNIT_SD_SCALE)], 0.1) for _ in datas])
-    scales = np.empty((len(datas), 1))
-    lme = log_mean_exp(shifted, [best.x for best in found], scales, np.empty_like(shifted))
-    return [(best, [lo - s * m, best.x[0]]) for best, (lo,), s, m in zip(found, low.tolist(), scales[:, 0], lme)]
+    found = _lockstep(nll, [_search([math.log(_UNIT_SD_SCALE)], 0.1) for _ in datas])
+    lme = log_mean_exp([best.x for best in found])
+    return [(best, [lo - s * m, best.x[0]]) for best, (lo,), s, m in zip(found, low.tolist(), column, lme)]
 
 
 def _gev_objective(data: np.ndarray):

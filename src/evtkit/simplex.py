@@ -5,10 +5,11 @@ Plain reflection/expansion/contraction/shrink scheme. Objective values of
 worst-vertex, so hard constraint violations simply repel the simplex.
 
 The search is one generator, :func:`_search`: it yields each point and
-receives that point's value. :func:`nelder_mead` drives one search;
-:func:`_lockstep` drives K of them in lanes, with one call of a K-lane
-objective per step, and a lane leaves when its search ends (Nelder & Mead
-1965; Lagarias et al. 1998). A lane is its search driven alone, to the bit.
+receives that point's value. :func:`_lockstep` is the one loop that sends
+values: it drives K searches in fixed lanes, with one call of a K-point
+objective per step, until the last search ends, and :func:`nelder_mead` is
+that loop with one lane (Nelder & Mead 1965; Lagarias et al. 1998). A lane
+is its search driven alone, to the bit.
 
 The simplex is one list of ``(value, vertex)`` pairs, each vertex a list
 of Python floats: with at most 4 vertices of 3 coordinates, numpy's fixed
@@ -82,14 +83,8 @@ def nelder_mead(
         Non-finite ``x0``; steps that are zero, non-finite, or neither a
         scalar nor one per coordinate.
     """
-    search = _search(x0, initial_steps, max_iterations)
-    x = next(search)  # a search evaluates its start before it can end
-    while True:
-        value = func(np.array(x))
-        try:
-            x = search.send(value)
-        except StopIteration as stop:
-            return stop.value
+    (result,) = _lockstep(lambda points: [func(np.array(points[0]))], [_search(x0, initial_steps, max_iterations)])
+    return result
 
 
 def _search(x0, initial_steps=0.1, max_iterations: int = 10_000):
@@ -172,25 +167,22 @@ def _search(x0, initial_steps=0.1, max_iterations: int = 10_000):
     )
 
 
-def _lockstep(objective, searches: list) -> list[SimplexResult]:
-    """Drive the generators ``searches`` of :func:`_search` in lanes; their results, in their order.
+def _lockstep(func, searches: list) -> list[SimplexResult]:
+    """Drive the generators ``searches`` of :func:`_search` in fixed lanes; their results, in their order.
 
-    ``objective(lanes)`` makes the objective of the searches numbered ``lanes``:
-    it takes their pending points, in that order, and returns their values. It
-    is made again for the lanes left whenever searches end.
+    ``func(points)`` takes one point per search, in that order, and returns
+    their values. A search that has ended keeps its last point, whose value is
+    dropped; the driver returns when the last search ends.
     """
     results = [None] * len(searches)
-    lanes = list(range(len(searches)))
-    points = [next(search) for search in searches]
-    while lanes:
-        func, running = objective(lanes), [searches[lane] for lane in lanes]
-        ended = False
-        while not ended:
-            for i, value in enumerate(func(points)):
+    points = [next(search) for search in searches]  # a search evaluates its start before it can end
+    running = len(searches)
+    while running:
+        for lane, value in enumerate(func(points)):
+            if results[lane] is None:
                 try:
-                    points[i] = running[i].send(value)
+                    points[lane] = searches[lane].send(value)
                 except StopIteration as stop:
-                    results[lanes[i]], ended = stop.value, True
-        points = [x for lane, x in zip(lanes, points) if results[lane] is None]
-        lanes = [lane for lane in lanes if results[lane] is None]
+                    results[lane] = stop.value
+                    running -= 1
     return results

@@ -611,21 +611,21 @@ class TestFitAll:
             else:
                 assert outcome.error is None and repr(outcome.result) == repr(expected), outcome.family
 
-    def test_searches_step_together_only_below_the_cells_cap(self, monkeypatch):
+    def test_searches_step_together_as_one_block_of_three_lanes(self, monkeypatch):
         lanes = []
         lockstep = evtkit.fitting._lockstep
 
-        def recorded(objective, searches):
+        def recorded(func, searches):
             lanes.append(len(searches))
-            return lockstep(objective, searches)
+            return lockstep(func, searches)
 
         monkeypatch.setattr(evtkit.fitting, "_lockstep", recorded)
-        # 3 * 20 000 cells are above the cap of 2**15, so each search runs alone.
-        for n, expected in ((51, [3]), (20_000, [1, 1, 1])):
+        # At any length the three searches are lanes of one block, each the fit of its family alone.
+        for n in (51, 20_000):
             s = GEV_MM.sample(n, 7)
             lanes.clear()
             outcomes = fit_all(s)
-            assert lanes == expected, n
+            assert lanes == [3], n
             for outcome in outcomes:
                 assert repr(outcome.result) == repr(fit_mle(outcome.family, s)), (n, outcome.family)
 

@@ -209,7 +209,6 @@ def _cmd_report(args) -> int:
     # written leaves only the error, not a report that exits with 2.
     if args.out_dir is not None:
         out_dir = Path(args.out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
         write_text_atomic(out_dir / "report.txt", emit_report(report, "text"))
         write_text_atomic(out_dir / "report.json", emit_report(report, "json") + "\n")
         emit_plot_data(report, dataset, out_dir)

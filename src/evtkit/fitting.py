@@ -118,8 +118,8 @@ def log_likelihood(dist: Distribution, sample: Sample) -> float:
 
 
 def _prepare(family: str, sample: Sample, min_size: int = _MIN_FIT_SIZE, start: Distribution | None = None) -> tuple:
-    """The search problem of ``family``: its class, the sample's unit u, the Gumbel values w of x / u
-    standardized, that is ``(w - mean) / sd``, the unit of w, that mean and sd at it, and the start.
+    """The Gumbel values w of x / u standardized, that is ``(w - mean) / sd``, for the sample's unit u,
+    and the search problem of ``family``: its class, u, the unit of w, that mean and sd at it, and the start.
 
     The start is ``start``, or else the record of the Gumbel with that mean and
     sd, mapped by the class. That is clipped to the float range in the
@@ -149,7 +149,7 @@ def _prepare(family: str, sample: Sample, min_size: int = _MIN_FIT_SIZE, start: 
         else:
             bound = sys.float_info.max / sample_unit  # a power of two: exact, or inf where no clip is needed
             start = cls._from_gumbel(sample_unit, min(max(location, -bound), bound), unit * scale)
-    return cls, sample_unit, data, unit, mean, sd, start
+    return data, (cls, sample_unit, unit, mean, sd, start)
 
 
 def initial_params(family: str, sample: Sample) -> Distribution:
@@ -170,7 +170,7 @@ def initial_params(family: str, sample: Sample) -> Distribution:
     DomainError
         Unknown family, or Frechet/Weibull requested for data with non-positive values.
     """
-    return _prepare(family, sample, 2)[-1]
+    return _prepare(family, sample, 2)[1][-1]
 
 
 def _unpack(cls: type, theta, sample_unit: float, unit: float, mean: float, sd: float) -> Distribution | None:
@@ -182,26 +182,25 @@ def _unpack(cls: type, theta, sample_unit: float, unit: float, mean: float, sd: 
         return None
 
 
-def _gumbel_profile_search(datas: list[np.ndarray]) -> list[tuple]:
-    """Maximize the Gumbel likelihood of each of ``datas``, all of one size, over log(scale).
+def _gumbel_profile_search(data: np.ndarray) -> list[tuple]:
+    """Maximize the Gumbel likelihood of each row of the (K, n) array ``data``, over log(scale).
 
     For w_i = data - min(data) and scale s the location's maximum is
     min(data) - s*L(s), L(s) = log((1/n) * sum(exp(-w_i/s))), where the sum
     is at least its minimum's term 1, and the negative log-likelihood there
     is n*(log(s) + mean(w)/s + L(s) + 1) (Lawless 2003). Each search runs on
     log(s) from log(sqrt(6)/pi), the scale of the moment start, with step
-    0.1, as a lane of one objective over the K rows of -w, a block made in
-    place beside one workspace of its size, both reused for the fitted
+    0.1, as a lane of one objective over the K rows of -w, written over
+    ``data`` beside one workspace of its size, both reused for the fitted
     locations. Returns each search and its point (location, log(scale)).
     """
-    if not datas:
+    if not len(data):
         return []
-    minus_w = np.array(datas)
-    n = minus_w.shape[1]
+    minus_w, n = data, data.shape[1]
     low = minus_w.min(axis=1, keepdims=True)
     np.subtract(low, minus_w, minus_w)
     excess = (-np.add.reduce(minus_w, 1) / n).tolist()
-    terms, scales = np.empty_like(minus_w), np.empty((len(datas), 1))
+    terms, scales = np.empty_like(minus_w), np.empty((len(minus_w), 1))
     column = scales[:, 0]
 
     def log_mean_exp(points):
@@ -214,7 +213,7 @@ def _gumbel_profile_search(datas: list[np.ndarray]) -> list[tuple]:
         lme = log_mean_exp(points)
         return [n * (t + e / s + m + 1.0) for (t,), e, s, m in zip(points, excess, column, lme)]
 
-    found = _lockstep(nll, [_search([math.log(_UNIT_SD_SCALE)], 0.1) for _ in datas])
+    found = _lockstep(nll, [_search([math.log(_UNIT_SD_SCALE)], 0.1) for _ in minus_w])
     lme = log_mean_exp([best.x for best in found])
     return [(best, [lo - s * m, best.x[0]]) for best, (lo,), s, m in zip(found, low.tolist(), column, lme)]
 
@@ -302,7 +301,8 @@ def fit_mle(family: str, sample: Sample, *, _gumbel_fit: FitResult | None = None
     if family == "gev":
         gumbel = (_gumbel_fit or fit_mle("gumbel", sample)).params
         start = GEV(gumbel.location, gumbel.scale, 0.0)
-    problem = cls, sample_unit, data, unit, mean, sd, start = _prepare(family, sample, start=start)
+    data, problem = _prepare(family, sample, start=start)
+    cls, sample_unit, unit, mean, sd, start = problem
     with np.errstate(all="ignore"):
         if family == "gev":
             location, scale = start.location / sample_unit / unit, start.scale / sample_unit / unit
@@ -310,13 +310,13 @@ def fit_mle(family: str, sample: Sample, *, _gumbel_fit: FitResult | None = None
             best = nelder_mead(_gev_objective(data), theta0, initial_steps=[0.1 * _UNIT_SD_SCALE, 0.1, 0.1])
             found = best, best.x
         else:
-            (found,) = _gumbel_profile_search([data])
+            (found,) = _gumbel_profile_search(data[np.newaxis])
     return _finish(problem, *found, sample)
 
 
 def _finish(problem: tuple, best, theta, sample: Sample) -> FitResult:
     """The fit from ``problem``'s search: mapped back to data units, the GEV location repaired, or the start."""
-    cls, sample_unit, _, unit, mean, sd, init = problem
+    cls, sample_unit, unit, mean, sd, init = problem
     params = _unpack(cls, theta, sample_unit, unit, mean, sd) if math.isfinite(best.fun) else None
     loglik = -math.inf if params is None else log_likelihood(params, sample)
     if cls is GEV and params is not None and params.shape and not math.isfinite(loglik):
@@ -363,14 +363,19 @@ def fit_all(sample: Sample) -> list[FitOutcome]:
     Per-family failures (support violations, degenerate input) are captured
     in the returned entries instead of aborting the batch.
     """
-    outcomes, problems = {}, {}
+    outcomes, prepared = {}, {}
     for family in FAMILIES[:-1]:  # the Gumbel-type families; FAMILIES ends with the GEV
         try:
-            problems[family] = _prepare(family, sample)
+            prepared[family] = _prepare(family, sample)
         except (DomainError, DegenerateSampleError) as exc:
             outcomes[family] = FitOutcome(family, error=str(exc))
+    # From here the search's block, which it writes over, is the one copy of the standardized rows.
+    block = np.array([data for data, _ in prepared.values()])
+    problems = {family: problem for family, (_, problem) in prepared.items()}
+    del prepared
     with np.errstate(all="ignore"):
-        found = _gumbel_profile_search([data for _, _, data, *_ in problems.values()])
+        found = _gumbel_profile_search(block)
+    del block
     for (family, problem), (best, theta) in zip(problems.items(), found):
         outcomes[family] = FitOutcome(family, result=_finish(problem, best, theta, sample))
     try:

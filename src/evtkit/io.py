@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
-import math
 import os
 import tempfile
+from contextlib import ExitStack, contextmanager, suppress
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,7 @@ from .sample import Sample
 
 __all__ = ["Dataset", "load_csv", "simulate_to_csv", "write_text_atomic"]
 
-# Cells per format_column chunk: enough that the per-chunk Python work is
+# Rows per write_csv chunk: enough that the per-chunk Python work is
 # negligible, few enough that a chunk's per-cell strings stay small.
 CHUNK_CELLS = 4096
 
@@ -39,29 +40,22 @@ class Dataset:
             object.__setattr__(self, "years", years)
 
 
-def _parse_float(token: str, row: int) -> float:
+def _parses(parse, token: str) -> bool:
     try:
-        value = float(token)
-    except ValueError:
-        raise ParseError(row, f"could not parse {token!r} as a number") from None
-    if not math.isfinite(value):
-        raise ParseError(row, f"non-finite value {token!r}")
-    return value
-
-
-def _parse_year(token: str, row: int) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise ParseError(row, f"could not parse {token!r} as a year") from None
-
-
-def _is_numeric(token: str) -> bool:
-    try:
-        float(token)
+        parse(token)
     except ValueError:
         return False
     return True
+
+
+def _row_error(line: str, row: int, n_columns: int) -> ParseError:
+    """The error of a data row that does not parse, naming its first bad cell."""
+    cells = [cell.strip() for cell in line.split(",")]
+    if len(cells) != n_columns:
+        return ParseError(row, f"expected {n_columns} columns, found {len(cells)}")
+    if n_columns == 2 and not _parses(int, cells[0]):
+        return ParseError(row, f"could not parse {cells[0]!r} as a year")
+    return ParseError(row, f"could not parse {cells[-1]!r} as a number")
 
 
 def load_csv(path) -> Dataset:
@@ -74,7 +68,7 @@ def load_csv(path) -> Dataset:
     is a number; one that mixes numbers and text is a data row, so its text
     cell is a ParseError. In a one-column file a single non-numeric cell is
     thus a header. Blank lines are ignored but keep their place in row
-    numbering.
+    numbering. Of several bad rows, the first is reported.
 
     Raises
     ------
@@ -95,86 +89,109 @@ def load_csv(path) -> Dataset:
         row = len((data[: exc.start].decode("utf-8") + "x").splitlines())
         raise ParseError(row, f"byte 0x{data[exc.start]:02x} is not UTF-8") from None
 
-    years: list[int] = []
-    values: list[float] = []
-    n_columns = None  # set by the first data row
-    allow_header = True  # only the first non-blank row may be a header
-
-    for row, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        parts = [p.strip() for p in line.split(",")]
-        if allow_header:
-            allow_header = False
-            if not any(_is_numeric(p) for p in parts):
-                continue  # header row
-        if n_columns is None:
-            if len(parts) not in (1, 2):
-                raise ParseError(row, f"expected 1 or 2 columns, found {len(parts)}")
-            n_columns = len(parts)
-        if len(parts) != n_columns:
-            raise ParseError(row, f"expected {n_columns} columns, found {len(parts)}")
-        if n_columns == 2:
-            years.append(_parse_year(parts[0], row))
-            values.append(_parse_float(parts[1], row))
-        else:
-            values.append(_parse_float(parts[0], row))
-
-    if not values:
+    lines = text.splitlines()
+    # The first non-blank row, or the next one when the first is a header.
+    rows = (i for i, line in enumerate(lines) if line.strip())
+    first = next(rows, None)
+    if first is not None and not any(_parses(float, cell) for cell in lines[first].split(",")):
+        first = next(rows, None)
+    if first is None:
         raise EmptyDatasetError(f"no data rows in {path}")
-    return Dataset(
-        label=path.stem,
-        sample=Sample(np.asarray(values)),
-        years=tuple(years) if years else None,
-    )
+    n_columns = len(lines[first].split(","))
+    if n_columns not in (1, 2):
+        raise ParseError(first + 1, f"expected 1 or 2 columns, found {n_columns}")
+
+    # A row that int and float accept is valid: they strip the same blanks as
+    # str.strip. Any other row is blank or the error, and stops the loop.
+    years, values = [], []
+    add_year, add_value = years.append, values.append
+    error = None
+    for row, line in enumerate(lines[first:], first + 1):
+        try:
+            if n_columns == 1:
+                add_value(float(line))
+            else:
+                year, value = line.split(",")
+                add_year(int(year))
+                add_value(float(value))
+        except ValueError:
+            if line.strip():
+                error = _row_error(line, row, n_columns)
+                break
+    # Only the values before the first bad row were read, so a non-finite one among them wins.
+    array = np.array(values)
+    finite = np.isfinite(array)
+    if not finite.all():
+        data_rows = ((row, line) for row, line in enumerate(lines[first:], first + 1) if line.strip())
+        row, line = next(islice(data_rows, int(np.argmin(finite)), None))
+        raise ParseError(row, f"non-finite value {line.split(',')[-1].strip()!r}")
+    if error is not None:
+        raise error
+    return Dataset(label=path.stem, sample=Sample(array), years=tuple(years) if years else None)
+
+
+@contextmanager
+def _atomic_files(paths: list[Path]):
+    """Text handles on a temp file beside each of ``paths``, all renamed into place when the block ends.
+
+    On failure every temp file still there is removed; a file renamed before a failed rename stays.
+    """
+    temps = []
+    try:
+        with ExitStack() as stack:
+            handles = []
+            for path in paths:
+                path.parent.mkdir(parents=True, exist_ok=True)
+                fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+                temps.append(tmp_name)
+                handles.append(stack.enter_context(os.fdopen(fd, "w", encoding="utf-8", newline="\n")))
+            yield handles
+        for tmp_name, path in zip(temps, paths):
+            os.replace(tmp_name, path)
+    except BaseException:
+        for tmp_name in temps:
+            with suppress(OSError):
+                os.unlink(tmp_name)
+        raise
 
 
 def write_text_atomic(path, text: str) -> Path:
     """Write ``text`` to ``path`` via a temp file and rename (atomic per file)."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
-        os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
+    with _atomic_files([path]) as (handle,):
+        handle.write(text)
     return path
 
 
-def format_column(values) -> list[str]:
-    """Text of a one-dimensional column, as newline-joined chunks of ``CHUNK_CELLS`` cells.
+def write_csv(files: dict) -> list[Path]:
+    """Write comma-delimited files in one pass, ``CHUNK_CELLS`` rows of each at a time; return their paths.
 
-    Floats are written as their shortest round-trip ``repr``, anything else
-    (years, indices) with ``str``. Each chunk is formatted by C loops, and
-    the column is never held as one string per cell.
+    ``files`` maps each path to its header row (None for none) and its
+    columns, one-dimensional arrays of one length per file. Row i joins the
+    columns' cells i by commas: floats as their shortest round-trip ``repr``,
+    anything else (years, indices) with ``str``. A column passed to several
+    files is formatted once per chunk. The files are renamed into place from
+    temp files after the last chunk, and no temp file is left on failure.
     """
-    arr = np.asarray(values)
-    fmt = repr if arr.dtype.kind == "f" else str
-    return [
-        "\n".join(map(fmt, arr[i : i + CHUNK_CELLS].tolist()))
-        for i in range(0, arr.size, CHUNK_CELLS)
-    ]
-
-
-def write_csv(path, header: str, *columns: list[str]) -> Path:
-    """Write a comma-delimited file: the header row, then one row per cell index.
-
-    Each column is the :func:`format_column` text of an array, and all
-    columns have the same length, so their chunks line up. A column text can
-    be passed to several files.
-    """
-    body = [
-        "\n".join(map(",".join, zip(*(chunk.split("\n") for chunk in chunks))))
-        for chunks in zip(*columns)
-    ]
-    return write_text_atomic(path, "\n".join([header, *body]) + "\n")
+    paths = [Path(path) for path in files]
+    specs = list(files.values())
+    n_rows = max(len(columns[0]) for _, columns in specs)
+    with _atomic_files(paths) as handles:
+        for handle, (header, _) in zip(handles, specs):
+            if header is not None:
+                handle.write(header + "\n")
+        for start in range(0, n_rows, CHUNK_CELLS):
+            cells = {}  # by column id: the column's cells in this chunk
+            for handle, (_, columns) in zip(handles, specs):
+                if start >= len(columns[0]):
+                    continue
+                for column in columns:
+                    if id(column) not in cells:
+                        fmt = repr if column.dtype.kind == "f" else str
+                        cells[id(column)] = list(map(fmt, column[start : start + CHUNK_CELLS].tolist()))
+                handle.write("\n".join(map(",".join, zip(*(cells[id(column)] for column in columns)))))
+                handle.write("\n")
+    return paths
 
 
 def simulate_to_csv(dist: Distribution, n: int, seed: int, path) -> Path:
@@ -183,4 +200,4 @@ def simulate_to_csv(dist: Distribution, n: int, seed: int, path) -> Path:
     The same seed always produces a byte-identical file.
     """
     sample = dist.sample(n, seed)
-    return write_text_atomic(path, "\n".join(format_column(sample.values)) + "\n")
+    return write_csv({path: (None, [sample.values])})[0]

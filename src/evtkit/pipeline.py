@@ -23,7 +23,7 @@ from .diagnostics import (
 from .distributions import FAMILY_LABELS, Distribution, params_from_dict, params_to_dict
 from .errors import NumericalError, UnsupportedFormatError
 from .fitting import FitOutcome, FitResult, fit_all
-from .io import Dataset, format_column, write_csv
+from .io import Dataset, write_csv
 from .returns import ReturnLevelTable, ReturnSpec, return_curve, return_level_table
 from .sample import Sample, binary_unit
 
@@ -351,43 +351,34 @@ def emit_plot_data(report: AnalysisReport, dataset: Dataset, out_dir) -> dict[st
     ``pdf_<family>.csv`` (x,pdf over a data-spanning grid),
     ``qq_<family>.csv`` (p,theoretical,observed) and
     ``prob_diff_<family>.csv`` (x,diff), plus ``return_curve.csv``
-    (period,level) for the best family.
+    (period,level) for the best family, all in one :func:`~evtkit.io.write_csv` pass.
     """
-    out_dir = Path(out_dir)
-    written: dict[str, Path] = {}
-
-    def write(name: str, header: str, *columns: list[str]) -> None:
-        written[name] = write_csv(out_dir / f"{name}.csv", header, *columns)
-
     sample = dataset.sample
     x = sample.values
     # Years stay Python ints: numpy would turn a mix of int64 and uint64 magnitudes to float.
     years = np.array(dataset.years or range(1, sample.n + 1), dtype=object)
-    write("timeseries", "year,value", format_column(years), format_column(x))
+    files = {"timeseries": ("year,value", [years, x])}
 
     unit = binary_unit(x)  # pad at the data's unit, then clip to the finite floats
     lo, hi = float(np.min(x)) / unit, float(np.max(x)) / unit
     margin, limit = PDF_GRID_MARGIN * (hi - lo), float(np.finfo(float).max) / unit
     grid = np.clip(np.linspace(lo - margin, hi + margin, PDF_GRID_POINTS), -limit, limit) * unit
-    # Columns that several files share are formatted once.
-    grid_text = format_column(grid)
-    positions_text = format_column(plotting_positions(sample.n))
-    sorted_text = format_column(sample.sorted_values())
+    # Columns that several files share are formatted once per chunk.
+    positions, observed = plotting_positions(sample.n), sample.sorted_values()
     for fit in report.fits:
         if fit.result is None:
             continue
         dist, family = fit.result.params, fit.family
-        write(f"pdf_{family}", "x,pdf", grid_text, format_column(dist.pdf(grid)))
-        theoretical = format_column(qq_series(sample, dist).theoretical)
-        write(f"qq_{family}", "p,theoretical,observed", positions_text, theoretical, sorted_text)
-        diff = format_column(probability_difference(sample, dist).diff)
-        write(f"prob_diff_{family}", "x,diff", sorted_text, diff)
+        files[f"pdf_{family}"] = ("x,pdf", [grid, dist.pdf(grid)])
+        files[f"qq_{family}"] = ("p,theoretical,observed", [positions, qq_series(sample, dist).theoretical, observed])
+        files[f"prob_diff_{family}"] = ("x,diff", [observed, probability_difference(sample, dist).diff])
 
     best_params = _params_for(report.fits, report.best_family)
     p_max = max(report.return_levels.periods)
     p_min = RETURN_CURVE_MIN_PERIOD if p_max > RETURN_CURVE_MIN_PERIOD else (1.0 + p_max) / 2.0
     # Just above 1 the midpoint rounds to 1; the curve is then p_max alone.
     p_min = p_min if p_min > 1.0 else p_max
-    periods, levels = zip(*return_curve(best_params, p_min, p_max, RETURN_CURVE_POINTS))
-    write("return_curve", "period,level", format_column(periods), format_column(levels))
-    return written
+    curve = np.array(return_curve(best_params, p_min, p_max, RETURN_CURVE_POINTS))
+    files["return_curve"] = ("period,level", [curve[:, 0], curve[:, 1]])
+    paths = write_csv({Path(out_dir, f"{name}.csv"): spec for name, spec in files.items()})
+    return dict(zip(files, paths))

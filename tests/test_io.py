@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from evtkit import Dataset, Sample, load_csv, simulate_to_csv
 from evtkit.errors import DomainError, EmptyDatasetError, ParseError
-from evtkit.io import CHUNK_CELLS, format_column, write_csv
+from evtkit.io import CHUNK_CELLS, write_csv
 
 from conftest import GEV_MM
 
@@ -161,6 +161,38 @@ class TestLoadCsv:
         assert [v.hex() for v in ds.sample.values.tolist()] == [v.hex() for v in values]
         assert ds.years == years
 
+    @pytest.mark.parametrize(
+        "text",
+        ["value\n1.5\ninf\nabc\n", "year,value\n1,1.5\n2,inf\n3,abc\n"],
+        ids=["one_column", "year_value"],
+    )
+    def test_first_bad_row_wins_whatever_its_kind(self, tmp_path, text):
+        # A non-finite value is found after the rows are read; it still comes before a later text cell.
+        f = tmp_path / "two_bad_rows.csv"
+        f.write_text(text)
+        with pytest.raises(ParseError, match="row 3: non-finite value 'inf'"):
+            load_csv(f)
+
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            ("1.5\n\nabc\n4e999\n", "row 3: could not parse 'abc' as a number"),
+            ("1,1.5\n2,1,3\n3,inf\n", "row 2: expected 2 columns, found 3"),
+            ("1,1.5\n2.5,inf\n", "row 2: could not parse '2.5' as a year"),
+            ("1,1.5\n  \n3, nan \n4,x\n", "row 3: non-finite value 'nan'"),
+        ],
+    )
+    def test_error_names_the_first_bad_row(self, tmp_path, text, error):
+        f = tmp_path / "bad.csv"
+        f.write_text(text)
+        with pytest.raises(ParseError, match=error):
+            load_csv(f)
+
+    def test_padded_and_underscored_values_load(self, tmp_path):
+        f = tmp_path / "loose.csv"
+        f.write_text("value\n1.5\n 2.5 \n\n1_0\n")
+        assert load_csv(f).sample.values.tolist() == [1.5, 2.5, 10.0]
+
     def test_bad_year(self, tmp_path):
         f = tmp_path / "year.csv"
         f.write_text("1956.5,131.2\n")
@@ -186,15 +218,30 @@ class TestWriteCsv:
         n = 2 * CHUNK_CELLS + 1
         index = np.arange(n)
         values = np.linspace(-1.0, 1.0, n) ** 3
-        path = write_csv(tmp_path / "t.csv", "i,v", format_column(index), format_column(values))
+        (path,) = write_csv({tmp_path / "t.csv": ("i,v", [index, values])})
         rows = [f"{i},{float(v)!r}" for i, v in zip(index, values)]
         assert path.read_text() == "\n".join(["i,v", *rows]) + "\n"
 
-    def test_format_column_chunks(self):
-        chunks = format_column(np.array([0.1, -0.0, 5e-324, 1e16] * CHUNK_CELLS))
-        assert len(chunks) == 4
-        assert chunks[0].split("\n")[:4] == ["0.1", "-0.0", "5e-324", "1e+16"]
-        assert format_column(range(3)) == ["0\n1\n2"]
+    def test_shared_column_serves_files_of_several_lengths(self, tmp_path):
+        cells = np.array([0.1, -0.0, 5e-324, 1e16] * CHUNK_CELLS)
+        files = {
+            tmp_path / "one.csv": ("v", [cells]),
+            tmp_path / "two.csv": ("v,w", [cells, cells[::-1].copy()]),
+            tmp_path / "short.csv": (None, [np.arange(3)]),
+        }
+        one, two, short = write_csv(files)
+        assert one.read_text().splitlines()[:5] == ["v", "0.1", "-0.0", "5e-324", "1e+16"]
+        rows = [f"{a!r},{b!r}" for a, b in zip(cells.tolist(), cells[::-1].tolist())]
+        assert two.read_text() == "\n".join(["v,w", *rows]) + "\n"
+        assert short.read_text() == "0\n1\n2\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["one.csv", "short.csv", "two.csv"]
+
+    def test_failure_before_the_renames_writes_no_file(self, tmp_path):
+        # The second file's column is not an array, so its first chunk fails after the first file's.
+        files = {tmp_path / "good.csv": ("v", [np.arange(5.0)]), tmp_path / "bad.csv": ("v", [[1.0, 2.0]])}
+        with pytest.raises(AttributeError):
+            write_csv(files)
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestSimulate:

@@ -287,6 +287,15 @@ class TestEmitPlotData:
         assert len(rows) == synthetic_dataset.sample.n
         assert rows[0].split(",")[0] == "1"
 
+    def test_failed_rename_leaves_no_temp_file(self, report, synthetic_dataset, tmp_path):
+        # qq_gev.csv cannot replace a directory; the set is renamed only after the last chunk.
+        (tmp_path / "qq_gev.csv").mkdir()
+        with pytest.raises(OSError):
+            emit_plot_data(report, synthetic_dataset, tmp_path)
+        assert not list(tmp_path.glob(".*.tmp"))
+        assert (tmp_path / "qq_gev.csv").is_dir()
+        assert not (tmp_path / "prob_diff_gev.csv").exists()
+
     def test_emission_is_deterministic(self, report, synthetic_dataset, tmp_path):
         first = emit_plot_data(report, synthetic_dataset, tmp_path / "a")
         second = emit_plot_data(report, synthetic_dataset, tmp_path / "b")

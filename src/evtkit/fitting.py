@@ -18,23 +18,22 @@ location, log scale and shape, with the shape kept inside (-1, 1), from the
 fitted Gumbel at shape 0, its nested case, on the GEV negative
 log-likelihood written as sums (Coles 2001, section 3.3.2): two in-place
 passes write log t and t**(-1/shape) into the two rows of a (2, n)
-workspace, and one reduction sums both rows. Both objectives are
-second expressions of a likelihood beside the one kernel,
-``GEV.log_density``, kept because they are faster: a GEV evaluation at
-n = 85 takes about three quarters of the kernel's time. A fit is three
-steps: :func:`_prepare` makes the standardized data and the start, a search
-runs, and :func:`_finish` maps it back, repairs a GEV location or falls back
-to the start. The Gumbel-type searches of one sample are lanes of one
-(K, n) profile objective (:func:`~evtkit.simplex._lockstep`), so numpy's
-fixed cost per call, which dominates near n = 100, is paid once per step
-for all; each lane is its search alone, to the bit. The workspaces are
-allocated once for all lanes, so no evaluation allocates anything the size
-of the data. A point that leaves an observation off the support has
-objective inf, the simplex's worst vertex. The parameters are mapped back to
-data units, and the reported log-likelihood is :func:`log_likelihood` of
-them on the data, which evaluates the kernel at the data's power-of-two
-unit. The search has no settings: it runs to the fixed tolerance of
-:func:`~evtkit.simplex.nelder_mead` or its iteration budget of 10 000.
+workspace, and one reduction sums both rows. Both objectives are second
+expressions of a likelihood beside the one kernel, ``GEV.log_density``,
+kept because they are faster: a GEV evaluation at n = 85 takes about three
+quarters of the kernel's time. A fit is three steps: :func:`_prepare` makes
+the standardized data and the start, a search runs, and :func:`_finish`
+maps it back, repairs a GEV location or falls back to the start. Every
+search is a lane of :func:`~evtkit.simplex._lockstep`, whose objective
+takes the lanes' points as lists: the Gumbel-type searches of one sample
+are lanes of one (K, n) profile objective, so numpy's fixed cost per call,
+which dominates near n = 100, is paid once per step for all, and the GEV
+search is one lane. Each lane is its search alone, to the bit, and no
+evaluation allocates anything the size of the data. A point that leaves an
+observation off the support has objective inf, the simplex's worst vertex.
+The reported log-likelihood is :func:`log_likelihood` of the parameters
+mapped back to data units. The search has no settings: it runs to the
+simplex's fixed tolerance or its budget of 10 000 iterations.
 """
 
 from __future__ import annotations
@@ -48,7 +47,7 @@ import numpy as np
 from .distributions import EULER_GAMMA, FAMILIES, GEV, Distribution, _family_class, _log_t, _TINY_SHAPE
 from .errors import DegenerateSampleError, DomainError
 from .sample import Sample, binary_unit, standardize
-from .simplex import _lockstep, _search, nelder_mead
+from .simplex import _lockstep, _search, nelder_mead  # noqa: F401 (unused; the benchmark's tracer patches it here)
 
 __all__ = [
     "FitResult",
@@ -219,7 +218,7 @@ def _gumbel_profile_search(data: np.ndarray) -> list[tuple]:
 
 
 def _gev_objective(data: np.ndarray):
-    """The GEV's negative log-likelihood of ``data`` at (location, log(scale), shape), summed.
+    """The GEV's negative log-likelihood of ``data`` at (location, log(scale), shape), summed, for one lane.
 
     With t = 1 + shape*(x - location)/scale it is n*log(scale) +
     (1 + 1/shape)*sum(log t) + sum(t**(-1/shape)) (Coles 2001, section
@@ -229,17 +228,18 @@ def _gev_objective(data: np.ndarray):
     z = (x - location)/scale, with sum(z) from the sum of the data, taken
     once. A shape outside (-1, 1), or a value that is not finite (an
     observation off the support, or a scale past the float range), is inf.
-    Call it under ``np.errstate(all="ignore")``.
+    It takes ``[point]`` and returns ``[value]``, as the objective of a one-lane
+    :func:`~evtkit.simplex._lockstep`. Call it under ``np.errstate(all="ignore")``.
     """
     n = data.size
     total = float(data.sum())
     workspace = np.empty((2, n))
     shifted, powers = workspace
 
-    def nll(theta):
-        location, log_scale, shape = theta.tolist()
+    def nll(points):
+        ((location, log_scale, shape),) = points
         if not _GEV_SHAPE_FLOOR < shape < _GEV_SHAPE_CEILING:
-            return math.inf
+            return [math.inf]
         inverse_scale = np.exp(-log_scale)  # a numpy float: inf past the float range, never an exception
         np.subtract(data, location, shifted)
         if shape:
@@ -254,13 +254,13 @@ def _gev_objective(data: np.ndarray):
         else:
             value = n * log_scale + (total - n * location) * inverse_scale
             value += np.exp(np.multiply(shifted, -inverse_scale, shifted), shifted).sum()
-        return value if math.isfinite(value) else math.inf
+        return [value if math.isfinite(value) else math.inf]
 
     return nll
 
 
 def fit_mle(family: str, sample: Sample, *, _gumbel_fit: FitResult | None = None) -> FitResult:
-    """Fit ``family`` to ``sample`` by maximum likelihood, with one simplex search.
+    """Fit ``family`` to ``sample`` by maximum likelihood, with one simplex search, a lane of ``simplex._lockstep``.
 
     Gumbel, Frechet and Weibull are a Gumbel fit to their standardized
     Gumbel values (x, log(x/u) and -log(x/u), u a power-of-two unit of x),
@@ -286,9 +286,9 @@ def fit_mle(family: str, sample: Sample, *, _gumbel_fit: FitResult | None = None
     location would leave the float range.
 
     A result with ``converged=False`` (rather than an exception) is returned
-    when the iteration budget of :func:`~evtkit.simplex.nelder_mead` runs out
-    before the simplex collapses, and, reporting the start, when the search
-    found no point whose log-likelihood on the data is finite.
+    when the search's budget of 10 000 iterations runs out before the simplex
+    collapses, and, reporting the start, when the search found no point whose
+    log-likelihood on the data is finite.
 
     Raises
     ------
@@ -307,7 +307,7 @@ def fit_mle(family: str, sample: Sample, *, _gumbel_fit: FitResult | None = None
         if family == "gev":
             location, scale = start.location / sample_unit / unit, start.scale / sample_unit / unit
             theta0 = [(location - mean) / sd, math.log(scale / sd), 0.0]
-            best = nelder_mead(_gev_objective(data), theta0, initial_steps=[0.1 * _UNIT_SD_SCALE, 0.1, 0.1])
+            (best,) = _lockstep(_gev_objective(data), [_search(theta0, [0.1 * _UNIT_SD_SCALE, 0.1, 0.1])])
             found = best, best.x
         else:
             (found,) = _gumbel_profile_search(data[np.newaxis])

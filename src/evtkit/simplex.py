@@ -7,38 +7,38 @@ worst-vertex, so hard constraint violations simply repel the simplex.
 The search is one generator, :func:`_search`: it yields each point and
 receives that point's value. :func:`_lockstep` is the one loop that sends
 values: it drives K searches in fixed lanes, with one call of a K-point
-objective per step, until the last search ends, and :func:`nelder_mead` is
-that loop with one lane (Nelder & Mead 1965; Lagarias et al. 1998). A lane
-is its search driven alone, to the bit.
+objective per step, until the last search ends (Nelder & Mead 1965;
+Lagarias et al. 1998). Every search of a fit is such a lane, and
+:func:`nelder_mead` is that loop with one lane of an array objective. A
+lane is its search driven alone, to the bit.
 
 The simplex is one list of ``(value, vertex)`` pairs, each vertex a list
 of Python floats: with at most 4 vertices of 3 coordinates, numpy's fixed
-cost per call would dominate the arithmetic. Every point's value makes
-such a pair, and each iteration starts with a stable sort of the list by
-value, so ties keep their order. The order of each floating-point
-operation is part of the contract (the centroid is summed in value order,
-then divided; a shrink evaluates the vertices in that order): it fixes
-every fit to the bit.
+cost per call would dominate the arithmetic, and so would Python's, so a
+step calls no function per evaluation and runs no generator expression.
+Each iteration starts with a stable sort of the list by value, so ties
+keep their order. The order of each floating-point operation is part of
+the contract (the centroid is summed in value order, then divided; a
+shrink evaluates the vertices in that order): it fixes every fit to the bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
-from operator import add, itemgetter
+from operator import add, itemgetter, sub
 from typing import Callable
 
 import numpy as np
 
 from .errors import DomainError
 
-_REFLECT = 1.0
 _EXPAND = 2.0
 _CONTRACT = 0.5
 _SHRINK = 0.5
 # Converged when the vertex values and every coordinate agree to within this.
 _TOLERANCE = 1e-8
+_VALUE, _VERTEX = itemgetter(0), itemgetter(1)
 
 
 @dataclass(frozen=True)
@@ -51,10 +51,7 @@ class SimplexResult:
 
 
 def nelder_mead(
-    func: Callable[[np.ndarray], float],
-    x0,
-    initial_steps=0.1,
-    max_iterations: int = 10_000,
+    func: Callable[[np.ndarray], float], x0, initial_steps=0.1, max_iterations: int = 10_000
 ) -> SimplexResult:
     """Minimize ``func`` starting from ``x0``.
 
@@ -80,11 +77,10 @@ def nelder_mead(
     Raises
     ------
     DomainError
-        Non-finite ``x0``; steps that are zero, non-finite, or neither a
-        scalar nor one per coordinate.
+        Empty or non-finite ``x0``; steps that are zero, non-finite, or
+        neither a scalar nor one per coordinate.
     """
-    (result,) = _lockstep(lambda points: [func(np.array(points[0]))], [_search(x0, initial_steps, max_iterations)])
-    return result
+    return _lockstep(lambda points: [func(np.array(points[0]))], [_search(x0, initial_steps, max_iterations)])[0]
 
 
 def _search(x0, initial_steps=0.1, max_iterations: int = 10_000):
@@ -94,6 +90,8 @@ def _search(x0, initial_steps=0.1, max_iterations: int = 10_000):
     # Checked on lists: numpy's all and any cost microseconds each, a share of a short search.
     start = np.asarray(x0, dtype=float).ravel().tolist()
     ndim = len(start)
+    if not ndim:
+        raise DomainError("starting point must have at least one coordinate")
     steps = np.asarray(initial_steps, dtype=float)
     if steps.ndim > 1 or steps.size not in (1, ndim):
         raise DomainError(f"initial simplex steps must be a scalar or one per coordinate ({ndim})")
@@ -103,68 +101,70 @@ def _search(x0, initial_steps=0.1, max_iterations: int = 10_000):
     if not all(map(math.isfinite, start)):
         raise DomainError("starting point must be finite")
 
-    n_evaluations = 0
-
-    def pair(value, x: list[float]) -> tuple[float, list[float]]:
-        nonlocal n_evaluations
-        n_evaluations += 1
-        value = float(value)
-        return (math.inf if math.isnan(value) else value), x
-
+    # Each value is made a float, NaN as inf, and counted where it is received; an expanded or
+    # contracted one is kept only when it compares below another, which NaN never does.
     simplex = []
     for x in [start] + [start[:i] + [start[i] + step] + start[i + 1 :] for i, step in enumerate(steps)]:
-        simplex.append(pair((yield x), x))
+        value = float((yield x))
+        simplex.append((math.inf if value != value else value, x))
+    n_evaluations = ndim + 1
 
-    converged = False
-    iterations = 0
+    converged, iterations = False, 0
     while True:
-        simplex.sort(key=itemgetter(0))  # stable, as argsort(kind="stable")
+        simplex.sort(key=_VALUE)  # stable, as argsort(kind="stable")
         (f_best, best), (f_worst, worst) = simplex[0], simplex[-1]
+        vertices = list(map(_VERTEX, simplex))
 
         # Rounding is monotone, so the widest pair of a coordinate rounds to its
         # max - min; a coordinate holding NaN fails, as in numpy.
-        if f_worst - f_best < _TOLERANCE and all(
-            max(col) - min(col) < _TOLERANCE and not any(map(math.isnan, col))
-            for col in zip(*(x for _, x in simplex))
-        ):
-            converged = True
-            break
+        if f_worst - f_best < _TOLERANCE:
+            for col in zip(*vertices):
+                if not max(col) - min(col) < _TOLERANCE or any(map(math.isnan, col)):
+                    break
+            else:
+                converged = True
+                break
         if iterations >= max_iterations:
             break
         iterations += 1
 
-        centroid = [reduce(add, col) / ndim for col in zip(*(x for _, x in simplex[:-1]))]
-        x = [c + _REFLECT * (c - w) for c, w in zip(centroid, worst)]
-        reflected = pair((yield x), x)
+        centroid = vertices[0]
+        for vertex in vertices[1:-1]:
+            centroid = list(map(add, centroid, vertex))
+        centroid = [c / ndim for c in centroid]
+        # The reflection c + 1.0 * (c - w) is c + (c - w): the multiply by 1.0 is exact.
+        away = list(map(sub, centroid, worst))
+        reflected = list(map(add, centroid, away))
+        f_reflected = float((yield reflected))
+        f_reflected = math.inf if f_reflected != f_reflected else f_reflected
+        n_evaluations += 1
 
-        if reflected[0] < f_best:
-            x = [c + _EXPAND * (c - w) for c, w in zip(centroid, worst)]
-            expanded = pair((yield x), x)
-            simplex[-1] = expanded if expanded[0] < reflected[0] else reflected
-        elif reflected[0] < simplex[-2][0]:
-            simplex[-1] = reflected
+        if f_reflected < f_best:
+            x = [c + _EXPAND * d for c, d in zip(centroid, away)]
+            value = float((yield x))
+            n_evaluations += 1
+            simplex[-1] = (value, x) if value < f_reflected else (f_reflected, reflected)
+        elif f_reflected < simplex[-2][0]:
+            simplex[-1] = (f_reflected, reflected)
         else:
             # Contract toward the reflected point when it beats the worst vertex
             # (outside), else toward the worst vertex (inside); c + 0.5 * (w - c)
             # is the same float as c - 0.5 * (c - w), as negation is exact.
-            toward = reflected[1] if reflected[0] < f_worst else worst
+            toward = reflected if f_reflected < f_worst else worst
             x = [c + _CONTRACT * (t - c) for c, t in zip(centroid, toward)]
-            contracted = pair((yield x), x)
-            if contracted[0] < f_worst and contracted[0] <= reflected[0]:
-                simplex[-1] = contracted
+            value = float((yield x))
+            n_evaluations += 1
+            if value < f_worst and value <= f_reflected:
+                simplex[-1] = (value, x)
             else:
-                for i, (_, vertex) in enumerate(simplex[1:], 1):
-                    x = [b + _SHRINK * (v - b) for b, v in zip(best, vertex)]
-                    simplex[i] = pair((yield x), x)
+                n_evaluations += ndim
+                for i in range(1, ndim + 1):
+                    x = [b + _SHRINK * (v - b) for b, v in zip(best, vertices[i])]
+                    value = float((yield x))
+                    simplex[i] = (math.inf if value != value else value, x)
 
     # The simplex was just sorted, so its first vertex is the first minimum.
-    return SimplexResult(
-        x=np.array(best),
-        fun=f_best,
-        converged=converged,
-        iterations=iterations,
-        n_evaluations=n_evaluations,
-    )
+    return SimplexResult(np.array(best), f_best, converged, iterations, n_evaluations)
 
 
 def _lockstep(func, searches: list) -> list[SimplexResult]:

@@ -2,6 +2,7 @@
 
 import functools
 import math
+import unittest.mock
 from pathlib import Path
 
 import numpy as np
@@ -299,17 +300,43 @@ class TestGevObjective:
         data = standardize(np.random.default_rng(seed).gumbel(size=n))[3]
         with np.errstate(all="ignore"):  # as in fit_mle
             expected = -float(GEV.log_density(data, location, log_scale, shape).sum())
-            value = _gev_objective(data)(np.array([location, log_scale, shape]))
+            (value,) = _gev_objective(data)([[location, log_scale, shape]])
         if math.isfinite(expected):
             assert value == pytest.approx(expected, rel=1e-12)
         else:
             assert value == math.inf
 
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(20, 150),
+        log10_location=st.floats(-1.0, 4.0),
+        cv=st.floats(0.1, 0.5),
+        shape=st.sampled_from([-0.99, 0.99]) | st.floats(-0.99, 0.99),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_gev_lane_is_its_search_driven_by_nelder_mead(self, n, log10_location, cv, shape, seed):
+        # Records like the benchmark's stations, from near the shape floor to near the ceiling.
+        location = 10.0**log10_location
+        s = GEV(location, cv * location, shape).sample(n, seed)
+        starts, lane = [], evtkit.fitting._search
+
+        def recorded(*args):
+            starts.append(args)
+            return lane(*args)
+
+        with unittest.mock.patch.object(evtkit.fitting, "_search", recorded):
+            fit = fit_mle("gev", s)
+        data, problem = evtkit.fitting._prepare("gev", s, start=fit.initial_params)
+        objective = _gev_objective(data)
+        with np.errstate(all="ignore"):
+            best = nelder_mead(lambda theta: objective([theta.tolist()])[0], *starts[-1])  # the GEV's search is last
+        assert repr(fit) == repr(evtkit.fitting._finish(problem, best, best.x, s))
+
     def test_shape_bounds_are_infeasible(self):
         data = standardize(GEV_MM.sample(20, 1).values)[3]
         nll = _gev_objective(data)
         for shape in (-1.0, 1.0, -1.5, 2.0, math.nan):
-            assert nll(np.array([0.0, 0.0, shape])) == math.inf
+            assert nll([[0.0, 0.0, shape]]) == [math.inf]
 
 
 class TestUnitEquivariance:
@@ -541,20 +568,15 @@ class TestFitAll:
         assert not outcomes["weibull"].ok and "positive" in outcomes["weibull"].error
 
     def test_gumbel_fit_anchors_gev(self, monkeypatch):
-        # The Gumbel-type searches run as lanes, the GEV's through nelder_mead.
+        # Every search is a lane of _search: the Gumbel-type ones together, then the GEV's alone.
         runs = []
-        lane, search = evtkit.fitting._search, evtkit.fitting.nelder_mead
+        lane = evtkit.fitting._search
 
         def counted_lane(*args, **kwargs):
             runs.append((yield from lane(*args, **kwargs)))
             return runs[-1]
 
-        def counted(*args, **kwargs):
-            runs.append(search(*args, **kwargs))
-            return runs[-1]
-
         monkeypatch.setattr(evtkit.fitting, "_search", counted_lane)
-        monkeypatch.setattr(evtkit.fitting, "nelder_mead", counted)
         results = [o.result for o in fit_all(FIXTURE)]
         # one search per family, the GEV's from the fitted Gumbel at shape 0
         assert len(runs) == 4
@@ -620,12 +642,13 @@ class TestFitAll:
             return lockstep(func, searches)
 
         monkeypatch.setattr(evtkit.fitting, "_lockstep", recorded)
-        # At any length the three searches are lanes of one block, each the fit of its family alone.
+        # At any length the three searches are lanes of one block, each the fit of its family alone;
+        # the GEV's search, from the fitted Gumbel, is one lane after them.
         for n in (51, 20_000):
             s = GEV_MM.sample(n, 7)
             lanes.clear()
             outcomes = fit_all(s)
-            assert lanes == [3], n
+            assert lanes == [3, 1], n
             for outcome in outcomes:
                 assert repr(outcome.result) == repr(fit_mle(outcome.family, s)), (n, outcome.family)
 

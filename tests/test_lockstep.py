@@ -1,8 +1,12 @@
 """The simplex searches driven in fixed lanes: each lane is the search driven alone, to the bit."""
 
 import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from evtkit.simplex import _lockstep, _search, nelder_mead
+
+from test_simplex import oracle_problems
 
 
 def shifted_quadratic(center):
@@ -19,17 +23,24 @@ PROBLEMS = [
 ]
 
 
-def test_each_lane_is_its_search_driven_alone():
-    calls = []  # the points of every call, as lists
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.lists(oracle_problems(), min_size=1, max_size=4))
+@example(PROBLEMS)
+def test_each_lane_is_its_search_driven_alone(problems):
+    # The oracle problems of the simplex tests: 1 to 3 coordinates, budgets of 0 to 300,
+    # and objectives that are inf or NaN on part of the plane or past the float range.
+    calls = []  # the points of every call, each as its bytes
 
     def evaluate(points):
-        calls.append([list(x) for x in points])
-        return [PROBLEMS[lane][0](np.array(x)) for lane, x in enumerate(points)]
+        calls.append([np.array(x).tobytes() for x in points])
+        return [problems[lane][0](np.array(x)) for lane, x in enumerate(points)]
 
-    results = _lockstep(evaluate, [_search(x0, steps, budget) for _, x0, steps, budget in PROBLEMS])
-    for lane, (func, x0, steps, budget) in enumerate(PROBLEMS):
+    with np.errstate(all="ignore"):
+        results = _lockstep(evaluate, [_search(x0, steps, budget) for _, x0, steps, budget in problems])
+    for lane, (func, x0, steps, budget) in enumerate(problems):
         alone_points = []
-        alone = nelder_mead(lambda x: alone_points.append(x.tolist()) or func(x), x0, steps, budget)
+        with np.errstate(all="ignore"):
+            alone = nelder_mead(lambda x: alone_points.append(x.tobytes()) or func(x), x0, steps, budget)
         assert results[lane].x.tobytes() == alone.x.tobytes(), lane
         assert (results[lane].fun, results[lane].converged, results[lane].iterations) == (
             alone.fun,
@@ -40,11 +51,12 @@ def test_each_lane_is_its_search_driven_alone():
         # The lane's own points, then its last point again on every call after its search ended.
         seen = [points[lane] for points in calls]
         assert seen == alone_points + [alone_points[-1]] * (len(calls) - len(alone_points)), lane
-    assert not results[2].converged and results[2].iterations == 5
-    assert all(results[lane].converged for lane in (0, 1, 3))
-    assert len({results[lane].iterations for lane in range(len(PROBLEMS))}) == len(PROBLEMS)
-    # Every call takes all four points, until the last search ends.
-    assert all(len(points) == len(PROBLEMS) for points in calls)
+    if problems is PROBLEMS:
+        assert not results[2].converged and results[2].iterations == 5
+        assert all(results[lane].converged for lane in (0, 1, 3))
+        assert len({results[lane].iterations for lane in range(len(PROBLEMS))}) == len(PROBLEMS)
+    # Every call takes one point per lane, until the last search ends.
+    assert all(len(points) == len(problems) for points in calls)
     assert len(calls) == max(result.n_evaluations for result in results)
 
 

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from evtkit import nelder_mead
-from evtkit.simplex import SimplexResult
+from evtkit.simplex import SimplexResult, _search
 from evtkit.errors import DomainError
 
 
@@ -101,6 +101,17 @@ def test_rejects_non_finite_start(bad):
     with pytest.raises(DomainError):
         nelder_mead(lambda x: calls.append(x) or 0.0, [bad, 0.0])
     assert not calls
+
+
+@pytest.mark.parametrize("x0", [[], np.empty((2, 0))])
+def test_rejects_a_start_with_no_coordinates(x0):
+    # It returned converged after 0 iterations, with a value of func at an empty vector.
+    calls = []
+    with pytest.raises(DomainError, match="at least one coordinate"):
+        nelder_mead(lambda x: calls.append(x) or 0.0, x0)
+    assert not calls
+    with pytest.raises(DomainError):
+        next(_search(x0))  # before the first point
 
 
 def test_huge_start_neither_raises_nor_warns():

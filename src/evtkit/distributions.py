@@ -170,17 +170,23 @@ class _EvdFamily:
 _TINY_SHAPE = 2.0**-970
 
 
+def _gumbel_limit(shape, u, general, z):
+    """``general``, a GEV form of u = shape*z over the shape, with ``z``, its shape-0 limit, wherever
+    |shape| < 2**-970 and u is 0, subnormal or nan: the form keeps few bits there, and z is exact."""
+    if -_TINY_SHAPE < shape < _TINY_SHAPE:
+        np.copyto(general, z, where=~(np.abs(u) >= sys.float_info.min))
+    return general
+
+
 def _log_t(y, inverse_scale, shape, log_t, minus_w):
     """The GEV's log t = log1p(y * (shape*inverse_scale)) into ``log_t`` (which may be ``y``),
     and -w = log t / -shape into ``minus_w``, returned; z = y*inverse_scale and t = 1 + shape*z.
-    Below |shape| 2**-970, where shape*z is not a normal float, -w is -z, exact there."""
+    Below |shape| 2**-970, where shape*z is not a normal float, -w is -z (:func:`_gumbel_limit`)."""
     factor = shape * inverse_scale
     if not -_TINY_SHAPE < shape < _TINY_SHAPE:
         return np.divide(np.log1p(np.multiply(y, factor, log_t), log_t), -shape, minus_w)
-    u = np.multiply(y, factor)
-    np.multiply(y, -inverse_scale, minus_w)
-    np.copyto(minus_w, np.divide(np.log1p(u, log_t), -shape), where=np.abs(u) >= sys.float_info.min)
-    return minus_w
+    u, minus_z = np.multiply(y, factor), np.multiply(y, -inverse_scale)
+    return _gumbel_limit(shape, u, np.divide(np.log1p(u, log_t), -shape, minus_w), minus_z)
 
 
 class _GevForms(_EvdFamily):
@@ -199,7 +205,8 @@ class _GevForms(_EvdFamily):
         # off the support, so the cdf saturates at 0 or 1 there.
         w = (x - self.location) / self.scale
         if self.shape:
-            w = np.log1p(np.maximum(self.shape * w, -1.0)) / self.shape
+            u = self.shape * w
+            w = _gumbel_limit(self.shape, u, np.log1p(np.maximum(u, -1.0)) / self.shape, w)
         # exp(-exp(-w)) in place: each new array of size n shows at n = 100 000.
         np.exp(np.negative(w, out=w), out=w)
         return np.exp(np.negative(w, out=w), out=w)
@@ -233,7 +240,8 @@ class _GevForms(_EvdFamily):
     def _quantile(self, p):
         y = -np.log(-np.log(p))
         if self.shape:
-            y = np.expm1(self.shape * y) / self.shape
+            u = self.shape * y
+            y = _gumbel_limit(self.shape, u, np.expm1(u) / self.shape, y)
         return self.location + self.scale * y
 
     @classmethod

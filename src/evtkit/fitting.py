@@ -23,17 +23,19 @@ expressions of a likelihood beside the one kernel, ``GEV.log_density``,
 kept because they are faster: a GEV evaluation at n = 85 takes about three
 quarters of the kernel's time. A fit is three steps: :func:`_prepare` makes
 the standardized data and the start, a search runs, and :func:`_finish`
-maps it back, repairs a GEV location or falls back to the start. Every
+maps it back, repairs a GEV location or falls back to the start; one
+driver runs them for :func:`fit_all` and :func:`fit_mle` alike. Every
 search is a lane of :func:`~evtkit.simplex._lockstep`, whose objective
 takes the lanes' points as lists: the Gumbel-type searches of one sample
 are lanes of one (K, n) profile objective, so numpy's fixed cost per call,
 which dominates near n = 100, is paid once per step for all, and the GEV
-search is one lane. Each lane is its search alone, to the bit, and no
-evaluation allocates anything the size of the data. A point that leaves an
-observation off the support has objective inf, the simplex's worst vertex.
-The reported log-likelihood is :func:`log_likelihood` of the parameters
-mapped back to data units. The search has no settings: it runs to the
-simplex's fixed tolerance or its budget of 10 000 iterations.
+search is one lane. Each lane is its search alone, to the bit. Only a GEV
+evaluation below |shape| 2**-970, shape 0 included, allocates arrays the
+size of the data. A point that leaves an observation off the support has
+objective inf, the simplex's worst vertex. The reported log-likelihood is
+:func:`log_likelihood` of the parameters mapped back to data units. The
+search has no settings: it runs to the simplex's fixed tolerance or its
+budget of 10 000 iterations.
 """
 
 from __future__ import annotations
@@ -116,15 +118,15 @@ def log_likelihood(dist: Distribution, sample: Sample) -> float:
     return float(np.sum(log_densities)) - sample.n * math.log(unit)
 
 
-def _prepare(family: str, sample: Sample, min_size: int = _MIN_FIT_SIZE, start: Distribution | None = None) -> tuple:
+def _prepare(family: str, sample: Sample, min_size: int = _MIN_FIT_SIZE) -> tuple:
     """The Gumbel values w of x / u standardized, that is ``(w - mean) / sd``, for the sample's unit u,
     and the search problem of ``family``: its class, u, the unit of w, that mean and sd at it, and the start.
 
-    The start is ``start``, or else the record of the Gumbel with that mean and
-    sd, mapped by the class. That is clipped to the float range in the
-    family's own units: on data within a few floats of -max (or max), the
-    Gumbel and GEV location mean - EULER_GAMMA * scale passes it, and on data
-    near max, the Weibull scale u*exp(-location).
+    The start is the record of the Gumbel with that mean and sd, mapped by the
+    class and clipped to the float range in the family's own units: on data
+    within a few floats of -max (or max), the Gumbel and GEV location
+    mean - EULER_GAMMA * scale passes it, and on data near max, the Weibull
+    scale u*exp(-location).
     """
     cls = _family_class(family)
     if sample.n < min_size:
@@ -139,15 +141,14 @@ def _prepare(family: str, sample: Sample, min_size: int = _MIN_FIT_SIZE, start: 
     unit, mean, sd, data = standardize(work)
     if sd == 0.0:
         raise DegenerateSampleError("sample standard deviation is zero")
-    if start is None:
-        scale = sd * _UNIT_SD_SCALE
-        location = unit * (mean - EULER_GAMMA * scale)
-        if cls._logarithmic:
-            record_scale = min(sample_unit * math.exp(cls.sign * location), sys.float_info.max)
-            start = cls(shape=1.0 / (unit * scale), scale=record_scale)
-        else:
-            bound = sys.float_info.max / sample_unit  # a power of two: exact, or inf where no clip is needed
-            start = cls._from_gumbel(sample_unit, min(max(location, -bound), bound), unit * scale)
+    scale = sd * _UNIT_SD_SCALE
+    location = unit * (mean - EULER_GAMMA * scale)
+    if cls._logarithmic:
+        record_scale = min(sample_unit * math.exp(cls.sign * location), sys.float_info.max)
+        start = cls(shape=1.0 / (unit * scale), scale=record_scale)
+    else:
+        bound = sys.float_info.max / sample_unit  # a power of two: exact, or inf where no clip is needed
+        start = cls._from_gumbel(sample_unit, min(max(location, -bound), bound), unit * scale)
     return data, (cls, sample_unit, unit, mean, sd, start)
 
 
@@ -224,15 +225,15 @@ def _gev_objective(data: np.ndarray):
     (1 + 1/shape)*sum(log t) + sum(t**(-1/shape)) (Coles 2001, section
     3.3.2): one in-place pass for log t, formed as in the kernel, and one for
     the powers, into the rows of a (2, n) workspace, summed in one reduction.
-    At shape 0 it is the Gumbel's n*log(scale) + sum(z) + sum(exp(-z)),
-    z = (x - location)/scale, with sum(z) from the sum of the data, taken
-    once. A shape outside (-1, 1), or a value that is not finite (an
-    observation off the support, or a scale past the float range), is inf.
-    It takes ``[point]`` and returns ``[value]``, as the objective of a one-lane
-    :func:`~evtkit.simplex._lockstep`. Call it under ``np.errstate(all="ignore")``.
+    Shape 0 is the limit of the same form: there :func:`_log_t` gives log t 0
+    and w = z = (x - location)/scale exactly, so the value is the Gumbel's
+    n*log(scale) + sum(z) + sum(exp(-z)). A shape outside (-1, 1), or a value
+    that is not finite (an observation off the support, or a scale past the
+    float range), is inf. It takes ``[point]`` and returns ``[value]``, as the
+    objective of a one-lane :func:`~evtkit.simplex._lockstep`. Call it under
+    ``np.errstate(all="ignore")``.
     """
     n = data.size
-    total = float(data.sum())
     workspace = np.empty((2, n))
     shifted, powers = workspace
 
@@ -241,25 +242,20 @@ def _gev_objective(data: np.ndarray):
         if not _GEV_SHAPE_FLOOR < shape < _GEV_SHAPE_CEILING:
             return [math.inf]
         inverse_scale = np.exp(-log_scale)  # a numpy float: inf past the float range, never an exception
-        np.subtract(data, location, shifted)
-        if shape:
-            minus_w = _log_t(shifted, inverse_scale, shape, shifted, powers)
-            # sum(w) is sum(log t) / shape, except below |shape| 2**-970, where that keeps few bits.
-            total_w = -float(minus_w.sum()) if -_TINY_SHAPE < shape < _TINY_SHAPE else None
-            np.exp(minus_w, powers)
-            total_log_t, total_power = np.add.reduce(workspace, 1).tolist()
-            # Divided by the shape, not multiplied by 1/shape, which overflows below 1/max.
-            total_w = total_log_t / shape if total_w is None else total_w
-            value = n * log_scale + total_log_t + total_w + total_power
-        else:
-            value = n * log_scale + (total - n * location) * inverse_scale
-            value += np.exp(np.multiply(shifted, -inverse_scale, shifted), shifted).sum()
+        minus_w = _log_t(np.subtract(data, location, shifted), inverse_scale, shape, shifted, powers)
+        # sum(w) is sum(log t) / shape, except below |shape| 2**-970 and at 0, where that keeps few bits or none.
+        total_w = -float(minus_w.sum()) if -_TINY_SHAPE < shape < _TINY_SHAPE else None
+        np.exp(minus_w, powers)
+        total_log_t, total_power = np.add.reduce(workspace, 1).tolist()
+        # Divided by the shape, not multiplied by 1/shape, which overflows below 1/max.
+        total_w = total_log_t / shape if total_w is None else total_w
+        value = n * log_scale + total_log_t + total_w + total_power
         return [value if math.isfinite(value) else math.inf]
 
     return nll
 
 
-def fit_mle(family: str, sample: Sample, *, _gumbel_fit: FitResult | None = None) -> FitResult:
+def fit_mle(family: str, sample: Sample) -> FitResult:
     """Fit ``family`` to ``sample`` by maximum likelihood, with one simplex search, a lane of ``simplex._lockstep``.
 
     Gumbel, Frechet and Weibull are a Gumbel fit to their standardized
@@ -268,8 +264,7 @@ def fit_mle(family: str, sample: Sample, *, _gumbel_fit: FitResult | None = None
     form at each scale, so their search runs over log(scale) alone, started
     at the scale of :func:`initial_params`. The GEV search runs over
     location, log(scale) and shape, on the likelihood written as sums, from the
-    fitted Gumbel with shape 0 (which :func:`fit_all` passes in, as it has
-    already made it). The simplex never trades its best vertex for a worse
+    fitted Gumbel with shape 0. The simplex never trades its best vertex for a worse
     one, so the fitted GEV log-likelihood never falls below the fitted
     Gumbel one. The GEV shape is kept inside (-1, 1): at -1 and below the
     likelihood is unbounded, and at 1 and above the mean is infinite.
@@ -283,7 +278,8 @@ def fit_mle(family: str, sample: Sample, *, _gumbel_fit: FitResult | None = None
     the way back to data units puts the finite end of a GEV support onto an
     observation, the location moves outward by 1, 2, 4, ... floats, at most
     64 times, until the likelihood is finite; the moves stop before the
-    location would leave the float range.
+    location would leave the float range. It runs the driver of :func:`fit_all`
+    on the family alone (the GEV with the Gumbel): the fit is the same, to the bit.
 
     A result with ``converged=False`` (rather than an exception) is returned
     when the search's budget of 10 000 iterations runs out before the simplex
@@ -295,23 +291,13 @@ def fit_mle(family: str, sample: Sample, *, _gumbel_fit: FitResult | None = None
     DegenerateSampleError
         Fewer than three observations, or zero standard deviation.
     DomainError
-        Unknown family, or data outside the family support.
+        Unknown family, or data outside the family support. The GEV raises
+        the Gumbel's error.
     """
-    start = None
-    if family == "gev":
-        gumbel = (_gumbel_fit or fit_mle("gumbel", sample)).params
-        start = GEV(gumbel.location, gumbel.scale, 0.0)
-    data, problem = _prepare(family, sample, start=start)
-    cls, sample_unit, unit, mean, sd, start = problem
-    with np.errstate(all="ignore"):
-        if family == "gev":
-            location, scale = start.location / sample_unit / unit, start.scale / sample_unit / unit
-            theta0 = [(location - mean) / sd, math.log(scale / sd), 0.0]
-            (best,) = _lockstep(_gev_objective(data), [_search(theta0, [0.1 * _UNIT_SD_SCALE, 0.1, 0.1])])
-            found = best, best.x
-        else:
-            (found,) = _gumbel_profile_search(data[np.newaxis])
-    return _finish(problem, *found, sample)
+    fit = _fit(sample, ("gumbel", "gev") if family == "gev" else (family,))[family]
+    if isinstance(fit, Exception):
+        raise fit
+    return fit
 
 
 def _finish(problem: tuple, best, theta, sample: Sample) -> FitResult:
@@ -320,11 +306,8 @@ def _finish(problem: tuple, best, theta, sample: Sample) -> FitResult:
     params = _unpack(cls, theta, sample_unit, unit, mean, sd) if math.isfinite(best.fun) else None
     loglik = -math.inf if params is None else log_likelihood(params, sample)
     if cls is GEV and params is not None and params.shape and not math.isfinite(loglik):
-        # Rounding on the way back to data units can put the finite end of the
-        # support onto an extreme observation; near shape -1, undoing it can take
-        # hundreds of floats of location. Move the location outward by 1, 2, 4,
-        # ... floats, at most 64 times, until the log-likelihood is finite, or
-        # until the location leaves the float range.
+        # Rounding on the way back to data units put the finite end of the support onto an
+        # observation (see fit_mle); near shape -1, undoing it can take hundreds of floats.
         fitted = params
         outward = math.copysign(math.inf, -fitted.shape)
         one_float = math.nextafter(fitted.location, outward) - fitted.location
@@ -342,33 +325,21 @@ def _finish(problem: tuple, best, theta, sample: Sample) -> FitResult:
         # report the start, unconverged.
         params, converged = init, False
         loglik = log_likelihood(init, sample)
-
-    return FitResult(
-        params=params,
-        log_likelihood=loglik,
-        converged=converged,
-        iterations=best.iterations,
-        n_evaluations=best.n_evaluations,
-        initial_params=init,
-    )
+    return FitResult(params, loglik, converged, best.iterations, best.n_evaluations, init)
 
 
-def fit_all(sample: Sample) -> list[FitOutcome]:
-    """Fit all four families, in the fixed family order.
+def _fit(sample: Sample, families: tuple) -> dict:
+    """Each family's :class:`FitResult`, or the exception that stopped it, in the order of ``families``.
 
-    The Gumbel, Frechet and Weibull searches run as lanes of one profile
-    objective, and the Gumbel fit also serves as the shape-0 anchor of the
-    GEV fit. Each outcome is that of :func:`fit_mle` of its family.
-
-    Per-family failures (support violations, degenerate input) are captured
-    in the returned entries instead of aborting the batch.
+    The Gumbel-type families are lanes of one profile search, whose block is freed before the GEV's
+    data is made. The GEV, which needs the Gumbel, starts from its fit at shape 0, or carries its error.
     """
-    outcomes, prepared = {}, {}
-    for family in FAMILIES[:-1]:  # the Gumbel-type families; FAMILIES ends with the GEV
+    fits, prepared = dict.fromkeys(families), {}
+    for family in (family for family in families if family != "gev"):
         try:
             prepared[family] = _prepare(family, sample)
         except (DomainError, DegenerateSampleError) as exc:
-            outcomes[family] = FitOutcome(family, error=str(exc))
+            fits[family] = exc
     # From here the search's block, which it writes over, is the one copy of the standardized rows.
     block = np.array([data for data, _ in prepared.values()])
     problems = {family: problem for family, (_, problem) in prepared.items()}
@@ -377,9 +348,28 @@ def fit_all(sample: Sample) -> list[FitOutcome]:
         found = _gumbel_profile_search(block)
     del block
     for (family, problem), (best, theta) in zip(problems.items(), found):
-        outcomes[family] = FitOutcome(family, result=_finish(problem, best, theta, sample))
-    try:
-        outcomes["gev"] = FitOutcome("gev", result=fit_mle("gev", sample, _gumbel_fit=outcomes["gumbel"].result))
-    except (DomainError, DegenerateSampleError) as exc:
-        outcomes["gev"] = FitOutcome("gev", error=str(exc))
-    return [outcomes[family] for family in FAMILIES]
+        fits[family] = _finish(problem, best, theta, sample)
+    if "gev" in families:
+        fits["gev"] = gumbel = fits["gumbel"]
+        if isinstance(gumbel, FitResult):
+            data, (cls, sample_unit, unit, mean, sd, _) = _prepare("gev", sample)
+            start = GEV(gumbel.params.location, gumbel.params.scale, 0.0)
+            location, scale = start.location / sample_unit / unit, start.scale / sample_unit / unit
+            theta0 = [(location - mean) / sd, math.log(scale / sd), 0.0]
+            with np.errstate(all="ignore"):
+                (best,) = _lockstep(_gev_objective(data), [_search(theta0, [0.1 * _UNIT_SD_SCALE, 0.1, 0.1])])
+            fits["gev"] = _finish((cls, sample_unit, unit, mean, sd, start), best, best.x, sample)
+    return fits
+
+
+def fit_all(sample: Sample) -> list[FitOutcome]:
+    """Fit all four families, in the fixed family order, with the driver of :func:`fit_mle`.
+
+    The Gumbel, Frechet and Weibull searches run as lanes of one profile
+    objective, and the Gumbel fit is the shape-0 anchor of the GEV fit; each
+    outcome is that of :func:`fit_mle` of its family, to the bit. Per-family
+    failures (support violations, degenerate input) are captured in the
+    returned entries instead of aborting the batch; the GEV records the Gumbel's.
+    """
+    fits = _fit(sample, FAMILIES).items()
+    return [FitOutcome(f, error=str(fit)) if isinstance(fit, Exception) else FitOutcome(f, fit) for f, fit in fits]

@@ -22,6 +22,7 @@ from evtkit import (
     params_from_dict,
     params_from_sequence,
     params_to_dict,
+    return_level,
 )
 from evtkit.errors import DomainError
 
@@ -254,10 +255,18 @@ class TestGumbelCase:
 
     def test_log_pdf_at_a_subnormal_shape_is_the_gumbel_one(self):
         # shape * z rounded onto the subnormal grid, and log1p(shape*z)/shape
-        # gave [-1.0, -2.1353, -1.0].
-        x = [0.3, 1.7, -0.4]
+        # gave [-1.0, -2.1353, -1.0]. The cdf and the quantile divided
+        # log1p(shape*z) and expm1(shape*y) by the shape the same way: at
+        # 5e-324, cdf(0.7) was 0.6922, quantile(0.5) was 0.0 and the 100-year
+        # level 5.0.
+        x, p = [0.3, 1.7, -0.4], [0.5, 0.01, 0.99]
+        gumbel = Gumbel(0.0, 1.0)
         for shape in (5e-324, -5e-324, 1e-320, 2.0**-1000):
-            assert GEV(0.0, 1.0, shape).log_pdf(x) == pytest.approx(Gumbel(0.0, 1.0).log_pdf(x), rel=1e-12)
+            gev = GEV(0.0, 1.0, shape)
+            assert gev.log_pdf(x) == pytest.approx(gumbel.log_pdf(x), rel=1e-12)
+            assert gev.cdf(x) == pytest.approx(gumbel.cdf(x), rel=1e-12)
+            assert gev.quantile(p) == pytest.approx(gumbel.quantile(p), rel=1e-12)
+            assert return_level(gev, 100.0) == pytest.approx(return_level(gumbel, 100.0), rel=1e-12)
 
     def test_log_density_is_gumbel_bit_for_bit(self):
         x = np.concatenate([np.linspace(-20000.0, 20000.0, 4001), [93.61, 1e300, -1e300]])

@@ -326,7 +326,8 @@ class TestGevObjective:
 
         with unittest.mock.patch.object(evtkit.fitting, "_search", recorded):
             fit = fit_mle("gev", s)
-        data, problem = evtkit.fitting._prepare("gev", s, start=fit.initial_params)
+        data, problem = evtkit.fitting._prepare("gev", s)
+        problem = problem[:-1] + (fit.initial_params,)  # the GEV starts from the fitted Gumbel
         objective = _gev_objective(data)
         with np.errstate(all="ignore"):
             best = nelder_mead(lambda theta: objective([theta.tolist()])[0], *starts[-1])  # the GEV's search is last
@@ -652,12 +653,36 @@ class TestFitAll:
             for outcome in outcomes:
                 assert repr(outcome.result) == repr(fit_mle(outcome.family, s)), (n, outcome.family)
 
-    @pytest.mark.parametrize("n, value", [(5, 3.0), (3, 0.1), (7, 0.7668222740913637)])
-    def test_degenerate_sample_captured_per_family(self, n, value):
+    @pytest.mark.parametrize(
+        "values, failing",
+        [
+            pytest.param(np.full(5, 3.0), FAMILIES, id="5-3.0"),
+            pytest.param(np.full(3, 0.1), FAMILIES, id="3-0.1"),
+            pytest.param(np.full(7, 0.7668222740913637), FAMILIES, id="7-0.7668222740913637"),
+            pytest.param(np.array([93.61, 32.02]), FAMILIES, id="n-2"),
+            pytest.param(np.array([-5.0, 0.0, 93.61, 32.02, 120.5]), ("frechet", "weibull"), id="non-positive"),
+        ],
+    )
+    def test_degenerate_sample_captured_per_family(self, values, failing):
         # On (0.1,) * 3 the rounded mean left the values, and the Gumbel and GEV were "fitted", unconverged.
-        outcomes = fit_all(Sample(np.full(n, value)))
-        assert all(not o.ok for o in outcomes)
-        assert all(o.error for o in outcomes)
+        # fit_mle raises exactly the error fit_all records, and the GEV the Gumbel's.
+        s = Sample(values)
+        outcomes = {o.family: o for o in fit_all(s)}
+        assert tuple(family for family, o in outcomes.items() if not o.ok) == failing
+        raised = {}
+        for family, outcome in outcomes.items():
+            if outcome.ok:
+                assert repr(fit_mle(family, s)) == repr(outcome.result), family
+                continue
+            assert outcome.error and outcome.result is None
+            with pytest.raises((DomainError, DegenerateSampleError)) as info:
+                fit_mle(family, s)
+            assert str(info.value) == outcome.error, family
+            raised[family] = type(info.value), str(info.value)
+        if "gev" in raised:
+            assert raised["gev"] == raised["gumbel"]
+        with pytest.raises(DomainError, match="unknown family 'gamma'"):
+            fit_mle("gamma", s)
 
 
 # numpy's AVX-512 kernels (the X86_V4 dispatch target) of exp, log and log1p give

@@ -93,19 +93,6 @@ class _EvdFamily:
         names = [field.name for field in dataclasses.fields(self) if field.name in ("location", "scale")]
         return dataclasses.replace(self, **{name: getattr(self, name) / unit for name in names})
 
-    def support(self) -> tuple[float, float]:
-        """Open interval on which the density is positive."""
-        raise NotImplementedError
-
-    def _cdf(self, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def _log_pdf(self, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def _quantile(self, p: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
     def _evaluate(self, form, x):
         """``form(x)`` for ``x`` as a float array of at least one dimension; a float for a scalar ``x``.
 
@@ -193,6 +180,7 @@ class _GevForms(_EvdFamily):
     """The closed forms of :class:`GEV`, which :class:`Gumbel` shares as its shape-0 case."""
 
     def support(self) -> tuple[float, float]:
+        """Open interval on which the density is positive."""
         if not self.shape:
             return (-np.inf, np.inf)
         edge = self.location - self.scale / self.shape
@@ -275,6 +263,7 @@ class _LogGumbel(_EvdFamily):
     _logarithmic: ClassVar[bool] = True
 
     def support(self) -> tuple[float, float]:
+        """Open interval on which the density is positive."""
         return (self.location, np.inf)
 
     @classmethod

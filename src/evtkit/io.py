@@ -24,7 +24,7 @@ CHUNK_CELLS = 4096
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    """A labeled block-maxima series, optionally with one year per value."""
+    """A labeled block-maxima series, optionally with one year per value: whole numbers, strictly increasing."""
 
     label: str
     sample: Sample
@@ -32,12 +32,22 @@ class Dataset:
 
     def __post_init__(self):
         if self.years is not None:
-            years = tuple(int(y) for y in self.years)
+            years = tuple(map(_whole_year, self.years))
             if len(years) != self.sample.n:
                 raise DomainError("years and values must have the same length")
             if any(b <= a for a, b in zip(years, years[1:])):
                 raise DomainError("years must be strictly increasing")
             object.__setattr__(self, "years", years)
+
+
+def _whole_year(value) -> int:
+    """``value`` as an int; a DomainError naming it when it has a fractional part or is not finite."""
+    try:
+        if int(value) == value:
+            return int(value)
+    except (ValueError, OverflowError):  # int() of nan, of inf
+        pass
+    raise DomainError(f"year {value!r} is not a whole number")
 
 
 def _parses(parse, token: str) -> bool:

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, formats, and exit codes."""
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -207,10 +208,15 @@ class TestReturnLevelsCommand:
         assert labels[1:3] == ["1.5", "2.25"] and labels[-1] == "1e+14"
         assert_columns_kept(rows, len(labels[0]), (10,) * 4)  # the first column widens
 
-    def test_bad_periods_is_usage_error(self, data_file, capsys):
+    @pytest.mark.parametrize(
+        "periods, message",
+        [("50,5", "return periods must be strictly increasing"), ("5,abc", "could not parse periods '5,abc'")],
+    )
+    def test_bad_periods_is_usage_error(self, data_file, capsys, periods, message):
         with pytest.raises(SystemExit) as exc:
-            main(["return-levels", "--input", str(data_file), "--periods", "50,5"])
+            main(["return-levels", "--input", str(data_file), "--periods", periods])
         assert exc.value.code == EXIT_USAGE
+        assert capsys.readouterr().err.endswith(f"error: argument --periods: {message}\n")
 
     def test_period_too_large_for_its_probability_is_usage_error(self, capsys):
         args = ["return-levels", "--input", str(FIXTURE_FILE), "--dist", "gev", "--periods", "5,1e17"]
@@ -268,6 +274,13 @@ class TestReportCommand:
         code, out, err = run_main([command, "--input", str(path)], capsys)
         assert (code, out) == (EXIT_NUMERICAL, "")
         assert err == f"evtkit: error: no distribution family could be fitted: {reason}\n"
+
+    def test_no_converged_family_is_numerical_failure(self, monkeypatch, capsys):
+        search = functools.partial(evtkit.fitting._search, max_iterations=2)
+        monkeypatch.setattr(evtkit.fitting, "_search", search)
+        code, out, err = run_main(["report", "--input", str(FIXTURE_FILE)], capsys)
+        assert (code, out) == (EXIT_NUMERICAL, "")
+        assert err == "evtkit: error: no distribution family converged\n"
 
     def test_out_dir_writes_files(self, data_file, tmp_path, capsys):
         out_dir = tmp_path / "artifacts"
@@ -505,12 +518,16 @@ class TestSimulateCommand:
             )
         assert exc.value.code == EXIT_USAGE
 
-    def test_negative_seed_is_usage_error(self, tmp_path, capsys):
-        args = ["simulate", "--dist", "gev", "--params", "1,1,0", "--n", "5", "--seed", "-1"]
+    @pytest.mark.parametrize(
+        "option, value, message",
+        [("--seed", "-1", "value must be at least 0"), ("--n", "ten", "expected an integer, got 'ten'")],
+    )
+    def test_bad_count_or_seed_is_usage_error(self, tmp_path, capsys, option, value, message):
+        args = ["simulate", "--dist", "gev", "--params", "1,1,0", "--n", "5", option, value]
         with pytest.raises(SystemExit) as exc:
             main([*args, "--output", str(tmp_path / "x.csv")])
         assert exc.value.code == EXIT_USAGE
-        assert "at least 0" in capsys.readouterr().err
+        assert f"argument {option}: {message}\n" in capsys.readouterr().err
 
     def test_draws_beyond_the_float_range_print_only_the_error(self, tmp_path):
         # A numpy RuntimeWarning and its source line used to come before the error.

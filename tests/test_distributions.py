@@ -511,6 +511,8 @@ class TestParamRecords:
             params_from_sequence("gev", [1.0, 2.0])
         with pytest.raises(DomainError):
             make_params("normal", location=0.0, scale=1.0)
+        with pytest.raises(DomainError, match="missing the 'family' tag"):
+            params_from_dict({"location": 0.0, "scale": 1.0})
 
     def test_frechet_location_shifts_support(self):
         shifted = Frechet(3.37, 88.16, location=10.0)

@@ -172,12 +172,25 @@ class TestFitMle:
         b = fit_mle("gev", s)
         assert a == b
 
-    def test_fit_off_the_support_in_data_units_steps_back_onto_it(self):
+    @pytest.mark.parametrize(
+        "truth, n, seed, repaired",
+        [
+            (GEV(354.0139391349414, 29.210953233708477, -0.7875305151456555), 62, 1056949775, False),
+            (GEV(308.4371957958386, 15.509745280961493, -0.933174531481527), 113, 1159278094, True),
+        ],
+        ids=["on-the-support", "stepped-outward"],
+    )
+    def test_fit_off_the_support_in_data_units_steps_back_onto_it(self, truth, n, seed, repaired):
         # The search converges near shape -1 on standardized data; mapped back
-        # to data units, rounding puts the upper end of the support onto the
-        # maximum. One float outward keeps the fit; it was replaced by its start.
-        s = GEV(354.0139391349414, 29.210953233708477, -0.7875305151456555).sample(62, 1056949775)
-        fit = fit_mle("gev", s)
+        # to data units, rounding can put the upper end of the support onto the
+        # maximum, and the fit was then replaced by its start. Stepping the
+        # location outward keeps it. The first sample no longer lands there; the
+        # second does, on numpy's AVX2 and AVX-512 kernels alike, so the fitted
+        # GEV is evaluated again after the step.
+        s = truth.sample(n, seed)
+        with unittest.mock.patch.object(evtkit.fitting, "log_likelihood", wraps=log_likelihood) as evaluated:
+            fit = fit_mle("gev", s)
+        assert [type(c.args[0]) for c in evaluated.call_args_list].count(GEV) >= 1 + repaired
         assert fit.converged
         assert math.isfinite(fit.log_likelihood)
         assert fit.log_likelihood >= fit_mle("gumbel", s).log_likelihood
@@ -504,10 +517,13 @@ class TestUnitEquivariance:
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(k=st.integers(-300, 300))
     @example(k=200)
+    @example(k=187)
     def test_fit_at_the_shape_floor_follows_the_units_of_the_data(self, k):
-        # The search converges near shape -1. Mapped back to data units, the
-        # rounding of 1 + shape*z at the maximum needed more than the one float
-        # of location the repair moved, and the fit was replaced by its start.
+        # The search converges near shape -1. Mapped back to data units, rounding
+        # can put the upper end of the support onto the maximum, and the fit was
+        # then replaced by its start; the location now steps outward until the
+        # likelihood is finite. No drawn k needs the step; k = 187 needs it on
+        # numpy's AVX2 and AVX-512 kernels alike.
         s = Sample(FLOOR_SAMPLE * 10.0**k)
         fit = fit_mle("gev", s)
         assert fit.converged

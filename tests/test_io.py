@@ -1,5 +1,7 @@
 """CSV ingestion, dataset invariants, and simulated-file round trips."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -202,15 +204,22 @@ class TestLoadCsv:
 
 
 class TestDataset:
-    def test_years_must_match_length(self):
-        with pytest.raises(DomainError):
-            Dataset("x", Sample(np.array([1.0, 2.0])), years=(1990,))
-
-    def test_years_strictly_increasing(self):
-        with pytest.raises(DomainError):
-            Dataset("x", Sample(np.array([1.0, 2.0])), years=(1991, 1990))
-        with pytest.raises(DomainError):
-            Dataset("x", Sample(np.array([1.0, 2.0])), years=(1990, 1990))
+    @pytest.mark.parametrize(
+        "years, message",
+        [
+            ((1990,), "years and values must have the same length"),
+            ((1991, 1990), "years must be strictly increasing"),
+            ((1990, 1990), "years must be strictly increasing"),
+            # int() kept 1990 of 1990.7, and 1990.2, 1990.9 were not increasing.
+            ((1990.7, 1991.2), "year 1990.7 is not a whole number"),
+            ((1990.2, 1990.9), "year 1990.2 is not a whole number"),
+            ((1990, math.nan), "year nan is not a whole number"),
+            ((math.inf, 1991), "year inf is not a whole number"),
+        ],
+    )
+    def test_invalid_years_are_domain_errors(self, years, message):
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            Dataset("x", Sample(np.array([1.0, 2.0])), years=years)
 
 
 class TestWriteCsv:

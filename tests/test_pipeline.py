@@ -257,6 +257,12 @@ class TestEmitPlotData:
             return
         emit_plot_data(report, dataset, tmp_path)
 
+    def test_best_family_without_a_fit_is_a_numerical_error(self, tmp_path):
+        dataset = Dataset("with-negative", Sample(np.array([-1.0, 1.0, 2.0, 3.0, 5.0])))
+        report = dataclasses.replace(run_pipeline(dataset), best_family="weibull")
+        with pytest.raises(NumericalError, match="^no fitted parameters for family 'weibull'$"):
+            emit_plot_data(report, dataset, tmp_path)
+
     def test_period_next_to_one_draws_its_curve(self, synthetic_dataset, tmp_path):
         # (1 + p_max) / 2 rounds to 1 here; the curve falls back to p_max alone.
         p_max = math.nextafter(1.0, 2.0)

@@ -98,7 +98,7 @@ def _record_outputs(name: str, values) -> dict[str, bytes]:
     dataset = evtkit.Dataset(label=name, sample=evtkit.Sample(values))
     try:
         report = evtkit.run_pipeline(dataset)
-    except (ValueError, evtkit.NumericalError) as exc:  # evtkit's data and numerical errors
+    except (ValueError, evtkit.errors.NumericalError) as exc:  # evtkit's data and numerical errors
         return {f"{name}/error": f"{type(exc).__name__}: {exc}".encode()}
     outputs = {
         f"{name}/report.txt": evtkit.emit_report(report, "text").encode(),

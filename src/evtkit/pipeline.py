@@ -16,8 +16,6 @@ from .diagnostics import (
     anderson_darling,
     describe,
     plotting_positions,
-    probability_difference,
-    qq_series,
     select_best,
 )
 from .distributions import FAMILY_LABELS, Distribution, params_from_dict, params_to_dict
@@ -355,23 +353,23 @@ def emit_plot_data(report: AnalysisReport, dataset: Dataset, out_dir) -> dict[st
     """
     sample = dataset.sample
     x = sample.values
-    # Years stay Python ints: numpy would turn a mix of int64 and uint64 magnitudes to float.
-    years = np.array(dataset.years or range(1, sample.n + 1), dtype=object)
+    # Given years stay Python ints: numpy would turn a mix of int64 and uint64 magnitudes to float.
+    years = np.arange(1, sample.n + 1) if dataset.years is None else np.array(dataset.years, dtype=object)
     files = {"timeseries": ("year,value", [years, x])}
 
     unit = binary_unit(x)  # pad at the data's unit, then clip to the finite floats
     lo, hi = float(np.min(x)) / unit, float(np.max(x)) / unit
     margin, limit = PDF_GRID_MARGIN * (hi - lo), float(np.finfo(float).max) / unit
     grid = np.clip(np.linspace(lo - margin, hi + margin, PDF_GRID_POINTS), -limit, limit) * unit
-    # Columns that several files share are formatted once per chunk.
+    # One positions and one observed array serve every family: held once, formatted once per chunk.
     positions, observed = plotting_positions(sample.n), sample.sorted_values()
     for fit in report.fits:
         if fit.result is None:
             continue
         dist, family = fit.result.params, fit.family
         files[f"pdf_{family}"] = ("x,pdf", [grid, dist.pdf(grid)])
-        files[f"qq_{family}"] = ("p,theoretical,observed", [positions, qq_series(sample, dist).theoretical, observed])
-        files[f"prob_diff_{family}"] = ("x,diff", [observed, probability_difference(sample, dist).diff])
+        files[f"qq_{family}"] = ("p,theoretical,observed", [positions, dist.quantile(positions), observed])
+        files[f"prob_diff_{family}"] = ("x,diff", [observed, positions - dist.cdf(observed)])
 
     best_params = _params_for(report.fits, report.best_family)
     p_max = max(report.return_levels.periods)

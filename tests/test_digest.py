@@ -4,15 +4,31 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import pytest
+
 DIGEST_FILE = Path(__file__).resolve().parents[1] / "tools" / "digest.py"
 
 
-def test_a_record_that_cannot_be_fitted_is_one_error_entry(monkeypatch):
+@pytest.fixture
+def digest(monkeypatch):
     # Loading puts the checkout's src/ and perfbench/ first on sys.path; monkeypatch restores the old list.
     monkeypatch.setattr(sys, "path", list(sys.path))
     spec = importlib.util.spec_from_file_location("evtkit_digest", DIGEST_FILE)
-    digest = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(digest)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_a_record_that_cannot_be_fitted_is_one_error_entry(digest):
     assert digest._record_outputs("x", [1.0, 1.0, 1.0]) == {
         "x/error": b"NumericalError: no distribution family could be fitted: sample standard deviation is zero"
     }
+
+
+def test_the_line_break_file_loads_every_row(digest, tmp_path):
+    path = tmp_path / "line_breaks.csv"
+    path.write_bytes(digest.line_breaks_text().encode("utf-8"))
+    dataset = digest.evtkit.load_csv(path)
+    n = len(digest.LINE_BREAKS)
+    assert dataset.years == tuple(range(1950, 1950 + n))
+    assert dataset.sample.values.tolist() == [100.25 + 7 * i for i in range(n)]

@@ -1,13 +1,16 @@
 """CSV ingestion, dataset invariants, and simulated-file round trips."""
 
 import math
+from itertools import islice
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from evtkit import Dataset, Sample, load_csv, simulate_to_csv
+from evtkit import Dataset, Sample, io, load_csv, simulate_to_csv
 from evtkit.errors import DomainError, EmptyDatasetError, ParseError
 from evtkit.io import CHUNK_CELLS, write_csv
 
@@ -201,6 +204,110 @@ class TestLoadCsv:
         with pytest.raises(ParseError) as err:
             load_csv(f)
         assert err.value.row == 1
+
+
+# Every line break str.splitlines knows.
+LINE_BREAKS = ["\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+def _reference_load(path) -> Dataset:
+    """load_csv as one loop over ``text.splitlines()``, the whole text split at once."""
+    path = Path(path)
+    text = path.read_bytes().decode("utf-8").removeprefix("\ufeff")
+    lines = text.splitlines()
+    rows = (i for i, line in enumerate(lines) if line.strip())
+    first = next(rows, None)
+    if first is not None and not any(io._parses(float, cell) for cell in lines[first].split(",")):
+        first = next(rows, None)
+    if first is None:
+        raise EmptyDatasetError(f"no data rows in {path}")
+    n_columns = len(lines[first].split(","))
+    if n_columns not in (1, 2):
+        raise ParseError(first + 1, f"expected 1 or 2 columns, found {n_columns}")
+    years, values = [], []
+    error = None
+    for row, line in enumerate(lines[first:], first + 1):
+        try:
+            if n_columns == 1:
+                values.append(float(line))
+            else:
+                year, value = line.split(",")
+                years.append(int(year))
+                values.append(float(value))
+        except ValueError:
+            if line.strip():
+                error = io._row_error(line, row, n_columns)
+                break
+    array = np.array(values)
+    finite = np.isfinite(array)
+    if not finite.all():
+        data_rows = ((row, line) for row, line in enumerate(lines[first:], first + 1) if line.strip())
+        row, line = next(islice(data_rows, int(np.argmin(finite)), None))
+        raise ParseError(row, f"non-finite value {line.split(',')[-1].strip()!r}")
+    if error is not None:
+        raise error
+    return Dataset(label=path.stem, sample=Sample(array), years=tuple(years) if years else None)
+
+
+def _outcome(load, path):
+    """What ``load(path)`` gives: its label, value bits and years, or its exception's type and message."""
+    try:
+        ds = load(path)
+    except ValueError as exc:  # evtkit's data errors
+        return type(exc), str(exc)
+    return ds.label, ds.sample.values.tobytes(), ds.years
+
+
+ROWS_OF_KIND = {
+    "blank": st.sampled_from(["", " ", "\t", " \t  "]),
+    "header": st.sampled_from(["value", "year,value", "x"]),
+    "bad": st.sampled_from(["abc", "1,2,3", "x,1", "2.5,1", ",", "1_"]),
+    "non-finite": st.sampled_from(["nan", "inf", "-Infinity", "1e400", "3,nan", "4, inf "]),
+}
+
+
+@st.composite
+def messy_texts(draw):
+    """Numeric rows of one layout among blank, header, bad and non-finite rows, joined by any line breaks."""
+    two_columns = draw(st.booleans())
+    numeric = st.floats(allow_nan=False, allow_infinity=False).map(repr) | st.integers(-99, 99).map(str)
+    kinds = draw(st.lists(st.sampled_from(["numeric"] * 5 + ["blank"] * 2 + list(ROWS_OF_KIND)), max_size=12))
+    lines = []
+    for i, kind in enumerate(kinds):
+        if kind == "numeric":
+            value = draw(st.sampled_from(["{}", " {} "])).format(draw(numeric))
+            lines.append(f"{1900 + i},{value}" if two_columns else value)
+        else:
+            lines.append(draw(ROWS_OF_KIND[kind]))
+    breaks = draw(st.lists(st.sampled_from(LINE_BREAKS), min_size=len(lines), max_size=len(lines)))
+    bom = "\ufeff" if draw(st.booleans()) else ""
+    text = "".join(line + sep for line, sep in zip(lines, breaks))
+    return bom + (text[: -len(breaks[-1])] if lines and draw(st.booleans()) else text)
+
+
+class TestBlockReader:
+    """load_csv splits its text a block at a time, and reads it exactly as one split of the whole text."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(text=messy_texts(), block=st.integers(0, 6))
+    @example(text="1\x0c2\x0c3\n", block=1)
+    @example(text="1\u20282\u20283", block=1)
+    @example(text="1\r2\r3\r", block=1)
+    @example(text="year,value\r\n\r\n\r\n1,2\r\n2,3\r\n", block=2)
+    def test_matches_one_split_of_the_whole_text(self, tmp_path_factory, text, block):
+        f = tmp_path_factory.mktemp("blocks") / "series.csv"
+        f.write_bytes(text.encode("utf-8"))
+        expected = _outcome(_reference_load, f)
+        with mock.patch.object(io, "BLOCK_CHARS", block):
+            assert _outcome(load_csv, f) == expected
+
+    @pytest.mark.parametrize("text", ["1\x0c2\x0c3\n", "1\u20282\u20283", "1\r2\r3\r"])
+    def test_every_line_break_separates_rows(self, tmp_path, text):
+        f = tmp_path / "breaks.csv"
+        f.write_bytes(text.encode("utf-8"))
+        for block in (1, io.BLOCK_CHARS):
+            with mock.patch.object(io, "BLOCK_CHARS", block):
+                assert load_csv(f).sample.values.tolist() == [1.0, 2.0, 3.0]
 
 
 class TestDataset:

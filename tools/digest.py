@@ -21,7 +21,11 @@ compare output by output only when their heads match. The corpus:
 - the ``stations`` records of seeds 1 and 2, the ``long_record`` of seed 1,
   and the fixture times 10**k for k = -9..9 (the ``units`` scalings): for
   each, the text and JSON reports of ``run_pipeline`` and the plot files of
-  ``emit_plot_data``, or the error it raised.
+  ``emit_plot_data``, or the error it raised;
+- ``load_csv`` of the ``long_record`` of seed 1, written one value per line
+  as the benchmark writes it, and of a small ``year,value`` file with a BOM,
+  a header, blank rows and every line break ``str.splitlines`` knows: the
+  label, the bytes of the values and the years it returns.
 
 Each command's output is hashed together with its exit code and standard error.
 """
@@ -55,6 +59,7 @@ COMMANDS = ("fit", "gof", "return-levels", "report", "simulate")
 STEP_COMMANDS = ("fit", "gof", "return-levels")
 STATION_SEEDS = (1, 2)
 LONG_RECORD_SEED = 1
+LINE_BREAKS = ("\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
 
 
 def _sha(data: bytes) -> str:
@@ -120,9 +125,32 @@ def _records():
         yield f"units/1e{k}", base * 10.0**k
 
 
+def line_breaks_text() -> str:
+    """A ``year,value`` file with a BOM, a header, blank rows and each line break after one row."""
+    rows = "".join(
+        f"{1950 + i},{100.25 + 7 * i}{sep}" + (f" \t{sep}" if i % 3 == 0 else "") for i, sep in enumerate(LINE_BREAKS)
+    )
+    return "\ufeffyear,value\r\n\n" + rows
+
+
+def _reader_outputs() -> dict[str, bytes]:
+    """What ``load_csv`` returns for each file of its corpus: label, value bytes and years."""
+    outputs = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        long_record = Path(tmp, "long_record.csv")
+        inputs.write_values_csv(long_record, inputs.long_record(LONG_RECORD_SEED).values)
+        line_breaks = Path(tmp, "line_breaks.csv")
+        line_breaks.write_bytes(line_breaks_text().encode("utf-8"))
+        for name, path in ((f"long_record/{LONG_RECORD_SEED}", long_record), ("line_breaks", line_breaks)):
+            dataset = evtkit.load_csv(path)
+            head = f"{dataset.label}\n{dataset.years!r}\n".encode()
+            outputs[f"load_csv/{name}"] = head + dataset.sample.values.tobytes()
+    return outputs
+
+
 def digest() -> dict[str, str]:
     """sha256 of every output of the corpus, by name."""
-    outputs = _cli_outputs()
+    outputs = _cli_outputs() | _reader_outputs()
     for name, values in _records():
         outputs.update(_record_outputs(name, values))
     return {name: _sha(data) for name, data in sorted(outputs.items())}

@@ -104,23 +104,17 @@ class _EvdFamily:
             out = form(arr)
         return float(out[0]) if np.ndim(x) == 0 else out
 
-    def _log_pdf_without_nan(self, x):
-        # The closed forms give nan (inf - inf) at +-inf and at nan; fmax maps
-        # nan to -inf and keeps every other value, bit for bit.
-        out = self._log_pdf(x)
-        return np.fmax(out, -np.inf, out=out)
-
     def cdf(self, x):
         """Cumulative distribution function; 0 below and 1 above the support."""
         return self._evaluate(self._cdf, x)
 
     def log_pdf(self, x):
         """Natural log of the density; -inf wherever the density is zero, at +-inf and at nan."""
-        return self._evaluate(self._log_pdf_without_nan, x)
+        return self._evaluate(self._log_pdf, x)
 
     def pdf(self, x):
         """Probability density, evaluated in log space to avoid underflow; 0 at +-inf and at nan."""
-        return self._evaluate(lambda arr: np.exp(self._log_pdf_without_nan(arr)), x)
+        return self._evaluate(lambda arr: np.exp(self._log_pdf(arr)), x)
 
     def quantile(self, p):
         """Inverse cdf for p strictly inside (0, 1); a level beyond the float range is +-inf, with no warning.
@@ -157,23 +151,23 @@ class _EvdFamily:
 _TINY_SHAPE = 2.0**-970
 
 
-def _gumbel_limit(shape, u, general, z):
-    """``general``, a GEV form of u = shape*z over the shape, with ``z``, its shape-0 limit, wherever
-    |shape| < 2**-970 and u is 0, subnormal or nan: the form keeps few bits there, and z is exact."""
-    if -_TINY_SHAPE < shape < _TINY_SHAPE:
-        np.copyto(general, z, where=~(np.abs(u) >= sys.float_info.min))
-    return general
+def _gumbel_limit(shape, u, form, limit):
+    """``form / shape``, a GEV form of u = shape*z over the shape, into ``limit``, its shape-0 limit
+    from z, returned; ``limit`` is kept wherever |shape| < 2**-970 and u is 0, subnormal or nan: the
+    form keeps few bits there, and z is exact. At shape 0 no 0/0 is computed."""
+    general = not -_TINY_SHAPE < shape < _TINY_SHAPE or np.abs(u) >= sys.float_info.min
+    return np.divide(form, shape, limit, where=general)
 
 
 def _log_t(y, inverse_scale, shape, log_t, minus_w):
     """The GEV's log t = log1p(y * (shape*inverse_scale)) into ``log_t`` (which may be ``y``),
     and -w = log t / -shape into ``minus_w``, returned; z = y*inverse_scale and t = 1 + shape*z.
-    Below |shape| 2**-970, where shape*z is not a normal float, -w is -z (:func:`_gumbel_limit`)."""
+    Below |shape| 2**-970, shape 0 included, -w is -z wherever shape*z is not a normal float."""
     factor = shape * inverse_scale
     if not -_TINY_SHAPE < shape < _TINY_SHAPE:
         return np.divide(np.log1p(np.multiply(y, factor, log_t), log_t), -shape, minus_w)
-    u, minus_z = np.multiply(y, factor), np.multiply(y, -inverse_scale)
-    return _gumbel_limit(shape, u, np.divide(np.log1p(u, log_t), -shape, minus_w), minus_z)
+    u, minus_z = np.multiply(y, factor), np.multiply(y, -inverse_scale, minus_w)
+    return _gumbel_limit(-shape, u, np.log1p(u, log_t), minus_z)
 
 
 class _GevForms(_EvdFamily):
@@ -192,45 +186,38 @@ class _GevForms(_EvdFamily):
         # Clamping shape*z at -1 sends w to -inf (shape > 0) or +inf (shape < 0)
         # off the support, so the cdf saturates at 0 or 1 there.
         w = (x - self.location) / self.scale
-        if self.shape:
-            u = self.shape * w
-            w = _gumbel_limit(self.shape, u, np.log1p(np.maximum(u, -1.0)) / self.shape, w)
+        u = self.shape * w
+        w = _gumbel_limit(self.shape, u, np.log1p(np.maximum(u, -1.0)), w)
         # exp(-exp(-w)) in place: each new array of size n shows at n = 100 000.
         np.exp(np.negative(w, out=w), out=w)
         return np.exp(np.negative(w, out=w), out=w)
 
     @staticmethod
     def log_density(x, location, log_scale, shape=0.0):
-        """Log density; -inf off the support, where log1p(shape*z) is -inf or nan.
+        """Log density; -inf off the support, where log1p(shape*z) is -inf or nan, at +-inf and at nan.
 
-        At shape 0 it is the Gumbel's -log_scale - z - exp(-z), nan at x = -inf.
+        At shape 0 it is the Gumbel's -log_scale - z - exp(-z).
         """
         # In place, in two arrays: at n = 100 000 a new temporary per operation
         # costs more than the arithmetic, as the heap is trimmed and its pages
-        # re-faulted. w starts as z, its shape-0 limit; shape 0 skips log1p, so
-        # the Gumbel costs no more than its own formula would. Each ufunc takes
+        # re-faulted. At shape 0, lt is 0 and w is z, exactly. Each ufunc takes
         # its output by position, which parses faster than out=.
         a, b = np.empty(np.shape(x)), np.empty(np.shape(x))
         z = np.divide(np.subtract(x, location, a), np.exp(log_scale), a)
-        if shape:
-            _log_t(z, 1.0, shape, a, b)  # lt, -w
-            np.subtract(a, b, a)  # lt + w
-        else:
-            np.negative(z, b)
+        _log_t(z, 1.0, shape, a, b)  # lt, -w
+        np.subtract(a, b, a)  # lt + w
         np.exp(b, b)
         np.subtract(np.subtract(-log_scale, a, a), b, a)  # ((-log_scale) - (lt + w)) - exp(-w)
-        # At lt = -inf, and below it where lt is nan, the value is nan; fmax makes it -inf.
-        return np.fmax(a, -np.inf, a) if shape else a
+        # At lt = -inf, below it where lt is nan, and at x = +-inf or nan the value is nan; fmax makes it -inf.
+        return np.fmax(a, -np.inf, a)
 
     def _log_pdf(self, x):
         return self.log_density(x, self.location, math.log(self.scale), self.shape)
 
     def _quantile(self, p):
         y = -np.log(-np.log(p))
-        if self.shape:
-            u = self.shape * y
-            y = _gumbel_limit(self.shape, u, np.expm1(u) / self.shape, y)
-        return self.location + self.scale * y
+        u = self.shape * y
+        return self.location + self.scale * _gumbel_limit(self.shape, u, np.expm1(u), y)
 
     @classmethod
     def _gumbel_values(cls, x):
@@ -271,9 +258,10 @@ class _LogGumbel(_EvdFamily):
         return cls.sign * np.log(np.fmax(x, 0.0))
 
     def _log_pdf(self, x):
-        # The Jacobian adds -sign * w; off the support (and at nan) w is +-inf and the sum nan.
+        # The Jacobian adds -sign * w; off the support (and at nan) w is +-inf and the sum may be nan, made -inf.
         w = self._gumbel_values(x - self.location)
-        return Gumbel.log_density(w, self.sign * math.log(self.scale), -math.log(self.shape)) - self.sign * w
+        out = Gumbel.log_density(w, self.sign * math.log(self.scale), -math.log(self.shape))
+        return np.fmax(np.subtract(out, self.sign * w, out), -np.inf, out)
 
     @classmethod
     def _from_gumbel(cls, unit, location, scale):

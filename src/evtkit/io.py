@@ -141,7 +141,7 @@ def load_csv(path) -> Dataset:
     if error is not None:
         raise error
     del text  # before the dataset's copies are made
-    return Dataset(label=path.stem, sample=Sample(values), years=tuple(years) if years else None)
+    return Dataset(label=path.stem, sample=Sample(values), years=years or None)
 
 
 def _lines(text: str):

@@ -268,19 +268,27 @@ class TestGumbelCase:
             assert gev.quantile(p) == pytest.approx(gumbel.quantile(p), rel=1e-12)
             assert return_level(gev, 100.0) == pytest.approx(return_level(gumbel, 100.0), rel=1e-12)
 
+    # The textbook Gumbel expressions, against the GEV forms at shape 0 and at the smallest shapes.
     def test_log_density_is_gumbel_bit_for_bit(self):
         x = np.concatenate([np.linspace(-20000.0, 20000.0, 4001), [93.61, 1e300, -1e300]])
+        location, log_scale = 93.61, math.log(32.02)
         with np.errstate(over="ignore"):
-            gev = GEV.log_density(x, 93.61, math.log(32.02), 0.0)
-            gumbel = Gumbel.log_density(x, 93.61, math.log(32.02))
-        assert np.array_equal(gev, gumbel)
+            z = (x - location) / np.exp(log_scale)
+            expected = (-log_scale - z) - np.exp(-z)
+            for shape in (0.0, 5e-324, -5e-324):
+                assert np.array_equal(GEV.log_density(x, location, log_scale, shape), expected)
 
     def test_cdf_and_quantile_are_gumbel_bit_for_bit(self):
-        gev = GEV(93.61, 32.02, 0.0)
+        location, scale = 93.61, 32.02
         x = np.linspace(-20000.0, 20000.0, 4001)
-        assert np.array_equal(gev.cdf(x), GUMBEL_MM.cdf(x))
         p = np.concatenate([np.linspace(1e-6, 1.0 - 1e-6, 4001), [1e-300, 1.0 - 1e-16]])
-        assert np.array_equal(gev.quantile(p), GUMBEL_MM.quantile(p))
+        with np.errstate(over="ignore"):
+            cdf = np.exp(-np.exp(-((x - location) / scale)))
+        quantile = location + scale * -np.log(-np.log(p))
+        for shape in (0.0, 5e-324, -5e-324):
+            gev = GEV(location, scale, shape)
+            assert np.array_equal(gev.cdf(x), cdf)
+            assert np.array_equal(gev.quantile(p), quantile)
 
 
 def _reference_log_density(x, location, log_scale, shape=0.0):
@@ -320,11 +328,11 @@ class TestLogDensityWorkspace:
         with np.errstate(all="ignore"):
             expected = np.fmax(_reference_log_density(x, location, log_scale, shape), -np.inf)
             result = GEV.log_density(x, location, log_scale, shape)
-        assert not (shape and np.isnan(result).any())  # -inf off the support
-        assert np.fmax(result, -np.inf).tobytes() == expected.tobytes()
+        assert not np.isnan(result).any()  # -inf off the support, at +-inf and at nan, shape 0 included
+        assert result.tobytes() == expected.tobytes()
         with np.errstate(all="ignore"):
             scalar = GEV.log_density(values[0], location, log_scale, shape)
-        assert np.fmax(scalar, -np.inf).tobytes() == expected[:1].tobytes()
+        assert scalar.tobytes() == expected[:1].tobytes()
 
 
 _SHAPES = st.one_of(

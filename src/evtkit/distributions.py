@@ -151,23 +151,26 @@ class _EvdFamily:
 _TINY_SHAPE = 2.0**-970
 
 
-def _gumbel_limit(shape, u, form, limit):
+def _gumbel_limit(shape, form, limit):
     """``form / shape``, a GEV form of u = shape*z over the shape, into ``limit``, its shape-0 limit
-    from z, returned; ``limit`` is kept wherever |shape| < 2**-970 and u is 0, subnormal or nan: the
-    form keeps few bits there, and z is exact. At shape 0 no 0/0 is computed."""
-    general = not -_TINY_SHAPE < shape < _TINY_SHAPE or np.abs(u) >= sys.float_info.min
+    from z, returned; ``limit`` is kept wherever |shape| < 2**-970 and the form is 0, subnormal or
+    nan. log1p (of u >= -1) and expm1 keep 0, subnormals and nan and map a normal float to a normal
+    float or +-inf, so that is where u is: the form keeps few bits there, and z is exact. It is also
+    where log1p of u < -1 is nan. At shape 0 no 0/0 is computed."""
+    general = not -_TINY_SHAPE < shape < _TINY_SHAPE or np.abs(form) >= sys.float_info.min
     return np.divide(form, shape, limit, where=general)
 
 
 def _log_t(y, inverse_scale, shape, log_t, minus_w):
     """The GEV's log t = log1p(y * (shape*inverse_scale)) into ``log_t`` (which may be ``y``),
     and -w = log t / -shape into ``minus_w``, returned; z = y*inverse_scale and t = 1 + shape*z.
-    Below |shape| 2**-970, shape 0 included, -w is -z wherever shape*z is not a normal float."""
+    Below |shape| 2**-970, shape 0 included, -w is -z wherever log t is not a normal float; -z is
+    written first, so that log t goes straight into ``log_t``, with no array for shape*z."""
     factor = shape * inverse_scale
     if not -_TINY_SHAPE < shape < _TINY_SHAPE:
         return np.divide(np.log1p(np.multiply(y, factor, log_t), log_t), -shape, minus_w)
-    u, minus_z = np.multiply(y, factor), np.multiply(y, -inverse_scale, minus_w)
-    return _gumbel_limit(-shape, u, np.log1p(u, log_t), minus_z)
+    minus_z = np.multiply(y, -inverse_scale, minus_w)
+    return _gumbel_limit(-shape, np.log1p(np.multiply(y, factor, log_t), log_t), minus_z)
 
 
 class _GevForms(_EvdFamily):
@@ -184,11 +187,11 @@ class _GevForms(_EvdFamily):
 
     def _cdf(self, x):
         # Clamping shape*z at -1 sends w to -inf (shape > 0) or +inf (shape < 0)
-        # off the support, so the cdf saturates at 0 or 1 there.
-        w = (x - self.location) / self.scale
-        u = self.shape * w
-        w = _gumbel_limit(self.shape, u, np.log1p(np.maximum(u, -1.0)), w)
-        # exp(-exp(-w)) in place: each new array of size n shows at n = 100 000.
+        # off the support, so the cdf saturates at 0 or 1 there. The form goes over
+        # u and exp(-exp(-w)) over w: each new array of size n shows at n = 100 000.
+        z = (x - self.location) / self.scale
+        u = self.shape * z
+        w = _gumbel_limit(self.shape, np.log1p(np.maximum(u, -1.0, out=u), u), z)
         np.exp(np.negative(w, out=w), out=w)
         return np.exp(np.negative(w, out=w), out=w)
 
@@ -217,7 +220,7 @@ class _GevForms(_EvdFamily):
     def _quantile(self, p):
         y = -np.log(-np.log(p))
         u = self.shape * y
-        return self.location + self.scale * _gumbel_limit(self.shape, u, np.expm1(u), y)
+        return self.location + self.scale * _gumbel_limit(self.shape, np.expm1(u, u), y)
 
     @classmethod
     def _gumbel_values(cls, x):

@@ -31,7 +31,7 @@ are lanes of one (K, n) profile objective, so numpy's fixed cost per call,
 which dominates near n = 100, is paid once per step for all, and the GEV
 search is one lane. Each lane is its search alone, to the bit. Only a GEV
 evaluation below |shape| 2**-970, shape 0 included, allocates arrays the
-size of the data: shape*z, and the mask of where it is a normal float. A
+size of the data: |log t|, and the mask of where it is a normal float. A
 point that leaves an observation off the support has objective inf, the
 simplex's worst vertex. The reported log-likelihood is
 :func:`log_likelihood` of the parameters mapped back to data units. The

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import math
 import os
 import tempfile
 from array import array
 from contextlib import ExitStack, contextmanager, suppress
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -80,9 +81,10 @@ def load_csv(path) -> Dataset:
     is a number; one that mixes numbers and text is a data row, so its text
     cell is a ParseError. In a one-column file a single non-numeric cell is
     thus a header. Blank lines are ignored but keep their place in row
-    numbering. Of several bad rows, the first is reported. The text is split
-    into lines a block at a time, and the values go straight into a float
-    array: beside the file's text, loading keeps about 40 B per row.
+    numbering. The text is read in one pass, split into lines a block at a
+    time, and each bad row raises where it is read, so of several bad rows
+    the first is reported. The values go straight into a float array: beside
+    the file's text, loading keeps about 40 B per row.
 
     Raises
     ------
@@ -102,46 +104,40 @@ def load_csv(path) -> Dataset:
         row = len((exc.object[: exc.start].decode("utf-8") + "x").splitlines())
         raise ParseError(row, f"byte 0x{exc.object[exc.start]:02x} is not UTF-8") from None
 
-    # The first non-blank row, or the next one when the first is a header.
-    rows = ((row, line) for row, line in _lines(text) if line.strip())
-    first = next(rows, None)
+    # The first non-blank row, or the next one when the first is a header; the parse
+    # below continues the same lines, so the text is split once.
+    lines = _lines(text)
+    data_rows = ((row, line) for row, line in lines if line.strip())
+    first = next(data_rows, None)
     if first is not None and not any(_parses(float, cell) for cell in first[1].split(",")):
-        first = next(rows, None)
-    del rows  # with the block of lines it holds
+        first = next(data_rows, None)
     if first is None:
         raise EmptyDatasetError(f"no data rows in {path}")
-    first_row, n_columns = first[0], len(first[1].split(","))
+    n_columns = len(first[1].split(","))
     if n_columns not in (1, 2):
-        raise ParseError(first_row, f"expected 1 or 2 columns, found {n_columns}")
+        raise ParseError(first[0], f"expected 1 or 2 columns, found {n_columns}")
 
     # A row that int and float accept is valid: they strip the same blanks as
-    # str.strip. Any other row is blank or the error, and stops the loop.
+    # str.strip. Any other row is blank or the error, raised at once.
     years, values = [], array("d")
-    add_year, add_value = years.append, values.append
-    error = None
-    for row, line in islice(_lines(text), first_row - 1, None):
+    add_year, add_value, isfinite = years.append, values.append, math.isfinite
+    for row, line in chain([first], lines):
         try:
             if n_columns == 1:
-                add_value(float(line))
+                value = float(line)
             else:
                 year, value = line.split(",")
                 add_year(int(year))
-                add_value(float(value))
+                value = float(value)
         except ValueError:
             if line.strip():
-                error = _row_error(line, row, n_columns)
-                break
-    # Only the values before the first bad row were read, so a non-finite one among them wins.
-    values = np.frombuffer(values)
-    finite = np.isfinite(values)
-    if not finite.all():
-        data_rows = ((row, line) for row, line in islice(_lines(text), first_row - 1, None) if line.strip())
-        row, line = next(islice(data_rows, int(np.argmin(finite)), None))
-        raise ParseError(row, f"non-finite value {line.split(',')[-1].strip()!r}")
-    if error is not None:
-        raise error
+                raise _row_error(line, row, n_columns) from None
+            continue
+        if not isfinite(value):
+            raise ParseError(row, f"non-finite value {line.split(',')[-1].strip()!r}")
+        add_value(value)
     del text  # before the dataset's copies are made
-    return Dataset(label=path.stem, sample=Sample(values), years=years or None)
+    return Dataset(label=path.stem, sample=Sample(np.frombuffer(values)), years=years or None)
 
 
 def _lines(text: str):

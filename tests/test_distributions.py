@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import sys
 import warnings
 
 import mpmath
@@ -289,6 +290,34 @@ class TestGumbelCase:
             gev = GEV(location, scale, shape)
             assert np.array_equal(gev.cdf(x), cdf)
             assert np.array_equal(gev.quantile(p), quantile)
+
+
+_MIN = sys.float_info.min
+_FORM_EDGES = [0.0, -0.0, 5e-324, -5e-324, math.inf, -math.inf, math.nan]
+_FORM_EDGES += [-1.0, math.nextafter(-1.0, -2.0), math.nextafter(-1.0, 0.0)]
+_FORM_EDGES += [sign * m for sign in (1.0, -1.0) for m in (_MIN, math.nextafter(_MIN, 0), math.nextafter(_MIN, 1))]
+
+
+class TestFormsKeepNormality:
+    """The shape-0 limit is masked by the form of u = shape*z, which is a normal float where u is.
+
+    log1p and expm1 keep 0, subnormals and nan, and map a normal float to a normal float or +-inf;
+    log1p of u < -1 is nan. Each array is 64 floats long, so that numpy's vector loops run on it.
+    """
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(values=st.lists(st.floats(), min_size=1, max_size=64))
+    @example(values=_FORM_EDGES)
+    def test_log1p_and_expm1_are_normal_where_their_argument_is(self, values):
+        u = np.resize(np.array(values), 64)
+        normal = np.abs(u) >= _MIN
+        with np.errstate(all="ignore"):
+            for form in (np.log1p(np.maximum(u, -1.0)), np.expm1(u)):
+                assert np.array_equal(np.abs(form) >= _MIN, normal)
+            log1p = np.log1p(u)
+        above = u >= -1.0
+        assert np.array_equal(np.abs(log1p[above]) >= _MIN, normal[above])
+        assert np.isnan(log1p[u < -1.0]).all()
 
 
 def _reference_log_density(x, location, log_scale, shape=0.0):

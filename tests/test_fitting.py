@@ -28,7 +28,7 @@ from evtkit.errors import DegenerateSampleError, DomainError
 from evtkit.distributions import EULER_GAMMA
 from evtkit.fitting import _UNIT_SD_SCALE, _gev_objective
 from evtkit.sample import binary_unit, standardize
-from evtkit.simplex import nelder_mead
+from evtkit.simplex import SimplexResult, nelder_mead
 
 from conftest import GEV_MM, GUMBEL_MM, RAIN_MEAN, RAIN_SD
 
@@ -451,6 +451,20 @@ class TestUnitEquivariance:
         assert fit.log_likelihood == log_likelihood(fit.params, s)
         gev = {outcome.family: outcome for outcome in fit_all(s)}["gev"]
         assert gev.error is None and gev.result == fit
+
+    @pytest.mark.parametrize("family, point", [("gev", [0.0, 800.0, 0.1]), ("weibull", [1e308, 0.0])])
+    def test_search_point_beyond_data_units_reports_the_start(self, family, point):
+        # The search's value is finite, but mapping its point back overflows: math.exp of the GEV's
+        # log scale, or the Weibull's scale exp(-location), which is 0. The point has no record.
+        s = Sample(np.array([3.1, 4.7, 2.2, 5.9, 3.8]))
+        _, problem = evtkit.fitting._prepare(family, s)
+        cls, *units, init = problem
+        assert evtkit.fitting._unpack(cls, point, *units) is None
+        best = SimplexResult(np.array(point), 1.0, True, 17, 31)
+        fit = evtkit.fitting._finish(problem, best, best.x, s)
+        assert fit.params == fit.initial_params == init
+        assert (fit.converged, fit.iterations, fit.n_evaluations) == (False, 17, 31)
+        assert math.isfinite(fit.log_likelihood) and fit.log_likelihood == log_likelihood(init, s)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("sign", [-1.0, 1.0])

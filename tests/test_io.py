@@ -294,6 +294,8 @@ class TestBlockReader:
     @example(text="1\u20282\u20283", block=1)
     @example(text="1\r2\r3\r", block=1)
     @example(text="year,value\r\n\r\n\r\n1,2\r\n2,3\r\n", block=2)
+    @example(text="1\ninf\nabc\n", block=1)  # row 2: non-finite 'inf'
+    @example(text="1\nabc\ninf\n", block=1)  # row 2: could not parse 'abc'
     def test_matches_one_split_of_the_whole_text(self, tmp_path_factory, text, block):
         f = tmp_path_factory.mktemp("blocks") / "series.csv"
         f.write_bytes(text.encode("utf-8"))

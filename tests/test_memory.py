@@ -1,10 +1,11 @@
-"""Traced memory of loading a long record and writing its plot files, per row of the record."""
+"""Traced memory of loading a long record and writing its plot files, per row, and of the GEV forms."""
 
 import tracemalloc
 
+import numpy as np
 import pytest
 
-from evtkit import emit_plot_data, load_csv, run_pipeline, simulate_to_csv
+from evtkit import GEV, Gumbel, emit_plot_data, load_csv, run_pipeline, simulate_to_csv
 
 from conftest import GEV_MM
 
@@ -38,3 +39,20 @@ def test_plot_data_holds_one_chunk_of_cells(record, tmp_path):
     # Every float column at once (8 B a row each), and the cell strings of one chunk of rows.
     _, dataset, report = record
     assert _peak_bytes_per_row(lambda: emit_plot_data(report, dataset, tmp_path)) <= 200
+
+
+@pytest.mark.parametrize("dist", [Gumbel(100.0, 30.0), GEV(100.0, 30.0, 5e-324), GEV(100.0, 30.0, 0.1)])
+@pytest.mark.parametrize("method", ["cdf", "quantile", "log_pdf"])
+def test_gev_forms_keep_few_arrays_of_the_data(dist, method):
+    # The form of shape*z is made in place of shape*z; below |shape| 2**-970 the shape-0
+    # limit's mask (|form| and its bools) comes on top, for 3.1 arrays at most.
+    n = 100_000
+    data = np.linspace(1e-6, 1.0 - 1e-6, n) if method == "quantile" else np.linspace(-100.0, 500.0, n)
+    call = getattr(dist, method)
+    tracemalloc.start()
+    try:
+        call(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * 8 * n

@@ -48,7 +48,6 @@ from .pipeline import (
     AnalysisReport,
     emit_plot_data,
     emit_report,
-    report_from_dict,
     report_to_dict,
     run_pipeline,
 )
@@ -107,7 +106,6 @@ __all__ = [
     "plotting_positions",
     "probability_difference",
     "qq_series",
-    "report_from_dict",
     "report_to_dict",
     "return_curve",
     "return_level",

@@ -22,7 +22,7 @@ from typing import ClassVar, Union, get_args
 import numpy as np
 
 from .errors import DomainError
-from .sample import Sample
+from .sample import Sample, whole_number
 
 __all__ = [
     "Gumbel",
@@ -132,10 +132,12 @@ class _EvdFamily:
     def sample(self, n: int, seed: int) -> Sample:
         """Inverse-transform sample of size ``n`` from a seeded uniform stream.
 
-        The same seed (>= 0) always produces the same values on a given platform.
-        A draw beyond the float range is a DomainError naming the record and the seed.
+        ``n`` and ``seed`` are whole numbers: ints, or floats with no fractional
+        part. The same seed (>= 0) always produces the same values on a given
+        platform. A draw beyond the float range is a DomainError naming the
+        record and the seed.
         """
-        n = int(n)
+        n, seed = whole_number(n, "sample size"), whole_number(seed, "seed")
         if n < 1:
             raise DomainError("sample size must be at least 1")
         if seed < 0:
@@ -156,8 +158,10 @@ def _gumbel_limit(shape, form, limit):
     from z, returned; ``limit`` is kept wherever |shape| < 2**-970 and the form is 0, subnormal or
     nan. log1p (of u >= -1) and expm1 keep 0, subnormals and nan and map a normal float to a normal
     float or +-inf, so that is where u is: the form keeps few bits there, and z is exact. It is also
-    where log1p of u < -1 is nan. At shape 0 no 0/0 is computed."""
-    general = not -_TINY_SHAPE < shape < _TINY_SHAPE or np.abs(form) >= sys.float_info.min
+    where log1p of u < -1 is nan. At shape 0 no 0/0 is computed. The mask is two comparisons of the
+    form, one byte per value each, with no float array for |form|."""
+    tiny = sys.float_info.min
+    general = not -_TINY_SHAPE < shape < _TINY_SHAPE or (form >= tiny) | (form <= -tiny)
     return np.divide(form, shape, limit, where=general)
 
 
@@ -220,7 +224,8 @@ class _GevForms(_EvdFamily):
     def _quantile(self, p):
         y = -np.log(-np.log(p))
         u = self.shape * y
-        return self.location + self.scale * _gumbel_limit(self.shape, np.expm1(u, u), y)
+        w = _gumbel_limit(self.shape, np.expm1(u, u), y)
+        return np.add(np.multiply(w, self.scale, w), self.location, w)
 
     @classmethod
     def _gumbel_values(cls, x):

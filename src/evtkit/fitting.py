@@ -30,10 +30,10 @@ takes the lanes' points as lists: the Gumbel-type searches of one sample
 are lanes of one (K, n) profile objective, so numpy's fixed cost per call,
 which dominates near n = 100, is paid once per step for all, and the GEV
 search is one lane. Each lane is its search alone, to the bit. Only a GEV
-evaluation below |shape| 2**-970, shape 0 included, allocates arrays the
-size of the data: |log t|, and the mask of where it is a normal float. A
-point that leaves an observation off the support has objective inf, the
-simplex's worst vertex. The reported log-likelihood is
+evaluation below |shape| 2**-970, shape 0 included, allocates arrays of
+the data's length, each of one byte per value: the masks of where log t is
+a normal float. A point that leaves an observation off the support has
+objective inf, the simplex's worst vertex. The reported log-likelihood is
 :func:`log_likelihood` of the parameters mapped back to data units. The
 search has no settings: it runs to the simplex's fixed tolerance or its
 budget of 10 000 iterations.

@@ -15,7 +15,7 @@ import numpy as np
 
 from .distributions import Distribution
 from .errors import DomainError, EmptyDatasetError, ParseError
-from .sample import Sample
+from .sample import Sample, whole_number
 
 __all__ = ["Dataset", "load_csv", "simulate_to_csv", "write_text_atomic"]
 
@@ -35,22 +35,12 @@ class Dataset:
 
     def __post_init__(self):
         if self.years is not None:
-            years = tuple(map(_whole_year, self.years))
+            years = tuple(whole_number(year, "year") for year in self.years)
             if len(years) != self.sample.n:
                 raise DomainError("years and values must have the same length")
             if any(b <= a for a, b in zip(years, years[1:])):
                 raise DomainError("years must be strictly increasing")
             object.__setattr__(self, "years", years)
-
-
-def _whole_year(value) -> int:
-    """``value`` as an int; a DomainError naming it when it has a fractional part or is not finite."""
-    try:
-        if int(value) == value:
-            return int(value)
-    except (ValueError, OverflowError):  # int() of nan, of inf
-        pass
-    raise DomainError(f"year {value!r} is not a whole number")
 
 
 def _parses(parse, token: str) -> bool:

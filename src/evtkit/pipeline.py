@@ -18,9 +18,9 @@ from .diagnostics import (
     plotting_positions,
     select_best,
 )
-from .distributions import FAMILY_LABELS, Distribution, params_from_dict, params_to_dict
+from .distributions import FAMILY_LABELS, Distribution, params_to_dict
 from .errors import NumericalError, UnsupportedFormatError
-from .fitting import FitOutcome, FitResult, fit_all
+from .fitting import FitOutcome, fit_all
 from .io import Dataset, write_csv
 from .returns import ReturnLevelTable, ReturnSpec, return_curve, return_level_table
 from .sample import Sample, binary_unit
@@ -31,7 +31,6 @@ __all__ = [
     "emit_report",
     "emit_plot_data",
     "report_to_dict",
-    "report_from_dict",
     "fit_outcome_to_dict",
     "gof_to_dict",
     "return_levels_to_dict",
@@ -160,53 +159,6 @@ def gof_to_dict(gof: GofResult | None) -> dict | None:
 def return_levels_to_dict(table: ReturnLevelTable) -> list[dict]:
     """Plain-dict form of a return-level table: one ``{"period", "level"}`` entry per period, None for an inf level."""
     return [{"period": period, "level": _finite_or_none(level)} for period, level in table.entries]
-
-
-# Descriptive statistics that are never NaN for n >= 2, only inf past the float range.
-_MAGNITUDES = frozenset({"range", "variance", "std_dev", "std_error"})
-
-
-def report_from_dict(data: dict) -> AnalysisReport:
-    """Rebuild a report from :func:`report_to_dict` output (exact round trip).
-
-    A ``None`` range, variance, standard deviation or standard error reads
-    back as inf, the one non-finite value each takes for n >= 2 (past the
-    float range); any other ``None`` descriptive statistic reads back as NaN,
-    as the sample does not define it. A ``None`` return level reads back as
-    inf and a ``None`` log-likelihood as -inf, the non-finite values that each
-    can take.
-    """
-    descriptive = {
-        name: (math.inf if name in _MAGNITUDES else math.nan) if value is None else value
-        for name, value in data["descriptive"].items()
-    }
-    return AnalysisReport(
-        descriptive=DescriptiveStats(**descriptive),
-        fits=tuple(_fit_from_dict(entry) for entry in data["fits"]),
-        gofs=tuple(None if g is None else GofResult(**g) for g in data["gof"]),
-        best_family=data["best_family"],
-        return_levels=ReturnLevelTable(
-            entries=tuple(
-                (float(row["period"]), math.inf if row["level"] is None else float(row["level"]))
-                for row in data["return_levels"]
-            )
-        ),
-    )
-
-
-def _fit_from_dict(entry: dict) -> FitOutcome:
-    if entry.get("fit") is None:
-        return FitOutcome(family=entry["family"], error=entry.get("error"))
-    payload = entry["fit"]
-    result = FitResult(
-        params=params_from_dict(payload["params"]),
-        log_likelihood=-math.inf if payload["log_likelihood"] is None else float(payload["log_likelihood"]),
-        converged=bool(payload["converged"]),
-        iterations=int(payload["iterations"]),
-        n_evaluations=int(payload["n_evaluations"]),
-        initial_params=params_from_dict(payload["initial_params"]),
-    )
-    return FitOutcome(family=entry["family"], result=result)
 
 
 # --- report formatting ------------------------------------------------------

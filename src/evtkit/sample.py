@@ -50,6 +50,16 @@ class Sample:
         return f"Sample(n={self.n})"
 
 
+def whole_number(value, name: str) -> int:
+    """``value`` as an int; a DomainError naming ``name`` and the value when it is not a whole number."""
+    try:
+        if int(value) == value:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):  # int() of None, of nan, of inf
+        pass
+    raise DomainError(f"{name} {value!r} is not a whole number")
+
+
 def binary_unit(values: np.ndarray, *, logarithmic: bool = False) -> float:
     """The power-of-two unit u of ``values``: 2**(e-1) for the ``frexp`` exponent e of the largest magnitude.
 

@@ -1,5 +1,7 @@
 """Shared fixtures: reference parameter sets and independent oracles."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -58,3 +60,12 @@ def empirical_cdf_sup_distance(values, dist):
     upper = np.max(np.abs(np.arange(1, n + 1) / n - f))
     lower = np.max(np.abs(np.arange(0, n) / n - f))
     return max(upper, lower)
+
+
+def strict_json(text):
+    """``text`` parsed as strict JSON: a ValueError on ``Infinity``, ``-Infinity`` or ``NaN``."""
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=reject)

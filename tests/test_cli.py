@@ -20,14 +20,13 @@ from evtkit import (
     emit_plot_data,
     emit_report,
     load_csv,
-    report_from_dict,
     report_to_dict,
     run_pipeline,
     simulate_to_csv,
 )
 from evtkit.cli import EXIT_DATA, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, build_parser, main
 
-from conftest import GEV_MM
+from conftest import GEV_MM, strict_json
 
 FIXTURE_FILE = Path(__file__).resolve().parents[1] / "data" / "synthetic_annual_maxima.csv"
 
@@ -316,11 +315,7 @@ class TestReportCommand:
         simulate_to_csv(GEV(100.0, 20.0, -0.6), 15, 0, path)
         code, out, _ = run_main(["report", "--input", str(path), "--format", "json"], capsys)
         assert code == EXIT_OK
-
-        def reject(constant):
-            raise ValueError(f"{constant} is not JSON")
-
-        doc = json.loads(out, parse_constant=reject)
+        doc = strict_json(out)
         gev = next(entry["fit"] for entry in doc["fits"] if entry["family"] == "gev")
         assert gev["params"]["shape"] > -1.0
 
@@ -330,16 +325,10 @@ class TestReportCommand:
         path.write_text("10\n12\n15\n")
         code, out, _ = run_main(["report", "--input", str(path), "--format", "json"], capsys)
         assert code == EXIT_OK
-
-        def reject(constant):
-            raise ValueError(f"{constant} is not JSON")
-
-        doc = json.loads(out, parse_constant=reject)
+        doc = strict_json(out)
         assert doc["descriptive"]["excess_kurtosis"] is None
         assert math.isfinite(doc["descriptive"]["skewness"])
-        descriptive = report_from_dict(doc).descriptive
-        assert math.isnan(descriptive.excess_kurtosis)
-        assert descriptive.skewness == doc["descriptive"]["skewness"]
+        assert doc == report_to_dict(run_pipeline(load_csv(path)))
 
     def test_json_writes_statistics_past_the_float_range_as_null(self, tmp_path, capsys):
         # The variance of these values is inf; it was written as Infinity, which is not JSON.
@@ -347,13 +336,9 @@ class TestReportCommand:
         path.write_text("1e200\n2e200\n3e200\n4e200\n4.2e200\n")
         code, out, _ = run_main(["report", "--input", str(path), "--format", "json"], capsys)
         assert code == EXIT_OK
-
-        def reject(constant):
-            raise ValueError(f"{constant} is not JSON")
-
-        doc = json.loads(out, parse_constant=reject)
+        doc = strict_json(out)
         assert doc["descriptive"]["variance"] is None
-        assert report_from_dict(doc) == run_pipeline(load_csv(path))
+        assert doc == report_to_dict(run_pipeline(load_csv(path)))
 
     @pytest.mark.parametrize("command", ["report", "fit", "return-levels"])
     def test_json_writes_levels_past_the_float_range_as_null(self, tmp_path, capsys, command):
@@ -364,14 +349,10 @@ class TestReportCommand:
         path.write_text("".join(f"{value!r}\n" for value in values.tolist()))
         code, out, _ = run_main([command, "--input", str(path), "--format", "json"], capsys)
         assert code == EXIT_OK
-
-        def reject(constant):
-            raise ValueError(f"{constant} is not JSON")
-
-        doc = json.loads(out, parse_constant=reject)
+        doc = strict_json(out)
         if command == "report":
             assert None in [row["level"] for row in doc["return_levels"]]
-            assert report_from_dict(doc) == run_pipeline(load_csv(path))
+            assert doc == report_to_dict(run_pipeline(load_csv(path)))
         elif command == "return-levels":
             assert None in [row["level"] for table in doc["return_levels"] for row in table["entries"]]
 

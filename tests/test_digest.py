@@ -32,3 +32,11 @@ def test_the_line_break_file_loads_every_row(digest, tmp_path):
     n = len(digest.LINE_BREAKS)
     assert dataset.years == tuple(range(1950, 1950 + n))
     assert dataset.sample.values.tolist() == [100.25 + 7 * i for i in range(n)]
+
+
+def test_each_simulate_entry_is_the_exit_code_and_the_file(digest):
+    outputs = digest._simulate_outputs()
+    assert sorted(outputs) == [f"cli/simulate/{family}" for family in sorted(digest.SIMULATE_PARAMS)]
+    for data in outputs.values():
+        head, *rows = data.decode().splitlines()
+        assert head == "exit 0" and len(rows) == 51

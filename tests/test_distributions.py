@@ -444,11 +444,26 @@ class TestSampling:
         assert np.all(values > lo) and np.all(values < hi)
 
     def test_zero_size_rejected(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="^sample size must be at least 1$"):
             GEV_MM.sample(0, 1)
 
+    @pytest.mark.parametrize(
+        "n, seed, message",
+        [
+            (3.7, 1, r"^sample size 3\.7 is not a whole number$"),
+            (None, 1, "^sample size None is not a whole number$"),
+            (3, 1.5, r"^seed 1\.5 is not a whole number$"),
+        ],
+    )
+    def test_fractional_size_or_seed_rejected(self, n, seed, message):
+        with pytest.raises(DomainError, match=message):
+            GEV_MM.sample(n, seed)
+
+    def test_whole_float_size_and_seed_accepted(self):
+        assert np.array_equal(GEV_MM.sample(3.0, 2.0).values, GEV_MM.sample(3, 2).values)
+
     def test_negative_seed_rejected(self):
-        with pytest.raises(DomainError, match="seed"):
+        with pytest.raises(DomainError, match="^seed must be at least 0, got -1$"):
             GEV_MM.sample(5, -1)
 
     def test_draws_beyond_the_float_range_name_the_record_and_seed(self):

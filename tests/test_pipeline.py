@@ -9,11 +9,12 @@ import pytest
 
 from evtkit import (
     Dataset,
+    Distribution,
     ReturnSpec,
     Sample,
     emit_plot_data,
     emit_report,
-    report_from_dict,
+    params_from_dict,
     report_to_dict,
     run_pipeline,
 )
@@ -28,7 +29,7 @@ from evtkit.pipeline import (
 )
 from evtkit.returns import ReturnLevelTable, return_curve
 
-from conftest import GEV_MM
+from conftest import GEV_MM, strict_json
 
 
 @pytest.fixture(scope="module")
@@ -39,6 +40,49 @@ def synthetic_dataset():
 @pytest.fixture(scope="module")
 def report(synthetic_dataset):
     return run_pipeline(synthetic_dataset)
+
+
+def _with_a_failed_family():
+    # Frechet and Weibull cannot be fitted below 0.
+    rng = np.random.default_rng(14)
+    return run_pipeline(Dataset("neg", Sample(np.concatenate([[-10.0], rng.gumbel(100.0, 20.0, 199)]))))
+
+
+def _past_the_float_range(report):
+    """``report`` with a first log-likelihood of -inf and a last return level of inf."""
+    first = report.fits[0]
+    fits = (dataclasses.replace(first, result=dataclasses.replace(first.result, log_likelihood=-math.inf)),)
+    *entries, (period, _) = report.return_levels.entries
+    return dataclasses.replace(
+        report,
+        fits=fits + report.fits[1:],
+        return_levels=ReturnLevelTable(entries=(*entries, (period, math.inf))),
+    )
+
+
+# Reports that hold each kind of entry: all finite, failed families, a log-likelihood of -inf
+# and a level of inf, a range of inf, and an undefined coefficient of variation and kurtosis.
+EDGE_REPORTS = {
+    "finite": lambda report: report,
+    "failed_family": lambda report: _with_a_failed_family(),
+    "past_the_float_range": _past_the_float_range,
+    "wide": lambda report: run_pipeline(Dataset("wide", Sample(np.array([1e308, -1e308, 5e307])))),
+    "tiny_mean": lambda report: run_pipeline(Dataset("tiny_mean", Sample(np.array([1.0, -1.0, 3e-320])))),
+}
+
+
+def _assert_section(section: dict, record) -> None:
+    """``section`` holds every field of the dataclass ``record``: each parameter record as the
+    dict that rebuilds it, each other value equal, and null exactly where a number is not finite."""
+    assert set(section) == {field.name for field in dataclasses.fields(record)}
+    for name, value in section.items():
+        expected = getattr(record, name)
+        if isinstance(expected, Distribution):
+            assert params_from_dict(value) == expected
+        elif isinstance(expected, float) and not math.isfinite(expected):
+            assert value is None
+        else:
+            assert value is not None and value == expected
 
 
 class TestRunPipeline:
@@ -65,10 +109,7 @@ class TestRunPipeline:
         assert run_pipeline(synthetic_dataset) == report
 
     def test_partial_family_failure_recorded(self):
-        rng = np.random.default_rng(14)
-        values = np.concatenate([[-10.0], rng.gumbel(100.0, 20.0, 199)])
-        ds = Dataset("with-negative", Sample(values))
-        r = run_pipeline(ds)
+        r = _with_a_failed_family()
         by_family = {f.family: f for f in r.fits}
         assert by_family["frechet"].error is not None
         assert by_family["weibull"].error is not None
@@ -93,15 +134,11 @@ class TestEmitReport:
         assert "Return levels" in text
 
     def test_text_failed_family_shows_error(self):
-        rng = np.random.default_rng(14)
-        ds = Dataset("neg", Sample(np.concatenate([[-10.0], rng.gumbel(100.0, 20.0, 199)])))
-        text = emit_report(run_pipeline(ds), "text")
+        text = emit_report(_with_a_failed_family(), "text")
         assert "ERROR" in text
 
     def test_json_round_trip_equality(self, report):
-        blob = emit_report(report, "json")
-        rebuilt = report_from_dict(json.loads(blob))
-        assert rebuilt == report
+        assert strict_json(emit_report(report, "json")) == report_to_dict(report)
 
     def test_json_top_level_keys(self, report):
         doc = json.loads(emit_report(report, "json"))
@@ -114,7 +151,7 @@ class TestEmitReport:
         assert set(doc) == {"descriptive", "fits", "gof", "best_family", "return_levels"}
         fields = {"params", "log_likelihood", "converged", "iterations", "n_evaluations", "initial_params"}
         assert [set(entry["fit"]) for entry in doc["fits"]] == [fields] * 4
-        assert report_from_dict(doc) == report
+        assert doc == report_to_dict(report)
 
     # Seed 3 is a sample on which a search from the moment start used to beat
     # the one from the Gumbel anchor; seed 1 one on which the anchor won. The
@@ -130,49 +167,63 @@ class TestEmitReport:
                   "scale": gumbel["params"]["scale"], "shape": 0.0}
         assert gev["initial_params"] == anchor
         assert gev["log_likelihood"] >= gumbel["log_likelihood"]
-        assert report_from_dict(doc) == report
+        assert doc == report_to_dict(report)
 
-    def test_dict_round_trip_without_json(self, report):
-        assert report_from_dict(report_to_dict(report)) == report
+    @pytest.mark.parametrize("kind", EDGE_REPORTS)
+    def test_dict_holds_every_field_of_the_report(self, report, kind):
+        report = EDGE_REPORTS[kind](report)
+        doc = report_to_dict(report)
+        assert set(doc) == {"descriptive", "fits", "gof", "best_family", "return_levels"}
+        _assert_section(doc["descriptive"], report.descriptive)
+        assert len(doc["fits"]) == len(doc["gof"]) == len(report.fits) == len(report.gofs)
+        for entry, gof_entry, fit, gof in zip(doc["fits"], doc["gof"], report.fits, report.gofs):
+            assert set(entry) == {"family", "error", "fit"}
+            assert (entry["family"], entry["error"]) == (fit.family, fit.error)
+            if fit.result is None:
+                assert entry["fit"] is None
+            else:
+                _assert_section(entry["fit"], fit.result)
+            if gof is None:
+                assert gof_entry is None
+            else:
+                _assert_section(gof_entry, gof)
+        assert doc["best_family"] == report.best_family
+        levels = [level if math.isfinite(level) else None for _, level in report.return_levels.entries]
+        assert doc["return_levels"] == [
+            {"period": period, "level": level} for period, level in zip(report.return_levels.periods, levels)
+        ]
 
     def test_round_trip_with_error_entries(self):
-        rng = np.random.default_rng(14)
-        ds = Dataset("neg", Sample(np.concatenate([[-10.0], rng.gumbel(100.0, 20.0, 199)])))
-        partial = run_pipeline(ds)
-        assert report_from_dict(json.loads(emit_report(partial, "json"))) == partial
+        partial = _with_a_failed_family()
+        doc = strict_json(emit_report(partial, "json"))
+        assert [entry["fit"] is None for entry in doc["fits"]] == [False, True, True, False]
+        assert doc == report_to_dict(partial)
 
     def test_json_round_trip_past_the_float_range(self, report):
         # A level of inf and a log-likelihood of -inf were written as Infinity and -Infinity.
-        def reject(constant):
-            raise ValueError(f"{constant} is not JSON")
-
-        first = report.fits[0]
-        fits = (dataclasses.replace(first, result=dataclasses.replace(first.result, log_likelihood=-math.inf)),)
-        *entries, (period, _) = report.return_levels.entries
-        beyond = dataclasses.replace(
-            report,
-            fits=fits + report.fits[1:],
-            return_levels=ReturnLevelTable(entries=(*entries, (period, math.inf))),
-        )
-        doc = json.loads(emit_report(beyond, "json"), parse_constant=reject)
+        beyond = _past_the_float_range(report)
+        doc = strict_json(emit_report(beyond, "json"))
         assert doc["fits"][0]["fit"]["log_likelihood"] is None
         assert doc["return_levels"][-1]["level"] is None
-        assert report_from_dict(doc) == beyond
+        assert doc == report_to_dict(beyond)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_json_round_trip_of_magnitudes_past_the_float_range(self):
-        # The range of inf was written as null and read back as NaN.
         wide = run_pipeline(Dataset("wide", Sample(np.array([1e308, -1e308, 5e307]))))
         assert wide.descriptive.range == math.inf
-        assert report_from_dict(json.loads(emit_report(wide, "json"))) == wide
+        doc = strict_json(emit_report(wide, "json"))
+        assert doc["descriptive"]["range"] is None
+        assert doc == report_to_dict(wide)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("values", [[1.0, -1.0, 3e-320], [-1.0, 1.0, -3e-320]])
     def test_json_round_trip_of_a_coefficient_of_variation_past_the_float_range(self, values):
-        # 100 * sd / mean overflowed to inf or -inf, which was written as null and read back as NaN.
+        # 100 * sd / mean overflows to inf or -inf, which the sample leaves undefined: NaN.
         report = run_pipeline(Dataset("tiny_mean", Sample(np.array(values))))
         assert math.isnan(report.descriptive.coef_variation_pct)
-        assert report_from_dict(json.loads(emit_report(report, "json"))) == report
+        doc = strict_json(emit_report(report, "json"))
+        assert doc["descriptive"]["coef_variation_pct"] is None
+        assert doc == report_to_dict(report)
 
     def test_unknown_format(self, report):
         with pytest.raises(UnsupportedFormatError):

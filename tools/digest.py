@@ -18,6 +18,9 @@ compare output by output only when their heads match. The corpus:
 - ``fit``, ``gof`` and ``return-levels`` on the fixture, with each ``--dist``
   and ``--format``;
 - ``--help`` of the program and of each command;
+- ``simulate --n 51 --seed 22`` of each family, at the fixture's fitted
+  parameters (the Frechet's moved to location 10): the exit code and the
+  written file, not standard output, which names the file's temporary path;
 - the ``stations`` records of seeds 1 and 2, the ``long_record`` of seed 1,
   and the fixture times 10**k for k = -9..9 (the ``units`` scalings): for
   each, the text and JSON reports of ``run_pipeline`` and the plot files of
@@ -59,6 +62,12 @@ COMMANDS = ("fit", "gof", "return-levels", "report", "simulate")
 STEP_COMMANDS = ("fit", "gof", "return-levels")
 STATION_SEEDS = (1, 2)
 LONG_RECORD_SEED = 1
+SIMULATE_PARAMS = {
+    "gev": "92.41,30.85,0.06",
+    "gumbel": "93.61,32.02",
+    "frechet": "3.37,88.16,10",
+    "weibull": "3.34,122.27",
+}
 LINE_BREAKS = ("\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
 
 
@@ -95,6 +104,17 @@ def _cli_outputs() -> dict[str, bytes]:
     outputs["cli/help"] = _run_cli(["--help"])
     for command in COMMANDS:
         outputs[f"cli/help/{command}"] = _run_cli([command, "--help"])
+    return outputs
+
+
+def _simulate_outputs() -> dict[str, bytes]:
+    """Exit code and written file of ``evtkit simulate`` for each family."""
+    outputs = {}
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+        for family, params in SIMULATE_PARAMS.items():
+            path = Path(tmp, f"{family}.csv")
+            argv = ["simulate", "--dist", family, "--params", params, "--n", "51", "--seed", "22", "--output", str(path)]
+            outputs[f"cli/simulate/{family}"] = f"exit {evtkit_main(argv)}\n".encode() + path.read_bytes()
     return outputs
 
 
@@ -150,7 +170,7 @@ def _reader_outputs() -> dict[str, bytes]:
 
 def digest() -> dict[str, str]:
     """sha256 of every output of the corpus, by name."""
-    outputs = _cli_outputs() | _reader_outputs()
+    outputs = _cli_outputs() | _simulate_outputs() | _reader_outputs()
     for name, values in _records():
         outputs.update(_record_outputs(name, values))
     return {name: _sha(data) for name, data in sorted(outputs.items())}

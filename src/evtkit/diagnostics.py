@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -9,7 +10,7 @@ import numpy as np
 
 from .distributions import FAMILIES, Distribution, clamp_probability
 from .errors import DegenerateSampleError, DomainError, EmptyInputError
-from .sample import Sample, standardize
+from .sample import Sample, standardize, whole_number
 
 __all__ = [
     "DescriptiveStats",
@@ -158,9 +159,15 @@ def anderson_darling(sample: Sample, dist: Distribution, alpha: float = 0.05) ->
     return GofResult.from_statistic(dist.family, statistic, alpha, AD_CRITICAL_VALUES[alpha])
 
 
+@functools.lru_cache(maxsize=1)
 def plotting_positions(n: int) -> np.ndarray:
-    """Weibull plotting positions i/(n+1), i = 1..n."""
-    return np.arange(1, n + 1) / (n + 1.0)
+    """Weibull plotting positions i/(n+1), i = 1..n, for whole n >= 1: read-only, one array per n, cached."""
+    n = whole_number(n, "sample size")
+    if n < 1:
+        raise DomainError("sample size must be at least 1")
+    positions = np.arange(1, n + 1) / (n + 1.0)
+    positions.flags.writeable = False
+    return positions
 
 
 def qq_series(sample: Sample, dist: Distribution) -> QqSeries:

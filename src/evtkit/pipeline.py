@@ -15,7 +15,8 @@ from .diagnostics import (
     GofResult,
     anderson_darling,
     describe,
-    plotting_positions,
+    probability_difference,
+    qq_series,
     select_best,
 )
 from .distributions import FAMILY_LABELS, Distribution, params_to_dict
@@ -297,11 +298,11 @@ def render_return_table(columns: dict[str, ReturnLevelTable], indent: str = "") 
 def emit_plot_data(report: AnalysisReport, dataset: Dataset, out_dir) -> dict[str, Path]:
     """Write plot-ready CSV series and return the written paths by name.
 
-    Files: ``timeseries.csv`` (year,value), per fitted family
-    ``pdf_<family>.csv`` (x,pdf over a data-spanning grid),
-    ``qq_<family>.csv`` (p,theoretical,observed) and
-    ``prob_diff_<family>.csv`` (x,diff), plus ``return_curve.csv``
-    (period,level) for the best family, all in one :func:`~evtkit.io.write_csv` pass.
+    Files: ``timeseries.csv`` (year,value); per fitted family ``pdf_<family>.csv`` (x,pdf over a
+    data-spanning grid), ``qq_<family>.csv`` (p,theoretical,observed) from :func:`~.qq_series` and
+    ``prob_diff_<family>.csv`` (x,diff) from :func:`~.probability_difference`; and ``return_curve.csv``
+    (period,level) for the best family. All go in one :func:`~evtkit.io.write_csv` pass, which formats
+    once per chunk the positions and observed columns that every family's series share.
     """
     sample = dataset.sample
     x = sample.values
@@ -313,15 +314,14 @@ def emit_plot_data(report: AnalysisReport, dataset: Dataset, out_dir) -> dict[st
     lo, hi = float(np.min(x)) / unit, float(np.max(x)) / unit
     margin, limit = PDF_GRID_MARGIN * (hi - lo), float(np.finfo(float).max) / unit
     grid = np.clip(np.linspace(lo - margin, hi + margin, PDF_GRID_POINTS), -limit, limit) * unit
-    # One positions and one observed array serve every family: held once, formatted once per chunk.
-    positions, observed = plotting_positions(sample.n), sample.sorted_values()
     for fit in report.fits:
         if fit.result is None:
             continue
         dist, family = fit.result.params, fit.family
+        qq, diff = qq_series(sample, dist), probability_difference(sample, dist)
         files[f"pdf_{family}"] = ("x,pdf", [grid, dist.pdf(grid)])
-        files[f"qq_{family}"] = ("p,theoretical,observed", [positions, dist.quantile(positions), observed])
-        files[f"prob_diff_{family}"] = ("x,diff", [observed, positions - dist.cdf(observed)])
+        files[f"qq_{family}"] = ("p,theoretical,observed", [qq.positions, qq.theoretical, qq.observed])
+        files[f"prob_diff_{family}"] = ("x,diff", [diff.x, diff.diff])
 
     best_params = _params_for(report.fits, report.best_family)
     p_max = max(report.return_levels.periods)

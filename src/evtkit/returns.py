@@ -15,6 +15,7 @@ import numpy as np
 
 from .distributions import Distribution
 from .errors import DomainError
+from .sample import whole_number
 
 __all__ = [
     "ReturnSpec",
@@ -108,8 +109,9 @@ def return_curve(
     _probabilities((p_min, p_max))
     if p_min > p_max:
         raise DomainError("need 1 < p_min <= p_max")
-    if int(n_points) < 2:
+    n_points = whole_number(n_points, "curve points")
+    if n_points < 2:
         raise DomainError("need at least two curve points")
-    periods = np.clip(np.geomspace(p_min, p_max, int(n_points)), p_min, p_max)
+    periods = np.clip(np.geomspace(p_min, p_max, n_points), p_min, p_max)
     levels = dist.quantile(_probabilities(periods))
     return list(zip(periods.tolist(), levels.tolist()))

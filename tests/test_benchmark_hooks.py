@@ -11,7 +11,10 @@ from pathlib import Path
 
 import pytest
 
+from evtkit import Dataset, emit_plot_data, run_pipeline
 from evtkit.distributions import _EvdFamily
+
+from conftest import GEV_MM
 
 TRACER_FILE = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -35,3 +38,18 @@ def test_wrapped_function_exists(module, name):
 @pytest.mark.parametrize("method", tracer.DISTRIBUTION_METHODS)
 def test_wrapped_distribution_method_is_on_the_base_class(method):
     assert method in _EvdFamily.__dict__
+
+
+def test_tracer_sees_the_plot_diagnostics(tmp_path):
+    # Each fitted family's Q-Q and probability-difference files come from the public diagnostics.
+    dataset = Dataset("small", GEV_MM.sample(60, 3))
+    report = run_pipeline(dataset)
+    fitted = sum(fit.result is not None for fit in report.fits)
+    traced = tracer.Tracer()
+    restore = tracer.install(traced)
+    try:
+        emit_plot_data(report, dataset, tmp_path)
+    finally:
+        restore()
+    assert traced.stats["diagnostics.qq_series"][0] == fitted
+    assert traced.stats["diagnostics.probability_difference"][0] == fitted

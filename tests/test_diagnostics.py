@@ -210,6 +210,22 @@ class TestQqSeries:
     def test_positions_formula(self):
         assert np.allclose(plotting_positions(4), [0.2, 0.4, 0.6, 0.8])
 
+    @pytest.mark.parametrize("n", [2.5, -1, 0, math.nan, None, "3"])
+    def test_positions_need_a_whole_size_of_at_least_one(self, n):
+        with pytest.raises(DomainError, match="sample size"):
+            plotting_positions(n)
+
+    @pytest.mark.parametrize("n", [1, 7, np.int64(7)])
+    def test_positions_are_one_array_per_size(self, n):
+        assert plotting_positions(n) is plotting_positions(n)
+        assert np.array_equal(plotting_positions(n), np.arange(1, n + 1) / (n + 1.0))
+
+    def test_positions_are_read_only(self):
+        positions = plotting_positions(5)
+        with pytest.raises(ValueError):
+            positions[0] = 0.0
+        assert np.array_equal(plotting_positions(5), [1 / 6, 2 / 6, 3 / 6, 4 / 6, 5 / 6])
+
 
 class TestProbabilityDifference:
     def test_exact_construction_gives_zero(self):

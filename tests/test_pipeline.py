@@ -18,7 +18,6 @@ from evtkit import (
     report_to_dict,
     run_pipeline,
 )
-from evtkit.diagnostics import probability_difference, qq_series
 from evtkit.errors import NumericalError, UnsupportedFormatError
 from evtkit.io import CHUNK_CELLS
 from evtkit.pipeline import (
@@ -382,17 +381,15 @@ def _row_wise_plot_files(report, dataset):
     lo, hi = float(x.min()), float(x.max())
     margin = PDF_GRID_MARGIN * (hi - lo)
     grid = np.linspace(lo - margin, hi + margin, PDF_GRID_POINTS)
+    p = np.arange(1, sample.n + 1) / (sample.n + 1.0)
+    observed = np.sort(x, kind="stable")
     for fit in report.fits:
         if fit.result is None:
             continue
         dist, family = fit.result.params, fit.family
         files[f"pdf_{family}"] = _row_wise_csv("x,pdf", _floats(grid, dist.pdf(grid)))
-        qq = qq_series(sample, dist)
-        files[f"qq_{family}"] = _row_wise_csv(
-            "p,theoretical,observed", _floats(qq.positions, qq.theoretical, qq.observed)
-        )
-        diff = probability_difference(sample, dist)
-        files[f"prob_diff_{family}"] = _row_wise_csv("x,diff", _floats(diff.x, diff.diff))
+        files[f"qq_{family}"] = _row_wise_csv("p,theoretical,observed", _floats(p, dist.quantile(p), observed))
+        files[f"prob_diff_{family}"] = _row_wise_csv("x,diff", _floats(observed, p - dist.cdf(observed)))
     best = next(f.result.params for f in report.fits if f.family == report.best_family)
     p_max = max(report.return_levels.periods)
     assert p_max > RETURN_CURVE_MIN_PERIOD

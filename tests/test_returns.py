@@ -174,6 +174,9 @@ class TestReturnCurve:
             return_curve(GEV_MM, 50.0, 10.0, 8)
         with pytest.raises(DomainError):
             return_curve(GEV_MM, 2.0, 100.0, 1)
+        for n_points in (2.7, "3", math.nan, None):
+            with pytest.raises(DomainError, match="curve points"):
+                return_curve(GEV_MM, 2.0, 100.0, n_points)
 
 
 _LOCATIONS = st.floats(-1e4, 1e4)

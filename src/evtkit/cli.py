@@ -205,14 +205,16 @@ def _return_level_rows(args, sample, outcomes):
 def _cmd_report(args) -> int:
     dataset = load_csv(args.input)
     report = run_pipeline(dataset, spec=args.periods, alpha=args.alpha)
-    # The files are written first, so a directory that cannot be made or
-    # written leaves only the error, not a report that exits with 2.
+    # Each format is rendered once. The files are written first, so a directory
+    # that cannot be made or written leaves only the error, not a report that exits with 2.
+    formats = (args.format,) if args.out_dir is None else REPORT_FORMATS
+    rendered = {fmt: emit_report(report, fmt) for fmt in formats}
     if args.out_dir is not None:
         out_dir = Path(args.out_dir)
-        write_text_atomic(out_dir / "report.txt", emit_report(report, "text"))
-        write_text_atomic(out_dir / "report.json", emit_report(report, "json") + "\n")
+        write_text_atomic(out_dir / "report.txt", rendered["text"])
+        write_text_atomic(out_dir / "report.json", rendered["json"] + "\n")
         emit_plot_data(report, dataset, out_dir)
-    print(emit_report(report, args.format), end="")
+    print(rendered[args.format], end="")
     return EXIT_OK
 
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -159,9 +158,8 @@ def anderson_darling(sample: Sample, dist: Distribution, alpha: float = 0.05) ->
     return GofResult.from_statistic(dist.family, statistic, alpha, AD_CRITICAL_VALUES[alpha])
 
 
-@functools.lru_cache(maxsize=1)
 def plotting_positions(n: int) -> np.ndarray:
-    """Weibull plotting positions i/(n+1), i = 1..n, for whole n >= 1: read-only, one array per n, cached."""
+    """Weibull plotting positions i/(n+1), i = 1..n, for whole n >= 1: a new read-only array on each call."""
     n = whole_number(n, "sample size")
     if n < 1:
         raise DomainError("sample size must be at least 1")
@@ -170,9 +168,14 @@ def plotting_positions(n: int) -> np.ndarray:
     return positions
 
 
+def _positions(sample: Sample) -> np.ndarray:
+    """The plotting positions of ``sample``, made once and kept on it beside its sorted values."""
+    return sample._keep("_positions", lambda: plotting_positions(sample.n))
+
+
 def qq_series(sample: Sample, dist: Distribution) -> QqSeries:
-    """Quantile-quantile series: (quantile at i/(n+1), i-th order statistic)."""
-    positions = plotting_positions(sample.n)
+    """Quantile-quantile series (quantile at i/(n+1), i-th order statistic) on the sample's kept arrays."""
+    positions = _positions(sample)
     return QqSeries(
         family=dist.family,
         positions=positions,
@@ -182,10 +185,9 @@ def qq_series(sample: Sample, dist: Distribution) -> QqSeries:
 
 
 def probability_difference(sample: Sample, dist: Distribution) -> DiffSeries:
-    """Difference series i/(n+1) - F(x_(i)) over the ascending order statistics."""
+    """Difference series i/(n+1) - F(x_(i)) over the ascending order statistics, on the sample's kept arrays."""
     x = sample.sorted_values()
-    positions = plotting_positions(sample.n)
-    return DiffSeries(family=dist.family, x=x, diff=positions - dist.cdf(x))
+    return DiffSeries(family=dist.family, x=x, diff=_positions(sample) - dist.cdf(x))
 
 
 def select_best(gofs: list[GofResult]) -> str:

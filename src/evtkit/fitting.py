@@ -50,7 +50,7 @@ import numpy as np
 from .distributions import EULER_GAMMA, FAMILIES, GEV, Distribution, _family_class, _log_t, _TINY_SHAPE
 from .errors import DegenerateSampleError, DomainError
 from .sample import Sample, binary_unit, standardize
-from .simplex import _lockstep, _search, nelder_mead  # noqa: F401 (unused; the benchmark's tracer patches it here)
+from .simplex import _lockstep, _search, nelder_mead  # noqa: F401 (unused; a perfbench test reads fitting.nelder_mead)
 
 __all__ = [
     "FitResult",

@@ -302,7 +302,7 @@ def emit_plot_data(report: AnalysisReport, dataset: Dataset, out_dir) -> dict[st
     data-spanning grid), ``qq_<family>.csv`` (p,theoretical,observed) from :func:`~.qq_series` and
     ``prob_diff_<family>.csv`` (x,diff) from :func:`~.probability_difference`; and ``return_curve.csv``
     (period,level) for the best family. All go in one :func:`~evtkit.io.write_csv` pass, which formats
-    once per chunk the positions and observed columns that every family's series share.
+    once per chunk the positions and sorted values that the sample keeps and every family's series share.
     """
     sample = dataset.sample
     x = sample.values

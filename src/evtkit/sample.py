@@ -35,13 +35,17 @@ class Sample:
         return int(self.values.size)
 
     def sorted_values(self) -> np.ndarray:
-        """Ascending copy of the values (stable sort); sorted once, then shared read-only."""
-        ordered = self.__dict__.get("_sorted")
-        if ordered is None:
-            ordered = np.sort(self.values, kind="stable")
-            ordered.flags.writeable = False
-            object.__setattr__(self, "_sorted", ordered)
-        return ordered
+        """Ascending copy of the values (stable sort); sorted once, then kept on the sample, read-only."""
+        return self._keep("_sorted", lambda: np.sort(self.values, kind="stable"))
+
+    def _keep(self, name: str, make) -> np.ndarray:
+        """The array ``make()``, made on the first call for ``name`` and kept read-only on the sample."""
+        kept = self.__dict__.get(name)
+        if kept is None:
+            kept = make()
+            kept.flags.writeable = False
+            object.__setattr__(self, name, kept)
+        return kept
 
     def __len__(self) -> int:
         return self.n

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats as spstats
 
+import evtkit.diagnostics
 from evtkit import (
     GofResult,
     Sample,
@@ -20,7 +21,7 @@ from evtkit import (
 )
 from evtkit.errors import DegenerateSampleError, DomainError, EmptyInputError
 
-from conftest import GEV_MM, GUMBEL_MM, RAIN_MEAN, RAIN_N, RAIN_SD
+from conftest import ALL_MM, GEV_MM, GUMBEL_MM, RAIN_MEAN, RAIN_N, RAIN_SD
 
 
 def ad_by_quadrature(z, panels=1_000_000):
@@ -216,9 +217,28 @@ class TestQqSeries:
             plotting_positions(n)
 
     @pytest.mark.parametrize("n", [1, 7, np.int64(7)])
-    def test_positions_are_one_array_per_size(self, n):
-        assert plotting_positions(n) is plotting_positions(n)
+    def test_positions_are_a_new_array_per_call(self, n):
+        # Nothing is cached across samples: each call makes its own array.
+        assert plotting_positions(n) is not plotting_positions(n)
         assert np.array_equal(plotting_positions(n), np.arange(1, n + 1) / (n + 1.0))
+
+    def test_series_of_one_sample_share_its_positions(self, monkeypatch):
+        # Every family's qq and probability-difference series of one sample read one positions
+        # array, kept on the sample; a second sample of the same size makes its own.
+        made = []
+
+        def recorded(n):
+            made.append(plotting_positions(n))
+            return made[-1]
+
+        monkeypatch.setattr(evtkit.diagnostics, "plotting_positions", recorded)
+        for seed in (1, 2):
+            sample = GEV_MM.sample(40, seed)
+            for dist in ALL_MM:
+                diff, qq = probability_difference(sample, dist), qq_series(sample, dist)
+                assert qq.positions is made[-1]
+                assert np.array_equal(diff.diff, qq.positions - dist.cdf(diff.x))
+        assert len(made) == 2 and made[0] is not made[1]
 
     def test_positions_are_read_only(self):
         positions = plotting_positions(5)

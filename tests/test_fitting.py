@@ -1,6 +1,7 @@
 """Maximum-likelihood fitting: oracles, recovery, and batch behavior."""
 
 import functools
+import itertools
 import math
 import unittest.mock
 from pathlib import Path
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy import stats as spstats
 
 import evtkit.fitting
 from evtkit import (
@@ -713,6 +715,38 @@ class TestFitAll:
             assert raised["gev"] == raised["gumbel"]
         with pytest.raises(DomainError, match="unknown family 'gamma'"):
             fit_mle("gamma", s)
+
+
+ORACLE_CASES = list(itertools.product((-0.3, 0.0, 0.064, 0.2, 0.4), ((30, 1e-3), (51, 1.0), (120, 1e4))))
+
+
+class TestScipyOracle:
+    """Each fit reaches at least the log-likelihood of scipy's own maximum-likelihood fit.
+
+    scipy fits ``x / factor`` and its location and scale are scaled back: on the raw
+    data at 1e4 ``genextreme.fit`` ends off the support. scipy's GEV shape is ``-shape``.
+    Both sides' log-likelihoods come from :func:`log_likelihood` on the same sample.
+    """
+
+    @pytest.mark.parametrize("seed", range(len(ORACLE_CASES)))
+    def test_no_family_ends_below_scipy(self, seed):
+        shape, (n, factor) = ORACLE_CASES[seed]
+        sample = Sample(GEV(93.05, 29.01, shape).sample(n, seed).values * factor)
+        x = sample.values / factor
+        loc, scale = spstats.gumbel_r.fit(x)
+        frechet_shape, _, frechet_scale = spstats.invweibull.fit(x, floc=0)
+        weibull_shape, _, weibull_scale = spstats.weibull_min.fit(x, floc=0)
+        c, gev_loc, gev_scale = spstats.genextreme.fit(x)
+        scipy_fits = {
+            "gumbel": Gumbel(loc * factor, scale * factor),
+            "frechet": Frechet(frechet_shape, frechet_scale * factor),
+            "weibull": Weibull(weibull_shape, weibull_scale * factor),
+            "gev": GEV(gev_loc * factor, gev_scale * factor, -c),
+        }
+        for outcome in fit_all(sample):
+            ours = log_likelihood(outcome.result.params, sample)
+            theirs = log_likelihood(scipy_fits[outcome.family], sample)
+            assert ours >= theirs - 1e-9 * (1.0 + abs(ours)), outcome.family
 
 
 # numpy's AVX-512 kernels (the X86_V4 dispatch target) of exp, log and log1p give

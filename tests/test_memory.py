@@ -1,5 +1,6 @@
 """Traced memory of loading a long record and writing its plot files, per row, and of the GEV forms."""
 
+import gc
 import tracemalloc
 
 import numpy as np
@@ -39,6 +40,28 @@ def test_plot_data_holds_one_chunk_of_cells(record, tmp_path):
     # Every float column at once (8 B a row each), and the cell strings of one chunk of rows.
     _, dataset, report = record
     assert _peak_bytes_per_row(lambda: emit_plot_data(report, dataset, tmp_path)) <= 200
+
+
+def test_nothing_of_a_record_outlives_its_analysis(record, tmp_path):
+    # The plotting positions are kept on the sample, not in a process-wide cache: once the
+    # dataset and its report are dropped, what stays traced is under 1 B per row. A record of
+    # another size is analysed first, so nothing of this one's size is held before.
+    path, _, _ = record
+    small = load_csv(simulate_to_csv(GEV_MM, 51, 7, tmp_path / "small.csv"))
+    emit_plot_data(run_pipeline(small), small, tmp_path / "small")
+
+    def analyse():
+        dataset = load_csv(path)
+        emit_plot_data(run_pipeline(dataset), dataset, tmp_path / "long")
+
+    tracemalloc.start()
+    try:
+        analyse()
+        gc.collect()  # a full collection also empties the interpreter's free lists of tuples, floats and lists
+        left = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert left / N_ROWS < 1
 
 
 @pytest.mark.parametrize("dist", [Gumbel(100.0, 30.0), GEV(100.0, 30.0, 5e-324), GEV(100.0, 30.0, 0.1)])

@@ -145,7 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=_params_arg,
         required=True,
         help=(
-            "comma-separated parameters: gumbel location,scale; frechet shape,scale[,location]; "
+            "comma-separated parameters: gumbel location,scale; frechet shape,scale; "
             "weibull shape,scale; gev location,scale,shape"
         ),
     )

@@ -1,8 +1,8 @@
 """Exact probability functions for the classical extreme value families.
 
 Four families are provided: :class:`Gumbel` (type I), :class:`Frechet`
-(type II), :class:`Weibull` (the standard minimum-type two-parameter form
-on x > 0), and the three-parameter :class:`GEV`. The GEV uses the
+(type II) and :class:`Weibull` (the standard minimum-type form), both
+two-parameter on x > 0, and the three-parameter :class:`GEV`. The GEV uses the
 convention that a positive shape gives a heavy right tail (Frechet-like),
 a negative shape a bounded upper tail (reversed Weibull), and shape zero
 the Gumbel limit.
@@ -58,11 +58,12 @@ class _EvdFamily:
     """Shared validation and array handling; subclasses implement the closed forms.
 
     A record stores every field as a float. Each must be finite, and those
-    named in ``_positive`` must also be > 0.
+    named in ``_positive`` must also be > 0. ``_GevForms`` and ``_LogGumbel``
+    declare the fields of the two record shapes, (location, scale) and (shape, scale).
 
     Each family says once, for its density and its fit, how it is a Gumbel:
-    ``_gumbel_values(x)`` is x, log x or -log x from the lower end (+-inf off
-    the support and at nan), which is Gumbel or GEV (Coles 2001, section
+    ``_gumbel_values(x)`` is x, log x or -log x (+-inf off the support and
+    at nan), which is Gumbel or GEV (Coles 2001, section
     3.1), and ``_from_gumbel(unit, location, scale[, shape])`` is the record
     of ``unit * x`` for the x whose Gumbel values have that Gumbel or GEV.
     ``_in_unit(unit)`` is the record of ``x / unit``, and ``_logarithmic``
@@ -177,8 +178,12 @@ def _log_t(y, inverse_scale, shape, log_t, minus_w):
     return _gumbel_limit(-shape, np.log1p(np.multiply(y, factor, log_t), log_t), minus_z)
 
 
+@dataclass(frozen=True)
 class _GevForms(_EvdFamily):
-    """The closed forms of :class:`GEV`, which :class:`Gumbel` shares as its shape-0 case."""
+    """The fields and closed forms of :class:`GEV`, which :class:`Gumbel` shares as its shape-0 case."""
+
+    location: float
+    scale: float
 
     def support(self) -> tuple[float, float]:
         """Open interval on which the density is positive."""
@@ -239,9 +244,6 @@ class Gumbel(_GevForms):
     cdf: exp(-exp(-(x - location)/scale)) on the whole real line.
     """
 
-    location: float
-    scale: float
-
     family: ClassVar[str] = "gumbel"
     shape: ClassVar[float] = 0.0
 
@@ -250,16 +252,21 @@ class Gumbel(_GevForms):
         return cls(unit * location, unit * scale)
 
 
+@dataclass(frozen=True)
 class _LogGumbel(_EvdFamily):
-    """Frechet (sign 1) and Weibull (sign -1): sign * log(x - location) is Gumbel(sign * log scale, 1/shape)."""
+    """Frechet (sign 1) and Weibull (sign -1) on x > 0: sign * log x is Gumbel(sign * log scale, 1/shape)."""
 
+    shape: float
+    scale: float
+
+    location: ClassVar[float] = 0.0
     sign: ClassVar[float]
     _positive: ClassVar[tuple[str, ...]] = ("shape", "scale")
     _logarithmic: ClassVar[bool] = True
 
     def support(self) -> tuple[float, float]:
         """Open interval on which the density is positive."""
-        return (self.location, np.inf)
+        return (0.0, np.inf)
 
     @classmethod
     def _gumbel_values(cls, x):
@@ -267,7 +274,7 @@ class _LogGumbel(_EvdFamily):
 
     def _log_pdf(self, x):
         # The Jacobian adds -sign * w; off the support (and at nan) w is +-inf and the sum may be nan, made -inf.
-        w = self._gumbel_values(x - self.location)
+        w = self._gumbel_values(x)
         out = Gumbel.log_density(w, self.sign * math.log(self.scale), -math.log(self.shape))
         return np.fmax(np.subtract(out, self.sign * w, out), -np.inf, out)
 
@@ -278,26 +285,21 @@ class _LogGumbel(_EvdFamily):
 
 @dataclass(frozen=True)
 class Frechet(_LogGumbel):
-    """Type II extreme value (Frechet) distribution with lower endpoint ``location``.
+    """Type II extreme value (Frechet) distribution on x > 0, in its two-parameter form.
 
-    cdf: exp(-((x - location)/scale)^(-shape)) for x > location, else 0.
-    The two-parameter form fixes location at 0.
+    cdf: exp(-(x/scale)^(-shape)) for x > 0, else 0.
     """
-
-    shape: float
-    scale: float
-    location: float = 0.0
 
     family: ClassVar[str] = "frechet"
     sign: ClassVar[float] = 1.0
 
     def _cdf(self, x):
         # Off the support (and at nan) z is 0, where the cdf is exp(-inf) = 0.
-        z = np.fmax(x - self.location, 0.0) / self.scale
+        z = np.fmax(x, 0.0) / self.scale
         return np.exp(-np.power(z, -self.shape))
 
     def _quantile(self, p):
-        return self.location + self.scale * np.power(-np.log(p), -1.0 / self.shape)
+        return self.scale * np.power(-np.log(p), -1.0 / self.shape)
 
 
 @dataclass(frozen=True)
@@ -308,11 +310,7 @@ class Weibull(_LogGumbel):
     available as a GEV with negative shape.
     """
 
-    shape: float
-    scale: float
-
     family: ClassVar[str] = "weibull"
-    location: ClassVar[float] = 0.0
     sign: ClassVar[float] = -1.0
 
     def _cdf(self, x):
@@ -335,8 +333,6 @@ class GEV(_GevForms):
     free of cancellation.
     """
 
-    location: float
-    scale: float
     shape: float
 
     family: ClassVar[str] = "gev"
@@ -360,21 +356,29 @@ def _family_class(family: str):
         raise DomainError(f"unknown family {family!r}; expected one of {FAMILIES}") from None
 
 
+def _fields_error(family: str, got) -> DomainError:
+    names = [field.name for field in dataclasses.fields(_FAMILY_CLASSES[family])]
+    return DomainError(f"{family} takes {len(names)} parameters ({', '.join(names)}), got {got}")
+
+
 def make_params(family: str, **kwargs) -> Distribution:
-    """Build a parameter record for ``family`` from keyword arguments."""
-    return _family_class(family)(**kwargs)
+    """Build ``family``'s record from exactly its fields as keywords; a missing or unknown one is a DomainError."""
+    cls = _family_class(family)
+    if kwargs.keys() != {field.name for field in dataclasses.fields(cls)}:
+        raise _fields_error(family, ", ".join(kwargs) or "none")
+    return cls(**kwargs)
 
 
 def params_to_dict(dist: Distribution) -> dict:
     """Serialize a parameter record to a plain dict (family tag included)."""
-    out = {"family": dist.family}
-    for field in dataclasses.fields(dist):
-        out[field.name] = getattr(dist, field.name)
-    return out
+    return {"family": dist.family, **dataclasses.asdict(dist)}
 
 
 def params_from_dict(data: dict) -> Distribution:
-    """Inverse of :func:`params_to_dict`."""
+    """Inverse of :func:`params_to_dict`: ``family`` and exactly the record's fields, as :func:`make_params` takes.
+
+    A Frechet's ``location``, in reports written before the Frechet lost it, is a DomainError until dropped.
+    """
     payload = dict(data)
     try:
         family = payload.pop("family")
@@ -384,19 +388,12 @@ def params_from_dict(data: dict) -> Distribution:
 
 
 def params_from_sequence(family: str, values) -> Distribution:
-    """Build a parameter record from a flat value sequence.
+    """Build ``family``'s record from a flat sequence of exactly its fields in order; any other count is a DomainError.
 
-    The order is that of the record's fields: gumbel (location, scale);
-    frechet (shape, scale[, location]); weibull (shape, scale); gev
-    (location, scale, shape). Fields with a default may be left out.
+    gumbel (location, scale); frechet and weibull (shape, scale); gev (location, scale, shape).
     """
     cls = _family_class(family)
-    fields = dataclasses.fields(cls)
-    names = [field.name for field in fields]
     values = [float(v) for v in values]
-    required = sum(field.default is dataclasses.MISSING for field in fields)
-    if not (required <= len(values) <= len(names)):
-        raise DomainError(
-            f"{family} takes {required} parameters ({', '.join(names[:required])}), got {len(values)}"
-        )
-    return cls(**dict(zip(names, values)))
+    if len(values) != len(dataclasses.fields(cls)):
+        raise _fields_error(family, len(values))
+    return cls(*values)

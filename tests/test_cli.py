@@ -60,9 +60,8 @@ def _scaled_inputs():
 def assert_columns_kept(rows, lead, widths):
     """Every row fills its columns exactly, each right-aligned cell starts with a space, and none reads zero.
 
-    The only zero in these tables is the Frechet location, which the fit holds
-    at 0, so any other cell such as ``0.00`` or ``-0.000`` is a nonzero number
-    rounded away.
+    No fitted value in these tables is zero, so a cell such as ``0.00`` or
+    ``-0.000`` is a nonzero number rounded away.
     """
     starts = list(itertools.accumulate(widths[:-1], initial=lead))
     for row in rows:
@@ -70,8 +69,6 @@ def assert_columns_kept(rows, lead, widths):
             assert len(row) == lead + sum(widths), row
             assert all(row[start] == " " for start in starts), row
             cells = [row[start:end] for start, end in itertools.pairwise([*starts, len(row)])]
-            if row.lstrip().startswith("Frechet"):
-                cells = cells[1:]
             assert not any(re.fullmatch(r" *-?0\.0+", cell) for cell in cells), row
 
 
@@ -482,6 +479,13 @@ class TestSimulateCommand:
         assert code == EXIT_USAGE
         assert "parameters" in err
 
+    def test_frechet_takes_no_location(self, tmp_path, capsys):
+        out = tmp_path / "f.csv"
+        args = ["simulate", "--dist", "frechet", "--params", "3.37,88.16,10", "--n", "51", "--output", str(out)]
+        message = "evtkit simulate: error: frechet takes 2 parameters (shape, scale), got 3\n"
+        assert run_main(args, capsys) == (EXIT_USAGE, "", message)
+        assert not out.exists()
+
     def test_zero_n_is_usage_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main(
@@ -516,7 +520,7 @@ class TestSimulateCommand:
         proc = run_module("simulate", *args)
         assert proc.returncode == EXIT_USAGE
         assert proc.stderr == (
-            "evtkit simulate: error: Frechet(shape=0.002, scale=1.0, location=0.0) with seed 0"
+            "evtkit simulate: error: Frechet(shape=0.002, scale=1.0) with seed 0"
             " draws a value beyond the float range\n"
         )
         assert not (tmp_path / "f.csv").exists()

@@ -64,7 +64,6 @@ class TestSupport:
         "dist",
         [
             *(pytest.param(dist, id=dist.family) for dist in ALL_MM),
-            pytest.param(Frechet(3.37, 88.16, location=10.0), id="frechet-shifted"),
             pytest.param(GEV(10.0, 2.0, -0.25), id="gev-bounded"),
         ],
     )
@@ -467,7 +466,7 @@ class TestSampling:
             GEV_MM.sample(5, -1)
 
     def test_draws_beyond_the_float_range_name_the_record_and_seed(self):
-        expected = r"^Frechet\(shape=0\.002, scale=1\.0, location=0\.0\) with seed 1 draws a value beyond the float range$"
+        expected = r"^Frechet\(shape=0\.002, scale=1\.0\) with seed 1 draws a value beyond the float range$"
         with pytest.raises(DomainError, match=expected):
             Frechet(0.002, 1.0).sample(5, 1)
 
@@ -504,7 +503,7 @@ class TestSampleContainer:
 # A valid record per family, and the fields each requires to be positive.
 VALID_RECORDS = {
     Gumbel: (dict(location=0.0, scale=1.0), ("scale",)),
-    Frechet: (dict(shape=2.0, scale=1.0, location=0.0), ("shape", "scale")),
+    Frechet: (dict(shape=2.0, scale=1.0), ("shape", "scale")),
     Weibull: (dict(shape=2.0, scale=1.0), ("shape", "scale")),
     GEV: (dict(location=0.0, scale=1.0, shape=0.1), ("scale",)),
 }
@@ -556,7 +555,8 @@ class TestParamRecords:
         assert make_params("gumbel", location=1.0, scale=2.0) == Gumbel(1.0, 2.0)
         assert params_from_sequence("gev", [92.41, 30.85, 0.06]) == GEV_MM
         assert params_from_sequence("frechet", [3.37, 88.16]) == FRECHET_MM
-        assert params_from_sequence("frechet", [3.37, 88.16, 5.0]).location == 5.0
+        with pytest.raises(DomainError, match=r"^frechet takes 2 parameters \(shape, scale\), got 3$"):
+            params_from_sequence("frechet", [3.37, 88.16, 5.0])
         with pytest.raises(DomainError):
             params_from_sequence("gumbel", [1.0])
         with pytest.raises(DomainError):
@@ -566,11 +566,91 @@ class TestParamRecords:
         with pytest.raises(DomainError, match="missing the 'family' tag"):
             params_from_dict({"location": 0.0, "scale": 1.0})
 
-    def test_frechet_location_shifts_support(self):
-        shifted = Frechet(3.37, 88.16, location=10.0)
-        assert shifted.support() == (10.0, np.inf)
-        assert shifted.cdf(10.0) == 0.0
-        assert shifted.quantile(0.5) == pytest.approx(FRECHET_MM.quantile(0.5) + 10.0)
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            pytest.param({"family": "gumbel", "scale": 2.0}, r"\(location, scale\), got scale$", id="missing"),
+            pytest.param(
+                {"family": "gumbel", "location": 1.0, "scale": 2.0, "shape": 0.0},
+                r"\(location, scale\), got location, scale, shape$",
+                id="unknown",
+            ),
+            pytest.param(  # a Frechet as reports wrote it before the Frechet lost its location
+                {"family": "frechet", "shape": 3.37, "scale": 88.16, "location": 0.0},
+                r"\(shape, scale\), got shape, scale, location$",
+                id="legacy-frechet",
+            ),
+        ],
+    )
+    def test_malformed_records_are_domain_errors_naming_the_fields(self, data, message):
+        message = rf"^{data['family']} takes \d parameters {message}"
+        with pytest.raises(DomainError, match=message):
+            params_from_dict(data)
+        with pytest.raises(DomainError, match=message):
+            make_params(**data)
+
+
+# Each family's record: its fields in order and its repr.
+RECORD_LAYOUTS = [
+    (Gumbel(1.0, 2.0), ("location", "scale"), "Gumbel(location=1.0, scale=2.0)"),
+    (Frechet(3.0, 2.0), ("shape", "scale"), "Frechet(shape=3.0, scale=2.0)"),
+    (Weibull(3.0, 2.0), ("shape", "scale"), "Weibull(shape=3.0, scale=2.0)"),
+    (GEV(1.0, 2.0, 0.5), ("location", "scale", "shape"), "GEV(location=1.0, scale=2.0, shape=0.5)"),
+]
+
+
+@pytest.mark.parametrize("record, names, text", RECORD_LAYOUTS, ids=[r.family for r, _, _ in RECORD_LAYOUTS])
+class TestRecordLayout:
+    """The fields each record shape declares once, as every family inherits them."""
+
+    def test_fields_repr_and_dict_keys(self, record, names, text):
+        assert tuple(field.name for field in dataclasses.fields(record)) == names
+        assert repr(record) == text
+        assert tuple(params_to_dict(record)) == ("family", *names)
+
+    def test_frozen_against_fields_and_new_attributes(self, record, names, text):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, names[0], 1.5)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            record.extra = 1.5
+
+    def test_equal_records_hash_equal(self, record, names, text):
+        twin = type(record)(*(getattr(record, name) for name in names))
+        assert twin is not record
+        assert twin == record and hash(twin) == hash(record)
+
+
+def test_gumbel_is_not_equal_to_the_gev_at_shape_zero():
+    assert Gumbel(0.0, 1.0) != GEV(0.0, 1.0, 0.0)
+
+
+class TestLogGumbelIdentities:
+    """Frechet and Weibull are the Gumbel of log x and of -log x (Coles 2001, section 3.1), for every record.
+
+    The Frechet forms agree to 1e-11 relative. The Weibull forms are checked to 1e-8: the test's own
+    1 - p and 1 - cdf lose up to eps/p = 1.1e-10 relative at p = 1e-6, and its quantile 1/shape <= 10
+    times that.
+    """
+
+    PARAMS = dict(shape=st.floats(0.1, 10.0), log10_scale=st.floats(-6.0, 6.0), p=st.floats(1e-6, 1.0 - 1e-6))
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(**PARAMS)
+    def test_frechet_is_the_gumbel_of_log_x(self, shape, log10_scale, p):
+        scale = 10.0**log10_scale
+        frechet, gumbel = Frechet(shape, scale), Gumbel(math.log(scale), 1.0 / shape)
+        x = frechet.quantile(p)
+        assert frechet.cdf(x) == pytest.approx(gumbel.cdf(math.log(x)), rel=1e-11)
+        assert x == pytest.approx(math.exp(gumbel.quantile(p)), rel=1e-11)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(**PARAMS)
+    def test_weibull_is_the_gumbel_of_minus_log_x(self, shape, log10_scale, p):
+        scale = 10.0**log10_scale
+        weibull, gumbel = Weibull(shape, scale), Gumbel(-math.log(scale), 1.0 / shape)
+        x = weibull.quantile(p)
+        assert weibull.cdf(x) == pytest.approx(1.0 - gumbel.cdf(-math.log(x)), rel=1e-8)
+        assert x == pytest.approx(math.exp(-gumbel.quantile(1.0 - p)), rel=1e-8)
 
 
 def test_default_return_periods_constant():

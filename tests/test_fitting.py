@@ -764,7 +764,7 @@ class TestRepositoryFixturePinned:
 
     EXPECTED = {
         "gumbel": ("Gumbel(location=94.09438221184517, scale=29.73609109205359)", 25, 53),
-        "frechet": ("Frechet(shape=3.231717221999593, scale=89.41286576351193, location=0.0)", 25, 53),
+        "frechet": ("Frechet(shape=3.231717221999593, scale=89.41286576351193)", 25, 53),
         "weibull": ("Weibull(shape=2.8019195785212494, scale=125.21070333109328)", 26, 54),
         "gev": (
             ("GEV(location=93.0492753572298, scale=29.011561111847612, shape=0.0642970109760477)", 84, 168)
@@ -778,7 +778,7 @@ class TestRepositoryFixturePinned:
         "gumbel": (-254.2385318552818, "Gumbel(location=93.28026548506195, scale=31.9446086842236)"),
         "frechet": (
             -255.84345502167915,
-            "Frechet(shape=3.7809613524033976, scale=90.4811014620348, location=0.0)",
+            "Frechet(shape=3.7809613524033976, scale=90.4811014620348)",
         ),
         "weibull": (-260.608547194308, "Weibull(shape=3.7809613524033976, scale=122.78912660834098)"),
         "gev": (

@@ -121,13 +121,12 @@ def log_likelihood(dist: Distribution, sample: Sample) -> float:
 
 def _prepare(family: str, sample: Sample, min_size: int = _MIN_FIT_SIZE) -> tuple:
     """The Gumbel values w of x / u standardized, that is ``(w - mean) / sd``, for the sample's unit u,
-    and the search problem of ``family``: its class, u, the unit of w, that mean and sd at it, and the start.
+    and the search problem of ``family``: its class, u, the mean and sd of w, and the start.
 
-    The start is the record of the Gumbel with that mean and sd, mapped by the
-    class and clipped to the float range in the family's own units: on data
-    within a few floats of -max (or max), the Gumbel and GEV location
-    mean - EULER_GAMMA * scale passes it, and on data near max, the Weibull
-    scale u*exp(-location).
+    The mean and sd are taken at w's power-of-two unit and multiplied back, exactly, as |w| < 745. The start
+    is the record of the Gumbel with that mean and sd, mapped by the class and clipped to the float range
+    in the family's own units: on data within a few floats of -max (or max), the Gumbel and GEV location
+    mean - EULER_GAMMA * scale passes it, and on data near max, the Weibull scale u*exp(-location).
     """
     cls = _family_class(family)
     if sample.n < min_size:
@@ -142,15 +141,15 @@ def _prepare(family: str, sample: Sample, min_size: int = _MIN_FIT_SIZE) -> tupl
     unit, mean, sd, data = standardize(work)
     if sd == 0.0:
         raise DegenerateSampleError("sample standard deviation is zero")
-    scale = sd * _UNIT_SD_SCALE
-    location = unit * (mean - EULER_GAMMA * scale)
+    scale = unit * sd * _UNIT_SD_SCALE
+    location = unit * mean - EULER_GAMMA * scale
     if cls._logarithmic:
         record_scale = min(sample_unit * math.exp(cls.sign * location), sys.float_info.max)
-        start = cls(shape=1.0 / (unit * scale), scale=record_scale)
+        start = cls(shape=1.0 / scale, scale=record_scale)
     else:
         bound = sys.float_info.max / sample_unit  # a power of two: exact, or inf where no clip is needed
-        start = cls._from_gumbel(sample_unit, min(max(location, -bound), bound), unit * scale)
-    return data, (cls, sample_unit, unit, mean, sd, start)
+        start = cls._from_gumbel(sample_unit, min(max(location, -bound), bound), scale)
+    return data, (cls, sample_unit, unit * mean, unit * sd, start)
 
 
 def initial_params(family: str, sample: Sample) -> Distribution:
@@ -174,10 +173,10 @@ def initial_params(family: str, sample: Sample) -> Distribution:
     return _prepare(family, sample, 2)[1][-1]
 
 
-def _unpack(cls: type, theta, sample_unit: float, unit: float, mean: float, sd: float) -> Distribution | None:
-    """Parameters in data units of a search point on ``(w - mean) / sd``; None when infeasible."""
+def _unpack(cls: type, theta, sample_unit: float, mean: float, sd: float) -> Distribution | None:
+    """Parameters in data units of a search point on ``(w - mean) / sd``, w of x / u; None when infeasible."""
     try:
-        location, scale = unit * (mean + sd * float(theta[0])), unit * (sd * math.exp(theta[1]))
+        location, scale = mean + sd * float(theta[0]), sd * math.exp(theta[1])
         return cls._from_gumbel(sample_unit, location, scale, *theta[2:])
     except (DomainError, OverflowError):
         return None
@@ -303,8 +302,8 @@ def fit_mle(family: str, sample: Sample) -> FitResult:
 
 def _finish(problem: tuple, best, theta, sample: Sample) -> FitResult:
     """The fit from ``problem``'s search: mapped back to data units, the GEV location repaired, or the start."""
-    cls, sample_unit, unit, mean, sd, init = problem
-    params = _unpack(cls, theta, sample_unit, unit, mean, sd) if math.isfinite(best.fun) else None
+    cls, sample_unit, mean, sd, init = problem
+    params = _unpack(cls, theta, sample_unit, mean, sd) if math.isfinite(best.fun) else None
     loglik = -math.inf if params is None else log_likelihood(params, sample)
     if cls is GEV and params is not None and params.shape and not math.isfinite(loglik):
         # Rounding on the way back to data units put the finite end of the support onto an
@@ -353,13 +352,13 @@ def _fit(sample: Sample, families: tuple) -> dict:
     if "gev" in families:
         fits["gev"] = gumbel = fits["gumbel"]
         if isinstance(gumbel, FitResult):
-            data, (cls, sample_unit, unit, mean, sd, _) = _prepare("gev", sample)
+            data, (cls, sample_unit, mean, sd, _) = _prepare("gev", sample)
             start = GEV(gumbel.params.location, gumbel.params.scale, 0.0)
-            location, scale = start.location / sample_unit / unit, start.scale / sample_unit / unit
+            location, scale = start.location / sample_unit, start.scale / sample_unit
             theta0 = [(location - mean) / sd, math.log(scale / sd), 0.0]
             with np.errstate(all="ignore"):
                 (best,) = _lockstep(_gev_objective(data), [_search(theta0, [0.1 * _UNIT_SD_SCALE, 0.1, 0.1])])
-            fits["gev"] = _finish((cls, sample_unit, unit, mean, sd, start), best, best.x, sample)
+            fits["gev"] = _finish((cls, sample_unit, mean, sd, start), best, best.x, sample)
     return fits
 
 

@@ -98,14 +98,14 @@ class DiffSeries:
 def describe(sample: Sample) -> DescriptiveStats:
     """Descriptive statistics with n-1 variance and bias-adjusted shape estimators.
 
-    Taken at the unit of :func:`~evtkit.sample.standardize`; a value past the float range is inf.
-    The coefficient of variation is NaN where it is not finite: at mean 0, and
-    where ``100 * sd / mean`` overflows on a subnormal mean.
+    Taken of the sorted values, at the unit of :func:`~evtkit.sample.standardize`, which the coefficient
+    of variation needs near the float maximum; a value past the float range is inf. That coefficient is
+    NaN where it is not finite: at mean 0, and where ``100 * sd / mean`` overflows on a subnormal mean.
     """
     n = sample.n
     if n < 2:
         raise DegenerateSampleError("need at least two observations to describe")
-    x = sample.values
+    x = sample.sorted_values()
     unit, mean, sd, z = standardize(x)
     std_dev = unit * sd  # Python floats: inf past the float range, with no warning
     variance = std_dev * std_dev

@@ -4,6 +4,7 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 DIGEST_FILE = Path(__file__).resolve().parents[1] / "tools" / "digest.py"
@@ -23,6 +24,16 @@ def test_a_record_that_cannot_be_fitted_is_one_error_entry(digest):
     assert digest._record_outputs("x", [1.0, 1.0, 1.0]) == {
         "x/error": b"NumericalError: no distribution family could be fitted: sample standard deviation is zero"
     }
+
+
+@pytest.mark.parametrize("order", ["reversed", "shuffled"])
+def test_the_order_of_the_rows_moves_no_output_but_the_time_series(digest, order):
+    values = digest.evtkit.load_csv(digest.FIXTURE).sample.values
+    reordered = values[::-1] if order == "reversed" else np.random.default_rng(5).permutation(values)
+    original, moved = digest._record_outputs("fixture", values), digest._record_outputs("fixture", reordered)
+    assert original.keys() == moved.keys() and "fixture/report.json" in original
+    assert original.pop("fixture/timeseries.csv") != moved.pop("fixture/timeseries.csv")
+    assert original == moved
 
 
 def test_the_line_break_file_loads_every_row(digest, tmp_path):

@@ -6,19 +6,25 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evtkit import (
+    FAMILIES,
+    GEV,
     Dataset,
     Distribution,
+    Gumbel,
     ReturnSpec,
     Sample,
     emit_plot_data,
     emit_report,
+    fit_mle,
     params_from_dict,
     report_to_dict,
     run_pipeline,
 )
-from evtkit.errors import NumericalError, UnsupportedFormatError
+from evtkit.errors import DegenerateSampleError, DomainError, NumericalError, UnsupportedFormatError
 from evtkit.io import CHUNK_CELLS
 from evtkit.pipeline import (
     PDF_GRID_MARGIN,
@@ -121,6 +127,33 @@ class TestRunPipeline:
         ds = Dataset("flat", Sample(np.full(10, 5.0)))
         with pytest.raises(NumericalError):
             run_pipeline(ds)
+
+
+def _fit_or_error(family, sample):
+    try:
+        return repr(fit_mle(family, sample))
+    except (DomainError, DegenerateSampleError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+class TestRowOrder:
+    """Block maxima are exchangeable: the report and every fit depend on the values, not on their order."""
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(20, 150),
+        location=st.floats(50.0, 500.0),
+        scale=st.floats(1.0, 50.0),
+        shape=st.sampled_from([None]) | st.floats(-0.4, 0.4),
+        seed=st.integers(0, 2**32 - 1),
+        order_seed=st.integers(0, 2**32 - 1),
+    )
+    def test_a_permutation_changes_no_report_and_no_fit(self, n, location, scale, shape, seed, order_seed):
+        s = (Gumbel(location, scale) if shape is None else GEV(location, scale, shape)).sample(n, seed)
+        permuted = Sample(np.random.default_rng(order_seed).permutation(s.values))
+        assert report_to_dict(run_pipeline(Dataset("r", permuted))) == report_to_dict(run_pipeline(Dataset("r", s)))
+        for family in FAMILIES:
+            assert _fit_or_error(family, permuted) == _fit_or_error(family, s), family
 
 
 class TestEmitReport:

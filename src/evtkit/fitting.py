@@ -24,7 +24,7 @@ kept because they are faster: a GEV evaluation takes about 0.6 of the
 kernel's time at n = 51 to 85, and 0.4 at n = 100 000. A fit is three steps:
 :func:`_prepare` makes the standardized data and the start, a search runs,
 and :func:`_finish` maps it back, repairs a GEV location or falls back to
-the start; one driver runs them for :func:`fit_all` and :func:`fit_mle`
+the start; :func:`_fit` runs them for :func:`fit_all` and :func:`fit_mle`
 alike. Every search is a lane of :func:`~evtkit.simplex._lockstep`, whose
 objective takes the lanes' points as lists: the Gumbel-type searches of one
 sample are lanes of one (K, n) profile objective, so numpy's fixed cost per

@@ -2,16 +2,19 @@
 
 Subcommands: ``fit``, ``gof``, ``return-levels``, ``report`` (full
 pipeline), ``simulate``. Exit codes: 0 success, 1 usage error, 2 data
-error (including a path that cannot be read or written), 3 numerical
-failure (no family converged).
+error (including a path or standard output that cannot be read or written),
+3 numerical failure (no family converged). ``main`` runs one command and
+returns; ``run``, the program's entry point, also ends the process.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
+from typing import NoReturn
 
 from .diagnostics import AD_CRITICAL_VALUES, select_best
 from .distributions import FAMILIES, FAMILY_LABELS, params_from_sequence
@@ -231,10 +234,13 @@ def _cmd_simulate(args) -> int:
 
 
 def main(argv=None) -> int:
+    """Run one command and return its exit code; a failed flush of standard output is a data error."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()
+        return code
     except _DATA_ERRORS as exc:
         print(f"evtkit: error: {exc}", file=sys.stderr)
         return EXIT_DATA
@@ -243,5 +249,11 @@ def main(argv=None) -> int:
         return EXIT_NUMERICAL
 
 
-if __name__ == "__main__":
-    sys.exit(main())
+def run() -> NoReturn:
+    """Run ``main`` on ``sys.argv``, then ``os._exit`` with its code, skipping interpreter teardown and
+    ``atexit`` callbacks; under a trace or profile hook (coverage, a profiler, a debugger) exit normally."""
+    code = main()
+    sys.stderr.flush()
+    if sys.gettrace() is None and sys.getprofile() is None:
+        os._exit(code)
+    sys.exit(code)

@@ -6,6 +6,7 @@ import itertools
 import json
 import math
 import os
+import pstats
 import re
 import subprocess
 import sys
@@ -584,12 +585,21 @@ class TestOptionSurface:
         assert "unrecognized arguments: --columns value" in capsys.readouterr().err
 
 
-def run_module(*args):
-    """``python -m evtkit`` with ``args`` in a child process, with numpy's default warning filters."""
+def run_python(*args, stdout=subprocess.PIPE, **env_changes):
+    """``python`` with ``args`` in a child process, with numpy's default warning filters.
+
+    Each keyword sets that environment variable in the child, or with ``None`` removes it.
+    """
     # The child imports the evtkit this process imported, installed or not.
     src = str(Path(evtkit.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, "-m", "evtkit", *args], capture_output=True, text=True, env=env)
+    env = {name: value for name, value in {**env, **env_changes}.items() if value is not None}
+    return subprocess.run([sys.executable, *args], stdout=stdout, stderr=subprocess.PIPE, text=True, env=env)
+
+
+def run_module(*args, **kwargs):
+    """``python -m evtkit`` with ``args`` in a child process; keywords as for ``run_python``."""
+    return run_python("-m", "evtkit", *args, **kwargs)
 
 
 def test_module_entry_point(tmp_path):
@@ -598,3 +608,74 @@ def test_module_entry_point(tmp_path):
     proc = run_module("simulate", *args)
     assert proc.returncode == 0
     assert out.exists()
+
+
+def in_process(args, capsys):
+    """``main(args)`` as ``(exit code, stdout, stderr)``, also when argparse exits."""
+    try:
+        code = main(args)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestProcessExit:
+    """``python -m evtkit`` ends through ``cli.run``: ``main``, then ``os._exit`` unless a hook is set."""
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("unbuffered", [None, "1"], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("command", [["report", "--format", "json"], ["fit"]], ids=["report", "fit"])
+    def test_a_failed_write_to_stdout_is_a_data_error(self, command, unbuffered):
+        # Buffered, the write used to fail only at interpreter teardown, which exited 120.
+        with open("/dev/full", "w") as full:
+            proc = run_module(*command, "--input", str(FIXTURE_FILE), stdout=full, PYTHONUNBUFFERED=unbuffered)
+        assert proc.returncode == EXIT_DATA
+        assert proc.stderr == "evtkit: error: [Errno 28] No space left on device\n"
+
+    @pytest.mark.parametrize(
+        "code, args",
+        [
+            (EXIT_OK, ["report", "--input", str(FIXTURE_FILE), "--format", "json"]),
+            (EXIT_USAGE, ["report", "--input", str(FIXTURE_FILE), "--no-such-option"]),
+            (EXIT_DATA, ["report", "--input", "missing.csv"]),
+            (EXIT_NUMERICAL, ["fit", "--input", "two.csv"]),
+        ],
+        ids=["ok", "usage", "data", "numerical"],
+    )
+    def test_the_child_is_the_in_process_program(self, tmp_path, monkeypatch, capsys, code, args):
+        monkeypatch.chdir(tmp_path)
+        Path("two.csv").write_text("1.0\n2.0\n")
+
+        def out_dir(name):
+            return ["--out-dir", name] if code == EXIT_OK else []
+
+        child = run_module(*args, *out_dir("child"))
+        expected = in_process([*args, *out_dir("here")], capsys)
+        assert (child.returncode, child.stdout, child.stderr) == expected
+        assert expected[0] == code
+        if code == EXIT_OK:
+            files = {path.name: path.read_bytes() for path in Path("here").iterdir()}
+            assert len(files) == 16
+            assert {path.name: path.read_bytes() for path in Path("child").iterdir()} == files
+
+    def test_a_profiled_run_writes_its_profile(self, tmp_path):
+        profile = tmp_path / "prof.out"
+        proc = run_python("-m", "cProfile", "-o", str(profile), "-m", "evtkit", "report", "--input", str(FIXTURE_FILE))
+        assert proc.returncode == EXIT_OK
+        assert pstats.Stats(str(profile)).total_calls > 0
+
+    @pytest.mark.parametrize("traced", [True, False], ids=["traced", "untraced"])
+    def test_atexit_callbacks_run_only_under_a_trace_hook(self, traced):
+        code = (
+            "import atexit, runpy, sys\n"
+            "atexit.register(print, 'atexit ran')\n"
+            f"if {traced}:\n"
+            "    sys.settrace(lambda *event: None)\n"
+            f"sys.argv = ['evtkit', 'report', '--input', {str(FIXTURE_FILE)!r}, '--format', 'json']\n"
+            "runpy.run_module('evtkit', run_name='__main__')\n"
+        )
+        proc = run_python("-c", code)
+        assert proc.returncode == EXIT_OK
+        assert proc.stderr == ""
+        assert proc.stdout.endswith("atexit ran\n") == traced

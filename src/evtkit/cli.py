@@ -254,6 +254,11 @@ def run() -> NoReturn:
     ``atexit`` callbacks; under a trace or profile hook (coverage, a profiler, a debugger) exit normally."""
     code = main()
     sys.stderr.flush()
-    if sys.gettrace() is None and sys.getprofile() is None:
+    monitoring = getattr(sys, "monitoring", None)  # From 3.12 cProfile, coverage and pdb hook in as tools 0-5.
+    if not (sys.gettrace() or sys.getprofile() or monitoring and any(map(monitoring.get_tool, range(6)))):
         os._exit(code)
+    try:
+        sys.stdout.flush()
+    except OSError:  # Bytes main could not write: teardown would retry them and exit 120, not with code.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     sys.exit(code)

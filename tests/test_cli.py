@@ -667,15 +667,40 @@ class TestProcessExit:
 
     @pytest.mark.parametrize("traced", [True, False], ids=["traced", "untraced"])
     def test_atexit_callbacks_run_only_under_a_trace_hook(self, traced):
-        code = (
-            "import atexit, runpy, sys\n"
-            "atexit.register(print, 'atexit ran')\n"
-            f"if {traced}:\n"
-            "    sys.settrace(lambda *event: None)\n"
-            f"sys.argv = ['evtkit', 'report', '--input', {str(FIXTURE_FILE)!r}, '--format', 'json']\n"
-            "runpy.run_module('evtkit', run_name='__main__')\n"
-        )
-        proc = run_python("-c", code)
+        hook = "sys.settrace(lambda *event: None)" if traced else "pass"
+        proc = run_python("-c", evtkit_after(hook, "report", "--input", str(FIXTURE_FILE), "--format", "json"))
         assert proc.returncode == EXIT_OK
         assert proc.stderr == ""
         assert proc.stdout.endswith("atexit ran\n") == traced
+
+    def test_a_monitoring_tool_is_a_hook(self):
+        # From Python 3.12 cProfile, coverage and pdb hook in as a sys.monitoring tool and set no trace or
+        # profile function. Before 3.12, a stand-in with sys.monitoring's get_tool registers tool 2.
+        hook = (
+            "sys.monitoring.use_tool_id(2, 'test') if hasattr(sys, 'monitoring') else "
+            "setattr(sys, 'monitoring', types.SimpleNamespace(get_tool={2: 'test'}.get))"
+        )
+        proc = run_python("-c", evtkit_after(hook, "report", "--input", str(FIXTURE_FILE), "--format", "json"))
+        assert proc.returncode == EXIT_OK
+        assert proc.stderr == ""
+        assert proc.stdout.endswith("atexit ran\n")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_a_failed_write_to_stdout_is_a_data_error_under_a_trace_hook(self):
+        # The bytes main could not write stay buffered; the normal exit must not retry them and exit 120.
+        code = evtkit_after("sys.settrace(lambda *event: None)", "report", "--input", str(FIXTURE_FILE))
+        with open("/dev/full", "w") as full:
+            proc = run_python("-c", code, stdout=full, PYTHONUNBUFFERED=None)
+        assert proc.returncode == EXIT_DATA
+        assert proc.stderr == "evtkit: error: [Errno 28] No space left on device\n"
+
+
+def evtkit_after(hook, *args):
+    """Python code that registers an ``atexit`` print, runs ``hook`` and then ``python -m evtkit`` with ``args``."""
+    return (
+        "import atexit, runpy, sys, types\n"
+        "atexit.register(print, 'atexit ran')\n"
+        f"{hook}\n"
+        f"sys.argv = ['evtkit', *{list(args)!r}]\n"
+        "runpy.run_module('evtkit', run_name='__main__')\n"
+    )

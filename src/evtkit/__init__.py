@@ -31,7 +31,6 @@ from .distributions import (
     Weibull,
     clamp_probability,
     make_params,
-    params_from_dict,
     params_from_sequence,
     params_to_dict,
 )
@@ -100,7 +99,6 @@ __all__ = [
     "log_likelihood",
     "make_params",
     "nelder_mead",
-    "params_from_dict",
     "params_from_sequence",
     "params_to_dict",
     "plotting_positions",

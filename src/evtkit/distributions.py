@@ -38,7 +38,6 @@ __all__ = [
     "clamp_probability",
     "make_params",
     "params_to_dict",
-    "params_from_dict",
     "params_from_sequence",
 ]
 
@@ -361,8 +360,10 @@ def _fields_error(family: str, got) -> DomainError:
     return DomainError(f"{family} takes {len(names)} parameters ({', '.join(names)}), got {got}")
 
 
-def make_params(family: str, **kwargs) -> Distribution:
+def make_params(family: str | None = None, **kwargs) -> Distribution:
     """Build ``family``'s record from exactly its fields as keywords; a missing or unknown one is a DomainError."""
+    if family is None:
+        raise DomainError("parameter record is missing the 'family' tag")
     cls = _family_class(family)
     if kwargs.keys() != {field.name for field in dataclasses.fields(cls)}:
         raise _fields_error(family, ", ".join(kwargs) or "none")
@@ -372,19 +373,6 @@ def make_params(family: str, **kwargs) -> Distribution:
 def params_to_dict(dist: Distribution) -> dict:
     """Serialize a parameter record to a plain dict (family tag included)."""
     return {"family": dist.family, **dataclasses.asdict(dist)}
-
-
-def params_from_dict(data: dict) -> Distribution:
-    """Inverse of :func:`params_to_dict`: ``family`` and exactly the record's fields, as :func:`make_params` takes.
-
-    A Frechet's ``location``, in reports written before the Frechet lost it, is a DomainError until dropped.
-    """
-    payload = dict(data)
-    try:
-        family = payload.pop("family")
-    except KeyError:
-        raise DomainError("parameter record is missing the 'family' tag") from None
-    return make_params(family, **payload)
 
 
 def params_from_sequence(family: str, values) -> Distribution:

@@ -20,7 +20,7 @@ from evtkit import (
     emit_plot_data,
     emit_report,
     fit_mle,
-    params_from_dict,
+    make_params,
     report_to_dict,
     run_pipeline,
 )
@@ -83,7 +83,7 @@ def _assert_section(section: dict, record) -> None:
     for name, value in section.items():
         expected = getattr(record, name)
         if isinstance(expected, Distribution):
-            assert params_from_dict(value) == expected
+            assert make_params(**value) == expected
         elif isinstance(expected, float) and not math.isfinite(expected):
             assert value is None
         else:

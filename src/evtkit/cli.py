@@ -29,7 +29,7 @@ from .errors import (
 from .fitting import FitOutcome, fit_all, fit_mle
 from .io import load_csv, simulate_to_csv, write_text_atomic
 from .pipeline import REPORT_FORMATS, emit_plot_data, emit_report, goodness_of_fit, run_pipeline
-from .pipeline import _no_fit_error, fit_outcome_to_dict, gof_to_dict, return_levels_to_dict
+from .pipeline import _fallback_note, _no_fit_error, fit_outcome_to_dict, gof_to_dict, return_levels_to_dict
 from .pipeline import render_fit_table, render_gof_table, render_return_table
 from .returns import DEFAULT_RETURN_PERIODS, ReturnSpec, return_level_table
 
@@ -189,7 +189,7 @@ def _gof_rows(args, sample, outcomes):
     best = select_best(gofs) if any(gofs) else None
     lines = render_gof_table(outcomes, gofs)
     if best is not None and len(gofs) > 1:
-        lines.append(f"best family: {FAMILY_LABELS[best]}")
+        lines.append(f"best family: {FAMILY_LABELS[best]}{_fallback_note(gofs)}")
     fits = [fit_outcome_to_dict(o) for o in outcomes]
     return {"fits": fits, "gof": [gof_to_dict(g) for g in gofs], "best_family": best}, lines
 

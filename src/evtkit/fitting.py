@@ -285,7 +285,8 @@ def fit_mle(family: str, sample: Sample) -> FitResult:
     A result with ``converged=False`` (rather than an exception) is returned
     when the search's budget of 10 000 iterations runs out before the simplex
     collapses, and, reporting the start, when the search found no point whose
-    log-likelihood on the data is finite.
+    log-likelihood on the data is finite, or, with no GEV search, when over
+    half of the values tie at the minimum, where the likelihood has no maximum.
 
     Raises
     ------
@@ -353,8 +354,11 @@ def _fit(sample: Sample, families: tuple) -> dict:
     if "gev" in families:
         fits["gev"] = gumbel = fits["gumbel"]
         if isinstance(gumbel, FitResult):
+            start, x = GEV(gumbel.params.location, gumbel.params.scale, 0.0), sample.sorted_values()
+            if np.searchsorted(x, x[0], "right") > sample.n / 2:  # no maximum to search for (see fit_mle)
+                fits["gev"] = FitResult(start, log_likelihood(start, sample), False, 0, 0, start)
+                return fits
             data, (cls, sample_unit, mean, sd, _) = _prepare("gev", sample)
-            start = GEV(gumbel.params.location, gumbel.params.scale, 0.0)
             location, scale = start.location / sample_unit, start.scale / sample_unit
             theta0 = [(location - mean) / sd, math.log(scale / sd), 0.0]
             with np.errstate(all="ignore"):

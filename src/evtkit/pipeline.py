@@ -106,6 +106,10 @@ def _no_fit_error(fits) -> NumericalError:
     return NumericalError(f"no distribution family could be fitted: {reasons}")
 
 
+def _fallback_note(gofs) -> str:
+    return "" if any(g and g.passed for g in gofs) else " (no family passed; smallest A-D statistic)"
+
+
 def _params_for(fits: tuple[FitOutcome, ...], family: str) -> Distribution:
     for fit in fits:
         if fit.family == family and fit.result is not None:
@@ -241,7 +245,7 @@ def _text_report(report: AnalysisReport) -> str:
     lines.append("")
 
     best_label = FAMILY_LABELS[report.best_family]
-    lines.append(f"Best family: {best_label}")
+    lines.append(f"Best family: {best_label}{_fallback_note(report.gofs)}")
     lines.append("")
     lines.extend(_heading(f"Return levels ({best_label})"))
     lines.extend(render_return_table({"level": report.return_levels}, indent="  "))

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, formats, and exit codes."""
 
 import argparse
+import dataclasses
 import functools
 import itertools
 import json
@@ -407,6 +408,38 @@ class TestStepCommandsPrintTheReportRows:
         assert code == EXIT_OK
         (entry,) = json.loads(out)["return_levels"]
         assert entry == {"family": best, "entries": report["return_levels"]}
+
+
+FALLBACK_NOTE = " (no family passed; smallest A-D statistic)"
+
+
+def _all_failed(gofs):
+    return tuple(dataclasses.replace(gof, passed=False) for gof in gofs)
+
+
+@pytest.mark.parametrize("passed", [True, False], ids=["a-family-passed", "none-passed"])
+class TestFallbackNote:
+    """The best-family line of the report and of ``gof`` notes that no family passed if and only if none did."""
+
+    def test_report(self, passed):
+        report = run_pipeline(load_csv(FIXTURE_FILE))
+        assert all(gof.passed for gof in report.gofs)
+        if not passed:
+            report = dataclasses.replace(report, gofs=_all_failed(report.gofs))
+        (line,) = [row for row in emit_report(report, "text").splitlines() if row.startswith("Best family:")]
+        label = evtkit.FAMILY_LABELS[report.best_family]
+        assert line == f"Best family: {label}" + ("" if passed else FALLBACK_NOTE)
+
+    def test_gof_command(self, passed, monkeypatch, capsys):
+        if not passed:
+            tested = evtkit.cli.goodness_of_fit
+            monkeypatch.setattr(evtkit.cli, "goodness_of_fit", lambda *args: _all_failed(tested(*args)))
+        code, out, _ = run_main(["gof", "--input", str(FIXTURE_FILE)], capsys)
+        assert code == EXIT_OK
+        assert out.count("PASS" if passed else "FAIL") == 4
+        # The smallest statistic of all four: the family that had the smallest of those that passed.
+        label = evtkit.FAMILY_LABELS[run_pipeline(load_csv(FIXTURE_FILE)).best_family]
+        assert out.splitlines()[-1] == f"best family: {label}" + ("" if passed else FALLBACK_NOTE)
 
 
 UNFITTABLE = {"two_values": "1\n2\n", "equal_values": "5\n5\n5\n5\n"}

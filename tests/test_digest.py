@@ -1,6 +1,7 @@
 """``tools/digest.py``, the hash of every output over a fixed corpus, loaded here by path."""
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -51,3 +52,34 @@ def test_each_simulate_entry_is_the_exit_code_and_the_file(digest):
     for data in outputs.values():
         head, *rows = data.decode().splitlines()
         assert head == "exit 0" and len(rows) == 51
+
+
+def test_each_exit_entry_is_its_code_and_a_message_with_no_path(digest):
+    messages = {
+        "cli/exit/1": "evtkit fit: error: the following arguments are required: --input",
+        "cli/exit/2": "evtkit: error: row 3: could not parse 'abc' as a number",
+        "cli/exit/3": "evtkit: error: no distribution family could be fitted: "
+        "need at least 3 observations to fit, got 2",
+    }
+    outputs = digest._exit_outputs()
+    assert outputs.keys() == messages.keys()
+    for name, data in outputs.items():
+        text = data.decode()
+        assert text.startswith(f"exit {name[-1]}\n--- stdout\n--- stderr\n") and text.endswith(messages[name] + "\n")
+
+
+def test_usage_and_help_text_do_not_depend_on_the_terminal_width(digest, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "40")
+    narrow = digest._run_cli(["fit"]), digest._run_cli(["report", "--help"])
+    monkeypatch.setenv("COLUMNS", "200")
+    assert (digest._run_cli(["fit"]), digest._run_cli(["report", "--help"])) == narrow
+
+
+def test_the_tied_record_has_no_gev_search_and_notes_the_fallback(digest):
+    values = dict(digest._records())["tied/station059"]
+    assert np.count_nonzero(values == values.min()) == 22 and values.size == 23
+    outputs = digest._record_outputs("tied", values)
+    gev = json.loads(outputs["tied/report.json"])["fits"][3]["fit"]
+    assert (gev["converged"], gev["iterations"], gev["n_evaluations"]) == (False, 0, 0)
+    assert gev["params"] == gev["initial_params"]
+    assert "Best family: Weibull (no family passed; smallest A-D statistic)\n" in outputs["tied/report.txt"].decode()

@@ -221,6 +221,57 @@ class TestFitMle:
         assert moved.params.scale == pytest.approx(a * base.params.scale, rel=1e-4)
 
 
+@st.composite
+def _tied_samples(draw):
+    """Distinct GEV draws, k of which are then set to one value: the minimum, one in the middle, or the maximum."""
+    n = draw(st.integers(3, 200))
+    where = draw(st.sampled_from(["minimum", "middle", "maximum"] if n >= 4 else ["minimum", "maximum"]))
+    k = draw(st.integers(2, n - 2) if where == "middle" else st.integers(1, n - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = np.sort(GEV_MM.sample(n, int(rng.integers(2**32))).values)  # distinct with probability 1
+    if where == "minimum":
+        x[:k] = x[0]
+    elif where == "maximum":
+        x[n - k :] = x[-1]
+    else:  # below x[j + k], above x[j - 1]
+        j = draw(st.integers(1, n - k - 1))
+        x[j : j + k] = x[j]
+    return where, k, Sample(rng.permutation(x))
+
+
+class TestTiesAtTheMinimum:
+    """Where over half of the values tie at the minimum, the GEV likelihood has no maximum: no search runs."""
+
+    @staticmethod
+    def assert_no_search(sample):
+        gumbel, gev = fit_mle("gumbel", sample), fit_mle("gev", sample)
+        start = GEV(gumbel.params.location, gumbel.params.scale, 0.0)
+        assert gev == evtkit.fitting.FitResult(start, log_likelihood(start, sample), False, 0, 0, start)
+        assert [o.result for o in fit_all(sample)][3] == gev
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(_tied_samples())
+    def test_a_search_runs_unless_over_half_tie_at_the_minimum(self, tied):
+        where, k, sample = tied
+        if where == "minimum" and k > sample.n / 2:
+            self.assert_no_search(sample)
+        else:
+            assert fit_mle("gev", sample).n_evaluations > 0
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 23, 40, 145, 200])
+    def test_the_rule_turns_at_half(self, n):
+        x = np.sort(GEV_MM.sample(n, n).values)
+        half = n // 2
+        x[: half + 1] = x[0]
+        self.assert_no_search(Sample(x))
+        x[half] = np.nextafter(x[0], np.inf)  # half of the values at the minimum, or fewer for odd n
+        assert fit_mle("gev", Sample(x)).n_evaluations > 0
+
+    def test_the_degenerate_fit_of_four_values_reports_its_start(self):
+        # The search ended at scale 6.5e-15 and shape 0.874, "converged", with log-likelihood 51.1.
+        self.assert_no_search(Sample(np.array([35.0, 0.0, 0.0, 0.0])))
+
+
 # The sample behind data/synthetic_annual_maxima.csv. The file was written by
 # `simulate` before the GEV quantile took its log1p/expm1 form, so 44 of its 51
 # values differ from this sample, by at most 5.7e-16 relative; the file is kept

@@ -18,13 +18,18 @@ compare output by output only when their heads match. The corpus:
 - ``fit``, ``gof`` and ``return-levels`` on the fixture, with each ``--dist``
   and ``--format``;
 - ``--help`` of the program and of each command;
+- one command for each error exit: ``fit`` without ``--input`` (1), and
+  ``report`` on a file with a non-numeric row (2) and on a file of two
+  values (3), written in a temporary directory; no message names its path;
 - ``simulate --n 51 --seed 22`` of each family, at the fixture's fitted
   parameters: the exit code and the written file, not standard output,
   which names the file's temporary path;
 - the ``stations`` records of seeds 1 and 2, the ``long_record`` of seed 1,
   and the fixture times 10**k for k = -9..9 (the ``units`` scalings): for
   each, the text and JSON reports of ``run_pipeline`` and the plot files of
-  ``emit_plot_data``, or the error it raised;
+  ``emit_plot_data``, or the error it raised; and the same of the
+  ``stations`` record 59 of seed 1 rounded to 0.1: 22 of its 23 values tie
+  at the minimum, so its GEV likelihood has no maximum;
 - ``load_csv`` of the ``long_record`` of seed 1, written one value per line
   as the benchmark writes it, and of a small ``year,value`` file with a BOM,
   a header, blank rows and every line break ``str.splitlines`` knows: the
@@ -39,9 +44,11 @@ import argparse
 import contextlib
 import hashlib
 import io
+import os
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
@@ -62,6 +69,7 @@ COMMANDS = ("fit", "gof", "return-levels", "report", "simulate")
 STEP_COMMANDS = ("fit", "gof", "return-levels")
 STATION_SEEDS = (1, 2)
 LONG_RECORD_SEED = 1
+TIED_SEED, TIED_RECORD = 1, 59
 SIMULATE_PARAMS = {
     "gev": "92.41,30.85,0.06",
     "gumbel": "93.61,32.02",
@@ -76,9 +84,13 @@ def _sha(data: bytes) -> str:
 
 
 def _run_cli(argv: list[str]) -> bytes:
-    """Exit code, standard output and standard error of ``evtkit ARGV``, run in process."""
+    """Exit code, standard output and standard error of ``evtkit ARGV``, run in process.
+
+    argparse wraps its usage and help text to the terminal's width, so that is fixed at 80 columns, the
+    width it takes where standard output is not a terminal, as in CI.
+    """
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with mock.patch.dict(os.environ, COLUMNS="80"), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = evtkit_main(argv)
         except SystemExit as exc:  # --help and usage errors
@@ -105,6 +117,19 @@ def _cli_outputs() -> dict[str, bytes]:
     for command in COMMANDS:
         outputs[f"cli/help/{command}"] = _run_cli([command, "--help"])
     return outputs
+
+
+def _exit_outputs() -> dict[str, bytes]:
+    """One command for each error exit, on input files written in a temporary directory."""
+    with tempfile.TemporaryDirectory() as tmp:
+        non_numeric, two_values = Path(tmp, "non_numeric.csv"), Path(tmp, "two_values.csv")
+        non_numeric.write_text("1.5\n2.5\nabc\n4.5\n", encoding="utf-8")
+        two_values.write_text("1.5\n2.5\n", encoding="utf-8")
+        return {
+            "cli/exit/1": _run_cli(["fit"]),
+            "cli/exit/2": _run_cli(["report", "--input", str(non_numeric)]),
+            "cli/exit/3": _run_cli(["report", "--input", str(two_values)]),
+        }
 
 
 def _simulate_outputs() -> dict[str, bytes]:
@@ -143,6 +168,7 @@ def _records():
     base = inputs.fixture_values(inputs.FIXTURE_SEED)
     for k in inputs.UNIT_EXPONENTS:
         yield f"units/1e{k}", base * 10.0**k
+    yield f"tied/station{TIED_RECORD:03d}", np.round(inputs.stations(TIED_SEED)[TIED_RECORD].values, 1)
 
 
 def line_breaks_text() -> str:
@@ -170,7 +196,7 @@ def _reader_outputs() -> dict[str, bytes]:
 
 def digest() -> dict[str, str]:
     """sha256 of every output of the corpus, by name."""
-    outputs = _cli_outputs() | _simulate_outputs() | _reader_outputs()
+    outputs = _cli_outputs() | _exit_outputs() | _simulate_outputs() | _reader_outputs()
     for name, values in _records():
         outputs.update(_record_outputs(name, values))
     return {name: _sha(data) for name, data in sorted(outputs.items())}

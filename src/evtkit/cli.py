@@ -160,13 +160,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _load(path):
+    """``load_csv(path)``, with a note on standard error when its first row was skipped as a header."""
+    dataset = load_csv(path)
+    if dataset.header is not None:
+        row, text = dataset.header
+        print(f'evtkit: note: row {row} ("{text}") read as a header and skipped', file=sys.stderr)
+    return dataset
+
+
 def _cmd_step(args) -> int:
     """``fit``, ``gof`` and ``return-levels``: fit ``--dist`` and print the command's rows.
 
     ``args.rows(args, sample, outcomes)`` gives the JSON payload that follows
     ``"dataset"`` and the text lines.
     """
-    dataset = load_csv(args.input)
+    dataset = _load(args.input)
     if args.dist == "all":
         outcomes = fit_all(dataset.sample)
     else:  # single family: surface data errors directly
@@ -206,7 +215,7 @@ def _return_level_rows(args, sample, outcomes):
 
 
 def _cmd_report(args) -> int:
-    dataset = load_csv(args.input)
+    dataset = _load(args.input)
     report = run_pipeline(dataset, spec=args.periods, alpha=args.alpha)
     # Each format is rendered once. The files are written first, so a directory
     # that cannot be made or written leaves only the error, not a report that exits with 2.

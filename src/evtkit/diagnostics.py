@@ -9,7 +9,7 @@ import numpy as np
 
 from .distributions import FAMILIES, Distribution, clamp_probability
 from .errors import DegenerateSampleError, DomainError, EmptyInputError
-from .sample import Sample, standardize, whole_number
+from .sample import Sample, whole_number
 
 __all__ = [
     "DescriptiveStats",
@@ -101,12 +101,14 @@ def describe(sample: Sample) -> DescriptiveStats:
     Taken of the sorted values, at the unit of :func:`~evtkit.sample.standardize`, which the coefficient
     of variation needs near the float maximum; a value past the float range is inf. That coefficient is
     NaN where it is not finite: at mean 0, and where ``100 * sd / mean`` overflows on a subnormal mean.
+    The standardization is the sample's own (:meth:`~evtkit.sample.Sample.standardized`), which the
+    Gumbel and GEV fits share.
     """
     n = sample.n
     if n < 2:
         raise DegenerateSampleError("need at least two observations to describe")
     x = sample.sorted_values()
-    unit, mean, sd, z = standardize(x)
+    unit, mean, sd, z = sample.standardized()
     std_dev = unit * sd  # Python floats: inf past the float range, with no warning
     variance = std_dev * std_dev
     std_error = std_dev / math.sqrt(n)
@@ -114,15 +116,16 @@ def describe(sample: Sample) -> DescriptiveStats:
     if not math.isfinite(coef_variation_pct):
         coef_variation_pct = math.nan  # math.nan itself: report equality matches NaN by identity
 
-    m2 = float(np.mean(z**2))
+    # Sums by np.add.reduce, which is np.mean's and np.sum's sum without their dispatch.
+    m2 = float(np.add.reduce(z**2)) / n
     skewness = math.nan
     excess_kurtosis = math.nan
     if m2 > 0.0:
         if n > 2:
-            g1 = float(np.mean(z**3)) / m2**1.5
+            g1 = float(np.add.reduce(z**3)) / n / m2**1.5
             skewness = g1 * math.sqrt(n * (n - 1.0)) / (n - 2.0)
         if n > 3:
-            g2 = float(np.mean(z**4)) / m2**2 - 3.0
+            g2 = float(np.add.reduce(z**4)) / n / m2**2 - 3.0
             excess_kurtosis = ((n + 1.0) * g2 + 6.0) * (n - 1.0) / ((n - 2.0) * (n - 3.0))
 
     return DescriptiveStats(
@@ -154,7 +157,7 @@ def anderson_darling(sample: Sample, dist: Distribution, alpha: float = 0.05) ->
     n = sample.n
     z = clamp_probability(dist.cdf(sample.sorted_values()))
     coeff = 2.0 * np.arange(1, n + 1) - 1.0
-    statistic = -n - float(np.sum(coeff * (np.log(z) + np.log1p(-z[::-1])))) / n
+    statistic = -n - float(np.add.reduce(coeff * (np.log(z) + np.log1p(-z[::-1])))) / n
     return GofResult.from_statistic(dist.family, statistic, alpha, AD_CRITICAL_VALUES[alpha])
 
 

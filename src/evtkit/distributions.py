@@ -13,7 +13,6 @@ arguments, safe for concurrent use.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import sys
 from dataclasses import dataclass
@@ -59,6 +58,8 @@ class _EvdFamily:
     A record stores every field as a float. Each must be finite, and those
     named in ``_positive`` must also be > 0. ``_GevForms`` and ``_LogGumbel``
     declare the fields of the two record shapes, (location, scale) and (shape, scale).
+    Records validate, rescale and serialize over ``__match_args__``, the tuple of
+    field names that ``dataclass`` makes once per class, in declaration order.
 
     Each family says once, for its density and its fit, how it is a Gumbel:
     ``_gumbel_values(x)`` is x, log x or -log x (+-inf off the support and
@@ -79,8 +80,8 @@ class _EvdFamily:
     _logarithmic: ClassVar[bool] = False
 
     def __post_init__(self):
-        for field in dataclasses.fields(self):
-            name, value = field.name, float(getattr(self, field.name))
+        for name in self.__match_args__:
+            value = float(getattr(self, name))
             if name in self._positive:
                 if not (math.isfinite(value) and value > 0.0):
                     raise DomainError(f"{name} must be a positive finite number, got {value!r}")
@@ -90,8 +91,8 @@ class _EvdFamily:
 
     def _in_unit(self, unit: float):
         """The record of the values ``x / unit``: its location and scale divided by ``unit``."""
-        names = [field.name for field in dataclasses.fields(self) if field.name in ("location", "scale")]
-        return dataclasses.replace(self, **{name: getattr(self, name) / unit for name in names})
+        fields = self.__match_args__
+        return type(self)(*(self.shape if name == "shape" else getattr(self, name) / unit for name in fields))
 
     def _evaluate(self, form, x):
         """``form(x)`` for ``x`` as a float array of at least one dimension; a float for a scalar ``x``.
@@ -165,14 +166,19 @@ def _gumbel_limit(shape, form, limit):
     return np.divide(form, shape, limit, where=general)
 
 
-def _log_t(y, inverse_scale, shape, log_t, minus_w):
+def _log_t(y, inverse_scale, shape, log_t, minus_w, operands=None):
     """The GEV's log t = log1p(y * (shape*inverse_scale)) into ``log_t`` (which may be ``y``),
     and -w = log t / -shape into ``minus_w``, returned; z = y*inverse_scale and t = 1 + shape*z.
     Below |shape| 2**-970, shape 0 included, -w is -z wherever log t is not a normal float; -z is
-    written first, so that log t goes straight into ``log_t``, with no array for shape*z."""
-    factor = shape * inverse_scale
+    written first, so that log t goes straight into ``log_t``, with no array for shape*z. Given
+    ``operands``, two 0-d float arrays, shape*inverse_scale and -shape go through them, which numpy
+    takes without converting a scalar: the GEV objective keeps one pair for all its calls."""
+    factor, minus_shape = shape * inverse_scale, -shape
+    if operands is not None:
+        operands[0][()], operands[1][()] = factor, minus_shape
+        factor, minus_shape = operands
     if not -_TINY_SHAPE < shape < _TINY_SHAPE:
-        return np.divide(np.log1p(np.multiply(y, factor, log_t), log_t), -shape, minus_w)
+        return np.divide(np.log1p(np.multiply(y, factor, log_t), log_t), minus_shape, minus_w)
     minus_z = np.multiply(y, -inverse_scale, minus_w)
     return _gumbel_limit(-shape, np.log1p(np.multiply(y, factor, log_t), log_t), minus_z)
 
@@ -356,7 +362,7 @@ def _family_class(family: str):
 
 
 def _fields_error(family: str, got) -> DomainError:
-    names = [field.name for field in dataclasses.fields(_FAMILY_CLASSES[family])]
+    names = _FAMILY_CLASSES[family].__match_args__
     return DomainError(f"{family} takes {len(names)} parameters ({', '.join(names)}), got {got}")
 
 
@@ -365,14 +371,14 @@ def make_params(family: str | None = None, **kwargs) -> Distribution:
     if family is None:
         raise DomainError("parameter record is missing the 'family' tag")
     cls = _family_class(family)
-    if kwargs.keys() != {field.name for field in dataclasses.fields(cls)}:
+    if kwargs.keys() != set(cls.__match_args__):
         raise _fields_error(family, ", ".join(kwargs) or "none")
     return cls(**kwargs)
 
 
 def params_to_dict(dist: Distribution) -> dict:
     """Serialize a parameter record to a plain dict (family tag included)."""
-    return {"family": dist.family, **dataclasses.asdict(dist)}
+    return {"family": dist.family, **{name: getattr(dist, name) for name in dist.__match_args__}}
 
 
 def params_from_sequence(family: str, values) -> Distribution:
@@ -382,6 +388,6 @@ def params_from_sequence(family: str, values) -> Distribution:
     """
     cls = _family_class(family)
     values = [float(v) for v in values]
-    if len(values) != len(dataclasses.fields(cls)):
+    if len(values) != len(cls.__match_args__):
         raise _fields_error(family, len(values))
     return cls(*values)

@@ -49,7 +49,7 @@ import numpy as np
 
 from .distributions import EULER_GAMMA, FAMILIES, GEV, Distribution, _family_class, _log_t, _TINY_SHAPE
 from .errors import DegenerateSampleError, DomainError
-from .sample import Sample, binary_unit, standardize
+from .sample import Sample, _binary_unit, standardize
 from .simplex import _lockstep, _search, nelder_mead  # noqa: F401 (unused; a perfbench test reads fitting.nelder_mead)
 
 __all__ = [
@@ -113,11 +113,11 @@ def log_likelihood(dist: Distribution, sample: Sample) -> float:
     Returns -inf when any observation lies outside the support of ``dist``.
     """
     x = sample.sorted_values()
-    unit = binary_unit(x, logarithmic=dist._logarithmic)
+    unit = _binary_unit(float(x[0]), float(x[-1]), dist._logarithmic)
     if not (math.isfinite(dist.location / unit) and sys.float_info.min <= dist.scale / unit < math.inf):
         unit = 1.0
     log_densities = dist._in_unit(unit).log_pdf(x / unit)
-    return float(np.sum(log_densities)) - sample.n * math.log(unit)
+    return float(np.add.reduce(log_densities)) - sample.n * math.log(unit)
 
 
 def _prepare(family: str, sample: Sample, min_size: int = _MIN_FIT_SIZE) -> tuple:
@@ -132,25 +132,30 @@ def _prepare(family: str, sample: Sample, min_size: int = _MIN_FIT_SIZE) -> tupl
     cls = _family_class(family)
     if sample.n < min_size:
         raise DegenerateSampleError(f"need at least {min_size} observations to fit, got {sample.n}")
-    x = sample.sorted_values()
-    sample_unit = binary_unit(x, logarithmic=cls._logarithmic)
-    with np.errstate(divide="ignore"):
-        work = cls._gumbel_values(x / sample_unit)
-    if not np.all(np.isfinite(work)):
-        raise DomainError(f"{family} supports only positive values; sample minimum is {float(x[0])}")
-    # w is monotone in ascending x; each family sums it ascending, so -log x is reversed.
-    unit, mean, sd, data = standardize(work if work[0] <= work[-1] else work[::-1])
+    if cls._logarithmic:
+        x = sample.sorted_values()
+        sample_unit = _binary_unit(float(x[0]), float(x[-1]), True)
+        with np.errstate(divide="ignore"):
+            work = cls._gumbel_values(x / sample_unit)
+        if not np.all(np.isfinite(work)):
+            raise DomainError(f"{family} supports only positive values; sample minimum is {float(x[0])}")
+        # w is monotone in ascending x; each family sums it ascending, so -log x is reversed.
+        unit, mean, sd, data = standardize(work if work[0] <= work[-1] else work[::-1])
+        mean, sd = unit * mean, unit * sd
+    else:
+        # w = x / u, whose own unit is 1: the sample's standardization, taken at u, is that of w.
+        sample_unit, mean, sd, data = sample.standardized()
     if sd == 0.0:
         raise DegenerateSampleError("sample standard deviation is zero")
-    scale = unit * sd * _UNIT_SD_SCALE
-    location = unit * mean - EULER_GAMMA * scale
+    scale = sd * _UNIT_SD_SCALE
+    location = mean - EULER_GAMMA * scale
     if cls._logarithmic:
         record_scale = min(sample_unit * math.exp(cls.sign * location), sys.float_info.max)
         start = cls(shape=1.0 / scale, scale=record_scale)
     else:
         bound = sys.float_info.max / sample_unit  # a power of two: exact, or inf where no clip is needed
         start = cls._from_gumbel(sample_unit, min(max(location, -bound), bound), scale)
-    return data, (cls, sample_unit, unit * mean, unit * sd, start)
+    return data, (cls, sample_unit, mean, sd, start)
 
 
 def initial_params(family: str, sample: Sample) -> Distribution:
@@ -201,12 +206,16 @@ def _gumbel_profile_search(data: np.ndarray) -> list[tuple]:
     low = minus_w.min(axis=1, keepdims=True)
     np.subtract(low, minus_w, minus_w)
     excess = (-np.add.reduce(minus_w, 1) / n).tolist()
-    terms, scales = np.empty_like(minus_w), np.empty((len(minus_w), 1))
-    column = scales[:, 0]
+    lanes = range(len(minus_w))
+    terms, log_scales, scales = np.empty_like(minus_w), np.empty((len(lanes), 1)), np.empty((len(lanes), 1))
+    log_column, column = log_scales[:, 0], scales[:, 0]
 
     def log_mean_exp(points):
         # L of each row, at its point's scale, which stays a numpy float: past the float range it is inf or 0.
-        np.exp(points, scales)
+        # The points go into a kept column, cheaper than numpy reading them as a nested list.
+        for lane, (log_scale,) in zip(lanes, points):
+            log_column[lane] = log_scale
+        np.exp(log_scales, scales)
         totals = np.add.reduce(np.exp(np.divide(minus_w, scales, terms), terms), 1).tolist()
         return [math.log(total / n) for total in totals]
 
@@ -237,13 +246,15 @@ def _gev_objective(data: np.ndarray):
     n = data.size
     workspace = np.empty((2, n))
     shifted, powers = workspace
+    offset, operands = np.empty(()), (np.empty(()), np.empty(()))  # the scalar operands, reused as 0-d arrays
 
     def nll(points):
         ((location, log_scale, shape),) = points
         if not _GEV_SHAPE_FLOOR < shape < _GEV_SHAPE_CEILING:
             return [math.inf]
         inverse_scale = np.exp(-log_scale)  # a numpy float: inf past the float range, never an exception
-        minus_w = _log_t(np.subtract(data, location, shifted), inverse_scale, shape, shifted, powers)
+        offset[()] = location
+        minus_w = _log_t(np.subtract(data, offset, shifted), inverse_scale, shape, shifted, powers, operands)
         # sum(w) is sum(log t) / shape, except below |shape| 2**-970 and at 0, where that keeps few bits or none.
         total_w = -float(minus_w.sum()) if -_TINY_SHAPE < shape < _TINY_SHAPE else None
         np.exp(minus_w, powers)
@@ -334,7 +345,8 @@ def _fit(sample: Sample, families: tuple) -> dict:
     """Each family's :class:`FitResult`, or the exception that stopped it, in the order of ``families``.
 
     The Gumbel-type families are lanes of one profile search, whose block is freed before the GEV's
-    data is made. The GEV, which needs the Gumbel, starts from its fit at shape 0, or carries its error.
+    data is made. The GEV, which needs the Gumbel, starts from its fit at shape 0, or carries its error;
+    its search problem is the Gumbel's, on the standardized values the sample rebuilds.
     """
     fits, prepared = dict.fromkeys(families), {}
     for family in (family for family in families if family != "gev"):
@@ -358,12 +370,13 @@ def _fit(sample: Sample, families: tuple) -> dict:
             if np.searchsorted(x, x[0], "right") > sample.n / 2:  # no maximum to search for (see fit_mle)
                 fits["gev"] = FitResult(start, log_likelihood(start, sample), False, 0, 0, start)
                 return fits
-            data, (cls, sample_unit, mean, sd, _) = _prepare("gev", sample)
+            _, sample_unit, mean, sd, _ = problems["gumbel"]
             location, scale = start.location / sample_unit, start.scale / sample_unit
             theta0 = [(location - mean) / sd, math.log(scale / sd), 0.0]
+            objective = _gev_objective(sample.standardized()[3])
             with np.errstate(all="ignore"):
-                (best,) = _lockstep(_gev_objective(data), [_search(theta0, [0.1 * _UNIT_SD_SCALE, 0.1, 0.1])])
-            fits["gev"] = _finish((cls, sample_unit, mean, sd, start), best, best.x, sample)
+                (best,) = _lockstep(objective, [_search(theta0, [0.1 * _UNIT_SD_SCALE, 0.1, 0.1])])
+            fits["gev"] = _finish((GEV, sample_unit, mean, sd, start), best, best.x, sample)
     return fits
 
 

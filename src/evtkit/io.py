@@ -27,11 +27,15 @@ BLOCK_CHARS = 1 << 16  # characters per load_csv block, which then runs on to th
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    """A labeled block-maxima series, optionally with one year per value: whole numbers, strictly increasing."""
+    """A labeled block-maxima series, optionally with one year per value: whole numbers, strictly increasing.
+
+    ``header`` is the row number and text of a first row that :func:`load_csv` skipped as a header, or None.
+    """
 
     label: str
     sample: Sample
     years: tuple[int, ...] | None = None
+    header: tuple[int, str] | None = None
 
     def __post_init__(self):
         if self.years is not None:
@@ -70,7 +74,9 @@ def load_csv(path) -> Dataset:
     The first non-blank row is a header, and skipped, when none of its cells
     is a number; one that mixes numbers and text is a data row, so its text
     cell is a ParseError. In a one-column file a single non-numeric cell is
-    thus a header. Blank lines are ignored but keep their place in row
+    thus a header, such as a typo of a number (``1O0.5``) or a missing-value
+    code (``NA``); the dataset's ``header`` keeps the skipped row's number and
+    text, so that a caller can say so. Blank lines are ignored but keep their place in row
     numbering. The text is read in one pass, split into lines a block at a
     time, and each bad row raises where it is read, so of several bad rows
     the first is reported. The values go straight into a float array: beside
@@ -98,9 +104,9 @@ def load_csv(path) -> Dataset:
     # below continues the same lines, so the text is split once.
     lines = _lines(text)
     data_rows = ((row, line) for row, line in lines if line.strip())
-    first = next(data_rows, None)
+    first, header = next(data_rows, None), None
     if first is not None and not any(_parses(float, cell) for cell in first[1].split(",")):
-        first = next(data_rows, None)
+        first, header = next(data_rows, None), first
     if first is None:
         raise EmptyDatasetError(f"no data rows in {path}")
     n_columns = len(first[1].split(","))
@@ -127,7 +133,7 @@ def load_csv(path) -> Dataset:
             raise ParseError(row, f"non-finite value {line.split(',')[-1].strip()!r}")
         add_value(value)
     del text  # before the dataset's copies are made
-    return Dataset(label=path.stem, sample=Sample(np.frombuffer(values)), years=years or None)
+    return Dataset(label=path.stem, sample=Sample(np.frombuffer(values)), years=years or None, header=header)
 
 
 def _lines(text: str):

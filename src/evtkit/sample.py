@@ -16,7 +16,9 @@ class Sample:
 
     Values keep their original order; a stable ascending view is available
     through :meth:`sorted_values`. All values must be finite and there must
-    be at least one.
+    be at least one. Beside its values a sample keeps what its analysis reads
+    more than once: the sorted values, the plotting positions and the three
+    numbers of :meth:`standardized`, but no other array of its size.
     """
 
     values: np.ndarray
@@ -37,6 +39,24 @@ class Sample:
     def sorted_values(self) -> np.ndarray:
         """Ascending copy of the values (stable sort); sorted once, then kept on the sample, read-only."""
         return self._keep("_sorted", lambda: np.sort(self.values, kind="stable"))
+
+    def standardized(self) -> tuple[float, float, float, np.ndarray]:
+        """:func:`standardize` of the sorted values, bit for bit, with a new array on each call.
+
+        The unit, mean and sd are kept on the sample on the first call, which
+        returns the array that :func:`standardize` made; later calls rebuild
+        ``(x / unit - mean) / sd`` from them in three in-place passes. Needs two values.
+        """
+        kept = self.__dict__.get("_standardization")
+        if kept is None:
+            unit, mean, sd, z = standardize(self.sorted_values())
+            object.__setattr__(self, "_standardization", (unit, mean, sd))
+            return unit, mean, sd, z
+        unit, mean, sd = kept
+        z = self.sorted_values() / unit
+        z -= mean
+        z /= sd or 1.0
+        return unit, mean, sd, z
 
     def _keep(self, name: str, make) -> np.ndarray:
         """The array ``make()``, made on the first call for ``name`` and kept read-only on the sample."""
@@ -75,7 +95,11 @@ def binary_unit(values: np.ndarray, *, logarithmic: bool = False) -> float:
     is then never 0 or inf, and it is all normal floats whenever the largest
     value is less than 2**2045 times the smallest.
     """
-    low, high = float(values.min()), float(values.max())
+    return _binary_unit(float(values.min()), float(values.max()), logarithmic)
+
+
+def _binary_unit(low: float, high: float, logarithmic: bool) -> float:
+    """The :func:`binary_unit` of values whose smallest is ``low`` and largest is ``high``."""
     exponent = math.frexp(max(high, -low))[1] - 1
     if logarithmic:
         lowest = math.frexp(low)[1] - 1

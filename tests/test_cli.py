@@ -1,8 +1,10 @@
 """Command-line interface: subcommands, formats, and exit codes."""
 
 import argparse
+import contextlib
 import dataclasses
 import functools
+import io
 import itertools
 import json
 import math
@@ -15,6 +17,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import evtkit
 from evtkit import (
@@ -440,6 +444,64 @@ class TestFallbackNote:
         # The smallest statistic of all four: the family that had the smallest of those that passed.
         label = evtkit.FAMILY_LABELS[run_pipeline(load_csv(FIXTURE_FILE)).best_family]
         assert out.splitlines()[-1] == f"best family: {label}" + ("" if passed else FALLBACK_NOTE)
+
+
+@st.composite
+def _first_cells(draw):
+    """A number, a typo of one (a digit read as a letter, a doubled point), or a missing-value code."""
+    number = repr(draw(st.floats(-1e6, 1e6, allow_nan=False) | st.integers(-10**6, 10**6).map(float)))
+    kind = draw(st.sampled_from(["number", "typo", "missing"]))
+    if kind == "number":
+        return number
+    if kind == "missing":
+        return draw(st.sampled_from(["NA", "N/A", "na", "NaN", "nan", "-", ".", "?", "null", "missing", "#N/A"]))
+    digits = [i for i, char in enumerate(number) if char.isdigit()]
+    if "." in number and draw(st.booleans()):
+        return number.replace(".", "..", 1)
+    at = draw(st.sampled_from(digits))
+    return number[:at] + draw(st.sampled_from("OolIS")) + number[at + 1 :]
+
+
+class TestHeaderNote:
+    """A first row skipped as a header is named on standard error by every command that loads a file."""
+
+    @pytest.mark.parametrize("command", ["fit", "gof", "return-levels", "report"])
+    def test_each_loading_command_says_so(self, command, tmp_path, capsys):
+        path = tmp_path / "na.csv"
+        path.write_text("\nNA\n" + FIXTURE_FILE.read_text())
+        code, out, err = run_main([command, "--input", str(path)], capsys)
+        assert (code, err) == (EXIT_OK, 'evtkit: note: row 2 ("NA") read as a header and skipped\n')
+        assert out == run_main([command, "--input", str(FIXTURE_FILE)], capsys)[1]
+
+    def test_no_note_without_a_header(self, capsys):
+        assert run_main(["fit", "--input", str(FIXTURE_FILE)], capsys)[2] == ""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        first=_first_cells(),
+        rest=st.lists(st.floats(1.0, 1000.0), min_size=4, max_size=8, unique=True),
+    )
+    @example(first="1O0.5", rest=[90.0, 120.5, 101.25])
+    @example(first="NA", rest=[90.0, 120.5, 101.25])
+    def test_every_value_loads_or_is_named(self, tmp_path_factory, first, rest):
+        path = tmp_path_factory.mktemp("header") / "one_column.csv"
+        path.write_text("\n".join([first, *map(repr, rest)]) + "\n")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["fit", "--dist", "gumbel", "--input", str(path)])
+        try:
+            value = float(first)
+        except ValueError:  # a header, skipped and named
+            assert code == EXIT_OK
+            assert err.getvalue() == f'evtkit: note: row 1 ("{first}") read as a header and skipped\n'
+            assert load_csv(path).sample.values.tolist() == rest
+            return
+        if math.isfinite(value):  # a value, loaded
+            assert (code, err.getvalue()) == (EXIT_OK, "")
+            assert load_csv(path).sample.values.tolist() == [value, *rest]
+        else:  # a value that cannot load, named in the error
+            assert code == EXIT_DATA
+            assert err.getvalue() == f"evtkit: error: row 1: non-finite value {first!r}\n"
 
 
 UNFITTABLE = {"two_values": "1\n2\n", "equal_values": "5\n5\n5\n5\n"}

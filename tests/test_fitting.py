@@ -1,8 +1,10 @@
 """Maximum-likelihood fitting: oracles, recovery, and batch behavior."""
 
+import contextlib
 import functools
 import itertools
 import math
+import sys
 import unittest.mock
 from pathlib import Path
 
@@ -12,6 +14,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import stats as spstats
 
+import evtkit
 import evtkit.fitting
 from evtkit import (
     FAMILIES,
@@ -864,3 +867,56 @@ class TestSimulationRecoveryProperty:
             s = GEV_MM.sample(2000, seed)
             shapes.append(fit_mle("gev", s).params.shape)
         assert abs(float(np.mean(shapes)) - 0.06) < 0.02
+
+
+@st.composite
+def _tied_scaled_values(draw):
+    """n = 2-200 values with ties and negatives, from whole numbers or floats, times 2**k or 10**k."""
+    n = draw(st.integers(2, 200))
+    element = st.integers(-40, 40) | st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+    values = np.array(draw(st.lists(element, min_size=n, max_size=n)), dtype=float)
+    factor = draw(st.integers(-60, 60).map(lambda k: 2.0**k) | st.integers(-30, 30).map(lambda k: 10.0**k))
+    return values * factor
+
+
+class TestOneStandardizationPerSample:
+    """A sample standardizes its sorted values once; describe, the Gumbel fit and the GEV fit share it."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(values=_tied_scaled_values())
+    @example(values=np.array([3.0, 3.0]))
+    @example(values=np.array([-7.0, 1e-310, 2.5, 2.5, 2.5]))
+    def test_kept_standardization_is_standardize_and_call_order_moves_no_bit(self, values):
+        def exact(standardization):
+            unit, mean, sd, z = standardization
+            return repr((unit, mean, sd)), z.tobytes()
+
+        s = Sample(values)
+        expected = exact(standardize(s.sorted_values()))
+        assert exact(s.standardized()) == expected  # the first call
+        assert exact(s.standardized()) == exact(s.standardized()) == expected  # rebuilt from the kept numbers
+
+        sd = float(np.std(values))
+        dist = Gumbel(float(np.mean(values)), sd if 0.0 < sd < math.inf else 1.0)
+        calls = {
+            "describe": evtkit.describe,
+            "fit_all": fit_all,
+            "log_likelihood": functools.partial(log_likelihood, dist),
+        }
+        results = []
+        for order in itertools.permutations(calls):
+            fresh = Sample(values)
+            results.append({name: repr(calls[name](fresh)) for name in order})
+        assert all(result == results[0] for result in results[1:])
+
+    def test_run_pipeline_standardizes_three_times(self):
+        # The sample's own standardization (describe, then the Gumbel and GEV fits), the
+        # Frechet's and the Weibull's. Every evtkit module that binds standardize is counted.
+        dataset = load_csv(Path(__file__).resolve().parents[1] / "data" / "synthetic_annual_maxima.csv")
+        counted = unittest.mock.MagicMock(wraps=standardize)
+        with contextlib.ExitStack() as stack:
+            for name, module in list(sys.modules.items()):
+                if name.startswith("evtkit") and getattr(module, "standardize", None) is standardize:
+                    stack.enter_context(unittest.mock.patch.object(module, "standardize", counted))
+            evtkit.run_pipeline(dataset)
+        assert counted.call_count == 3

@@ -72,6 +72,19 @@ class TestLoadCsv:
         f.write_text("year,rainfall_mm\n1970,120.0\n1971,88.5\n")
         ds = load_csv(f)
         assert ds.years == (1970, 1971)
+        assert ds.header == (1, "year,rainfall_mm")
+
+    def test_skipped_header_keeps_its_row_after_blank_lines(self, tmp_path):
+        f = tmp_path / "gap_header.csv"
+        f.write_text("\n \nNA\n10.5\n11.0\n")
+        ds = load_csv(f)
+        assert ds.header == (3, "NA")
+        assert ds.sample.values.tolist() == [10.5, 11.0]
+
+    def test_no_header_is_none(self, tmp_path):
+        f = tmp_path / "plain.csv"
+        f.write_text("10.5\n11.0\n")
+        assert load_csv(f).header is None
 
     def test_first_row_with_a_typo_is_parse_error(self, tmp_path):
         # It was taken for a header, so its value was dropped without a word.

@@ -80,3 +80,19 @@ def test_gev_forms_keep_few_arrays_of_the_data(dist, method):
     finally:
         tracemalloc.stop()
     assert peak <= 2.5 * 8 * n
+
+
+def test_a_sample_keeps_no_other_array_of_its_size(record, tmp_path):
+    # Beside its values a sample keeps its sorted values and plotting positions; of its
+    # standardization it keeps three numbers. A kept array of size n (the standardized
+    # values, the Anderson-Darling weights) raised the benchmark's peak RSS on a long record.
+    _, dataset, _ = record
+    sample = dataset.sample
+    emit_plot_data(run_pipeline(dataset), dataset, tmp_path)
+    kept = {}
+    for name, value in vars(sample).items():
+        for item in value if isinstance(value, tuple) else (value,):
+            if isinstance(item, np.ndarray) and item.size == sample.n:
+                kept[name] = item
+    assert kept.keys() == {"values", "_sorted", "_positions"}
+    assert all(isinstance(number, float) for number in sample._standardization)

@@ -12,14 +12,17 @@ Lagarias et al. 1998). Every search of a fit is such a lane, and
 :func:`nelder_mead` is that loop with one lane of an array objective. A
 lane is its search driven alone, to the bit.
 
-The simplex is one list of ``(value, vertex)`` pairs, each vertex a list
-of Python floats: with at most 4 vertices of 3 coordinates, numpy's fixed
-cost per call would dominate the arithmetic, and so would Python's, so a
-step calls no function per evaluation and runs no generator expression.
-Each iteration starts with a stable sort of the list by value, so ties
-keep their order. The order of each floating-point operation is part of
-the contract (the centroid is summed in value order, then divided; a
-shrink evaluates the vertices in that order): it fixes every fit to the bit.
+With one coordinate a search steps on two floats: the best and the worst
+vertex, with their values. With two or more, the simplex is one list of
+``(value, vertex)`` pairs, each vertex a list of Python floats: with at
+most 4 vertices of 3 coordinates, numpy's fixed cost per call would
+dominate the arithmetic, and so would Python's, so a step calls no
+function per evaluation and runs no generator expression. Each iteration
+starts with a stable sort of the vertices by value, so ties keep their
+order. The order of each floating-point operation is part of the contract
+(the centroid is summed in value order, then divided; a shrink evaluates
+the vertices in that order): it fixes every fit to the bit, and the two
+steps make the same points for one coordinate.
 """
 
 from __future__ import annotations
@@ -86,7 +89,8 @@ def nelder_mead(
 def _search(x0, initial_steps=0.1, max_iterations: int = 10_000):
     """The search of :func:`nelder_mead` as a generator: it yields each point, a list of floats,
     receives its value by ``send``, and returns the :class:`SimplexResult`. Its
-    :class:`DomainError` comes before the first point."""
+    :class:`DomainError` comes before the first point. One coordinate steps on
+    two floats, and two or more on the list of vertices."""
     # Checked on lists: numpy's all and any cost microseconds each, a share of a short search.
     start = np.asarray(x0, dtype=float).ravel().tolist()
     ndim = len(start)
@@ -110,6 +114,45 @@ def _search(x0, initial_steps=0.1, max_iterations: int = 10_000):
     n_evaluations = ndim + 1
 
     converged, iterations = False, 0
+    if ndim == 1:
+        # The steps below on two floats, in the same order: the centroid is the best vertex (c / 1 is c),
+        # no reflected value is below the second vertex's without being below the best's, a shrink moves
+        # the worst, and |b - w| is the spread max - min, NaN when a coordinate is.
+        (f_best, (best,)), (f_worst, (worst,)) = simplex
+        while True:
+            if f_worst < f_best:  # the stable sort of two
+                f_best, best, f_worst, worst = f_worst, worst, f_best, best
+            if f_worst - f_best < _TOLERANCE and abs(best - worst) < _TOLERANCE:
+                converged = True
+                break
+            if iterations >= max_iterations:
+                break
+            iterations += 1
+
+            away = best - worst
+            reflected = best + away
+            f_reflected = float((yield [reflected]))
+            f_reflected = math.inf if f_reflected != f_reflected else f_reflected
+            n_evaluations += 1
+
+            if f_reflected < f_best:
+                x = best + _EXPAND * away
+                value = float((yield [x]))
+                n_evaluations += 1
+                f_worst, worst = (value, x) if value < f_reflected else (f_reflected, reflected)
+            else:
+                x = best + _CONTRACT * ((reflected if f_reflected < f_worst else worst) - best)
+                value = float((yield [x]))
+                n_evaluations += 1
+                if value < f_worst and value <= f_reflected:
+                    f_worst, worst = value, x
+                else:
+                    n_evaluations += 1
+                    worst = best + _SHRINK * (worst - best)
+                    value = float((yield [worst]))
+                    f_worst = math.inf if value != value else value
+        return SimplexResult(np.array([best]), f_best, converged, iterations, n_evaluations)
+
     while True:
         simplex.sort(key=_VALUE)  # stable, as argsort(kind="stable")
         (f_best, best), (f_worst, worst) = simplex[0], simplex[-1]

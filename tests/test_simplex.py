@@ -225,9 +225,27 @@ def floored(x):
     return float(np.fmax(-np.sum(x), -1e308))
 
 
+GUMBEL_EXCESSES = np.array([0.0, 0.4, 0.5, 1.3, 2.9])
+
+
+def gumbel_profile(x):
+    # The fits' one-coordinate objective: the Gumbel negative log-likelihood of fixed excesses over
+    # their minimum, profiled over the location, at log(scale) x[0]; inf below log(scale) -1, as
+    # past a bound. Its minimum is near -0.36.
+    if x[0] < -1.0:
+        return np.inf
+    w, scale = GUMBEL_EXCESSES, np.exp(x[0])
+    return float(w.size * (x[0] + w.mean() / scale + np.log(np.mean(np.exp(-w / scale))) + 1.0))
+
+
+def wavy(x):
+    # Many local minima, so a contracted point can be worse than the reflected one and better than the worst.
+    return float(np.sum(x * x - np.cos(6.0 * x)))
+
+
 # objective -> the dimensions it is drawn in
 ORACLE_OBJECTIVES = {quadratic: (1, 2, 3), rosenbrock: (2,), half_plane: (2, 3), nan_hole: (1, 2, 3),
-                     unbounded: (1, 2, 3), floored: (1, 2, 3)}
+                     unbounded: (1, 2, 3), floored: (1, 2, 3), gumbel_profile: (1,), wavy: (1, 2)}
 # objective -> the factor on its drawn start and steps, when not 1
 ORACLE_SCALES = {unbounded: 1e307, floored: 1e307}
 
@@ -254,6 +272,17 @@ def oracle_problems(draw):
 @example((unbounded, [1.7e308], -1e308, 50))
 @example((floored, [1e308, -1e308], 1e307, 300))
 @example((floored, [1.5e307, -4e306], [1e307, -1e306], 300))
+# One step of a one-coordinate search, for each way it can go.
+@example((gumbel_profile, [0.0], 0.1, 1)).via("expansion kept")
+@example((gumbel_profile, [0.0], 0.6, 1)).via("expansion refused")
+@example((gumbel_profile, [0.0], 0.9, 1)).via("outside contraction")
+@example((gumbel_profile, [0.0], 1.5, 1)).via("inside contraction")
+@example((gumbel_profile, [-3.0], -0.5, 1)).via("shrink after an inside contraction")
+@example((wavy, [1.0], 0.6, 1)).via("shrink after an outside contraction")
+@example((nan_hole, [-1.0], -0.5, 1)).via("NaN at the expansion")
+@example((nan_hole, [-0.5], 1.0, 1)).via("NaN at the contraction")
+@example((gumbel_profile, [0.5], 0.1, 0)).via("budget 0")
+@example((gumbel_profile, [0.0], -1.5, 300)).via("to convergence, the second vertex in the inf region")
 def test_matches_the_numpy_reference_bit_for_bit(problem):
     func, x0, steps, budget = problem
     points = {}

@@ -121,7 +121,11 @@ def standardize(values: np.ndarray) -> tuple[float, float, float, np.ndarray]:
     mean = min(max(mean, float(deviations.min())), float(deviations.max()))
     deviations -= mean
     largest = float(np.max(np.abs(deviations)))
-    scaled = deviations / largest if largest > 0.0 else deviations
-    sd = largest * math.sqrt(float(np.dot(scaled, scaled)) / (values.size - 1))
-    deviations /= sd or 1.0  # sd is 0 only when every deviation is
+    sd = 0.0  # when every deviation is 0
+    if largest > 0.0:
+        # numpy's own sum of the squares: OpenBLAS splits a long np.dot over its threads,
+        # so the sd's last bit would depend on how many it starts.
+        scaled = deviations / largest
+        sd = largest * math.sqrt(float(np.add.reduce(np.square(scaled, out=scaled))) / (values.size - 1))
+    deviations /= sd or 1.0
     return unit, mean, sd, deviations

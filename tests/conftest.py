@@ -1,10 +1,15 @@
 """Shared fixtures: reference parameter sets and independent oracles."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import evtkit
 from evtkit import Frechet, GEV, Gumbel, Weibull
 
 # Fitted annual-maximum rainfall parameter sets (mm) used as shared fixtures
@@ -69,3 +74,15 @@ def strict_json(text):
         raise ValueError(f"{constant} is not JSON")
 
     return json.loads(text, parse_constant=reject)
+
+
+def run_python(*args, stdout=subprocess.PIPE, **env_changes):
+    """``python`` with ``args`` in a child process, with numpy's default warning filters.
+
+    Each keyword sets that environment variable in the child, or with ``None`` removes it.
+    """
+    # The child imports the evtkit this process imported, installed or not.
+    src = str(Path(evtkit.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env = {name: value for name, value in {**env, **env_changes}.items() if value is not None}
+    return subprocess.run([sys.executable, *args], stdout=stdout, stderr=subprocess.PIPE, text=True, env=env)

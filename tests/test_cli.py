@@ -11,7 +11,6 @@ import math
 import os
 import pstats
 import re
-import subprocess
 import sys
 from pathlib import Path
 
@@ -32,7 +31,7 @@ from evtkit import (
 )
 from evtkit.cli import EXIT_DATA, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, build_parser, main
 
-from conftest import GEV_MM, strict_json
+from conftest import GEV_MM, run_python, strict_json
 
 FIXTURE_FILE = Path(__file__).resolve().parents[1] / "data" / "synthetic_annual_maxima.csv"
 
@@ -678,18 +677,6 @@ class TestOptionSurface:
             main([command, "--input", str(data_file), "--columns", "value"])
         assert exc.value.code == EXIT_USAGE
         assert "unrecognized arguments: --columns value" in capsys.readouterr().err
-
-
-def run_python(*args, stdout=subprocess.PIPE, **env_changes):
-    """``python`` with ``args`` in a child process, with numpy's default warning filters.
-
-    Each keyword sets that environment variable in the child, or with ``None`` removes it.
-    """
-    # The child imports the evtkit this process imported, installed or not.
-    src = str(Path(evtkit.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    env = {name: value for name, value in {**env, **env_changes}.items() if value is not None}
-    return subprocess.run([sys.executable, *args], stdout=stdout, stderr=subprocess.PIPE, text=True, env=env)
 
 
 def run_module(*args, **kwargs):

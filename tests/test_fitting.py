@@ -35,7 +35,7 @@ from evtkit.fitting import _UNIT_SD_SCALE, _gev_objective
 from evtkit.sample import binary_unit, standardize
 from evtkit.simplex import SimplexResult, nelder_mead
 
-from conftest import GEV_MM, GUMBEL_MM, RAIN_MEAN, RAIN_SD
+from conftest import GEV_MM, GUMBEL_MM, RAIN_MEAN, RAIN_SD, run_python
 
 try:
     from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
@@ -181,7 +181,7 @@ class TestFitMle:
         "truth, n, seed, repaired",
         [
             (GEV(354.0139391349414, 29.210953233708477, -0.7875305151456555), 62, 1056949775, False),
-            (GEV(246.47207220977415, 73.21580502323158, -0.9691445178928769), 146, 1096865167, True),
+            (GEV(178.76720340728252, 10.21365338981355, -0.9600936188265381), 155, 722177042, True),
         ],
         ids=["on-the-support", "stepped-outward"],
     )
@@ -822,7 +822,7 @@ class TestRepositoryFixturePinned:
             if X86_V4
             else ("Gumbel(location=94.09438235622288, scale=29.73609144653542)", 25, 53)
         ),
-        "frechet": ("Frechet(shape=3.2317171834745224, scale=89.41286591795097)", 25, 52),
+        "frechet": ("Frechet(shape=3.231717183474522, scale=89.41286591795098)", 25, 53),
         "weibull": ("Weibull(shape=2.8019195785212494, scale=125.21070333109328)", 26, 55),
         "gev": (
             ("GEV(location=93.0492752302404, scale=29.011561048464777, shape=0.06429703022971645)", 85, 169)
@@ -920,3 +920,19 @@ class TestOneStandardizationPerSample:
                     stack.enter_context(unittest.mock.patch.object(module, "standardize", counted))
             evtkit.run_pipeline(dataset)
         assert counted.call_count == 3
+
+    def test_fits_do_not_depend_on_the_blas_thread_count(self):
+        # OpenBLAS splits a dot product of more than 10 000 values over its threads, and the
+        # sd's last bit, with every fit after it, followed the number it started.
+        child = "\n".join([
+            "import hashlib",
+            "from evtkit import GEV, Sample, fit_all",
+            "from evtkit.sample import standardize",
+            "values = GEV(100.0, 30.0, 0.1).sample(20_000, 5).values",
+            "unit, mean, sd, z = standardize(values)",
+            "print(repr((unit, mean, sd)), hashlib.sha256(z.tobytes()).hexdigest())",
+            "print(repr(fit_all(Sample(values))))",
+        ])
+        runs = [run_python("-c", child, OPENBLAS_NUM_THREADS=str(threads)) for threads in (1, 2)]
+        assert [run.returncode for run in runs] == [0, 0], [run.stderr for run in runs]
+        assert runs[0].stdout == runs[1].stdout

@@ -24,10 +24,10 @@ compare output by output only when their heads match. The corpus:
 - ``simulate --n 51 --seed 22`` of each family, at the fixture's fitted
   parameters: the exit code and the written file, not standard output,
   which names the file's temporary path;
-- the ``stations`` records of seeds 1 and 2, the ``long_record`` of seed 1,
-  and the fixture times 10**k for k = -9..9 (the ``units`` scalings): for
-  each, the text and JSON reports of ``run_pipeline`` and the plot files of
-  ``emit_plot_data``, or the error it raised; and the same of the
+- the ``stations`` records of seeds 1 and 2, the ``long_record`` of seeds 1
+  and 2, and the fixture times 10**k for k = -9..9 (the ``units`` scalings):
+  for each, the text and JSON reports of ``run_pipeline`` and the plot files
+  of ``emit_plot_data``, or the error it raised; and the same of the
   ``stations`` record 59 of seed 1 rounded to 0.1: 22 of its 23 values tie
   at the minimum, so its GEV likelihood has no maximum;
 - ``load_csv`` of the ``long_record`` of seed 1, written one value per line
@@ -68,7 +68,8 @@ FIXTURE = ROOT / "data" / "synthetic_annual_maxima.csv"
 COMMANDS = ("fit", "gof", "return-levels", "report", "simulate")
 STEP_COMMANDS = ("fit", "gof", "return-levels")
 STATION_SEEDS = (1, 2)
-LONG_RECORD_SEED = 1
+# Seed 2's fits once followed the number of threads OpenBLAS started; CI runs the digest with one thread too.
+LONG_RECORD_SEEDS = (1, 2)
 TIED_SEED, TIED_RECORD = 1, 59
 SIMULATE_PARAMS = {
     "gev": "92.41,30.85,0.06",
@@ -164,7 +165,8 @@ def _records():
     for seed in STATION_SEEDS:
         for series in inputs.stations(seed):
             yield f"stations/{seed}/{series.label}", series.values
-    yield f"long_record/{LONG_RECORD_SEED}", inputs.long_record(LONG_RECORD_SEED).values
+    for seed in LONG_RECORD_SEEDS:
+        yield f"long_record/{seed}", inputs.long_record(seed).values
     base = inputs.fixture_values(inputs.FIXTURE_SEED)
     for k in inputs.UNIT_EXPONENTS:
         yield f"units/1e{k}", base * 10.0**k
@@ -184,10 +186,11 @@ def _reader_outputs() -> dict[str, bytes]:
     outputs = {}
     with tempfile.TemporaryDirectory() as tmp:
         long_record = Path(tmp, "long_record.csv")
-        inputs.write_values_csv(long_record, inputs.long_record(LONG_RECORD_SEED).values)
+        seed = LONG_RECORD_SEEDS[0]
+        inputs.write_values_csv(long_record, inputs.long_record(seed).values)
         line_breaks = Path(tmp, "line_breaks.csv")
         line_breaks.write_bytes(line_breaks_text().encode("utf-8"))
-        for name, path in ((f"long_record/{LONG_RECORD_SEED}", long_record), ("line_breaks", line_breaks)):
+        for name, path in ((f"long_record/{seed}", long_record), ("line_breaks", line_breaks)):
             dataset = evtkit.load_csv(path)
             head = f"{dataset.label}\n{dataset.years!r}\n".encode()
             outputs[f"load_csv/{name}"] = head + dataset.sample.values.tobytes()

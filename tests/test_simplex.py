@@ -282,7 +282,6 @@ def oracle_problems(draw):
 @example((nan_hole, [-1.0], -0.5, 1)).via("NaN at the expansion")
 @example((nan_hole, [-0.5], 1.0, 1)).via("NaN at the contraction")
 @example((gumbel_profile, [0.5], 0.1, 0)).via("budget 0")
-@example((gumbel_profile, [0.0], -1.5, 300)).via("to convergence, the second vertex in the inf region")
 def test_matches_the_numpy_reference_bit_for_bit(problem):
     func, x0, steps, budget = problem
     points = {}

@@ -130,7 +130,7 @@ def describe(sample: Sample) -> DescriptiveStats:
 
     return DescriptiveStats(
         n=n,
-        range=unit * (float(np.max(x)) / unit - float(np.min(x)) / unit),
+        range=unit * (float(x[-1]) / unit - float(x[0]) / unit),
         mean=unit * mean,
         variance=variance,
         std_dev=std_dev,

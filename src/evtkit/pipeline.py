@@ -24,7 +24,7 @@ from .errors import NumericalError, UnsupportedFormatError
 from .fitting import FitOutcome, fit_all
 from .io import Dataset, write_csv
 from .returns import ReturnLevelTable, ReturnSpec, return_curve, return_level_table
-from .sample import Sample, binary_unit
+from .sample import Sample, _binary_unit
 
 __all__ = [
     "AnalysisReport",
@@ -314,8 +314,9 @@ def emit_plot_data(report: AnalysisReport, dataset: Dataset, out_dir) -> dict[st
     years = np.arange(1, sample.n + 1) if dataset.years is None else np.array(dataset.years, dtype=object)
     files = {"timeseries": ("year,value", [years, x])}
 
-    unit = binary_unit(x)  # pad at the data's unit, then clip to the finite floats
-    lo, hi = float(np.min(x)) / unit, float(np.max(x)) / unit
+    low, high = sample.sorted_values()[[0, -1]].tolist()
+    unit = _binary_unit(low, high, False)  # pad at the data's unit, then clip to the finite floats
+    lo, hi = low / unit, high / unit
     margin, limit = PDF_GRID_MARGIN * (hi - lo), float(np.finfo(float).max) / unit
     grid = np.clip(np.linspace(lo - margin, hi + margin, PDF_GRID_POINTS), -limit, limit) * unit
     for fit in report.fits:

@@ -5,12 +5,14 @@ Plain reflection/expansion/contraction/shrink scheme. Objective values of
 worst-vertex, so hard constraint violations simply repel the simplex.
 
 The search is one generator, :func:`_search`: it yields each point and
-receives that point's value. :func:`_lockstep` is the one loop that sends
-values: it drives K searches in fixed lanes, with one call of a K-point
-objective per step, until the last search ends (Nelder & Mead 1965;
-Lagarias et al. 1998). Every search of a fit is such a lane, and
-:func:`nelder_mead` is that loop with one lane of an array objective. A
-lane is its search driven alone, to the bit.
+receives that point's value, and it holds only the geometry.
+:func:`_lockstep` is the one loop that sends values: it drives K searches
+in fixed lanes, with one call of a K-point objective per step, until the
+last search ends (Nelder & Mead 1965; Lagarias et al. 1998). It is the one
+place that makes each value a Python float, NaN as inf, counts the
+evaluations and builds each :class:`SimplexResult`. Every search of a fit
+is such a lane, and :func:`nelder_mead` is that loop with one lane of an
+array objective. A lane is its search driven alone, to the bit.
 
 With one coordinate a search steps on two floats: the best and the worst
 vertex, with their values. With two or more, the simplex is one list of
@@ -64,7 +66,8 @@ def nelder_mead(
     Parameters
     ----------
     func : callable
-        Objective taking a fresh 1-d float64 coordinate array, returning a float.
+        Objective taking a fresh 1-d float64 coordinate array, returning a
+        float, or a value that ``float`` takes; NaN counts as inf.
     x0 : array_like
         Finite starting point; becomes the first vertex of the initial simplex.
     initial_steps : float or array_like
@@ -87,10 +90,10 @@ def nelder_mead(
 
 
 def _search(x0, initial_steps=0.1, max_iterations: int = 10_000):
-    """The search of :func:`nelder_mead` as a generator: it yields each point, a list of floats,
-    receives its value by ``send``, and returns the :class:`SimplexResult`. Its
-    :class:`DomainError` comes before the first point. One coordinate steps on
-    two floats, and two or more on the list of vertices."""
+    """The search of :func:`nelder_mead` as a generator, driven by :func:`_lockstep`: it yields each point,
+    a list of floats, receives its value by ``send``, a Python float that is never NaN, and returns
+    ``(x, fun, converged, iterations)``. Its :class:`DomainError` comes before the first point. One
+    coordinate steps on two floats, and two or more on the list of vertices."""
     # Checked on lists: numpy's all and any cost microseconds each, a share of a short search.
     start = np.asarray(x0, dtype=float).ravel().tolist()
     ndim = len(start)
@@ -105,13 +108,9 @@ def _search(x0, initial_steps=0.1, max_iterations: int = 10_000):
     if not all(map(math.isfinite, start)):
         raise DomainError("starting point must be finite")
 
-    # Each value is made a float, NaN as inf, and counted where it is received; an expanded or
-    # contracted one is kept only when it compares below another, which NaN never does.
     simplex = []
     for x in [start] + [start[:i] + [start[i] + step] + start[i + 1 :] for i, step in enumerate(steps)]:
-        value = float((yield x))
-        simplex.append((math.inf if value != value else value, x))
-    n_evaluations = ndim + 1
+        simplex.append(((yield x), x))
 
     converged, iterations = False, 0
     if ndim == 1:
@@ -131,27 +130,21 @@ def _search(x0, initial_steps=0.1, max_iterations: int = 10_000):
 
             away = best - worst
             reflected = best + away
-            f_reflected = float((yield [reflected]))
-            f_reflected = math.inf if f_reflected != f_reflected else f_reflected
-            n_evaluations += 1
+            f_reflected = yield [reflected]
 
             if f_reflected < f_best:
                 x = best + _EXPAND * away
-                value = float((yield [x]))
-                n_evaluations += 1
+                value = yield [x]
                 f_worst, worst = (value, x) if value < f_reflected else (f_reflected, reflected)
             else:
                 x = best + _CONTRACT * ((reflected if f_reflected < f_worst else worst) - best)
-                value = float((yield [x]))
-                n_evaluations += 1
+                value = yield [x]
                 if value < f_worst and value <= f_reflected:
                     f_worst, worst = value, x
                 else:
-                    n_evaluations += 1
                     worst = best + _SHRINK * (worst - best)
-                    value = float((yield [worst]))
-                    f_worst = math.inf if value != value else value
-        return SimplexResult(np.array([best]), f_best, converged, iterations, n_evaluations)
+                    f_worst = yield [worst]
+        return [best], f_best, converged, iterations
 
     while True:
         simplex.sort(key=_VALUE)  # stable, as argsort(kind="stable")
@@ -178,14 +171,11 @@ def _search(x0, initial_steps=0.1, max_iterations: int = 10_000):
         # The reflection c + 1.0 * (c - w) is c + (c - w): the multiply by 1.0 is exact.
         away = list(map(sub, centroid, worst))
         reflected = list(map(add, centroid, away))
-        f_reflected = float((yield reflected))
-        f_reflected = math.inf if f_reflected != f_reflected else f_reflected
-        n_evaluations += 1
+        f_reflected = yield reflected
 
         if f_reflected < f_best:
             x = [c + _EXPAND * d for c, d in zip(centroid, away)]
-            value = float((yield x))
-            n_evaluations += 1
+            value = yield x
             simplex[-1] = (value, x) if value < f_reflected else (f_reflected, reflected)
         elif f_reflected < simplex[-2][0]:
             simplex[-1] = (f_reflected, reflected)
@@ -195,37 +185,39 @@ def _search(x0, initial_steps=0.1, max_iterations: int = 10_000):
             # is the same float as c - 0.5 * (c - w), as negation is exact.
             toward = reflected if f_reflected < f_worst else worst
             x = [c + _CONTRACT * (t - c) for c, t in zip(centroid, toward)]
-            value = float((yield x))
-            n_evaluations += 1
+            value = yield x
             if value < f_worst and value <= f_reflected:
                 simplex[-1] = (value, x)
             else:
-                n_evaluations += ndim
                 for i in range(1, ndim + 1):
                     x = [b + _SHRINK * (v - b) for b, v in zip(best, vertices[i])]
-                    value = float((yield x))
-                    simplex[i] = (math.inf if value != value else value, x)
+                    simplex[i] = ((yield x), x)
 
     # The simplex was just sorted, so its first vertex is the first minimum.
-    return SimplexResult(np.array(best), f_best, converged, iterations, n_evaluations)
+    return best, f_best, converged, iterations
 
 
 def _lockstep(func, searches: list) -> list[SimplexResult]:
     """Drive the generators ``searches`` of :func:`_search` in fixed lanes; their results, in their order.
 
     ``func(points)`` takes one point per search, in that order, and returns
-    their values. A search that has ended keeps its last point, whose value is
-    dropped; the driver returns when the last search ends.
+    their values; each is sent as a Python float, NaN as inf (-inf stays). A
+    search that has ended keeps its last point, whose value is dropped; the
+    driver returns when the last search ends. Every running search gets one
+    value per call, so one that ends on call k made k evaluations.
     """
     results = [None] * len(searches)
     points = [next(search) for search in searches]  # a search evaluates its start before it can end
-    running = len(searches)
+    running, n_evaluations = len(searches), 0
     while running:
+        n_evaluations += 1
         for lane, value in enumerate(func(points)):
             if results[lane] is None:
+                value = float(value)
                 try:
-                    points[lane] = searches[lane].send(value)
+                    points[lane] = searches[lane].send(math.inf if value != value else value)
                 except StopIteration as stop:
-                    results[lane] = stop.value
+                    x, fun, converged, iterations = stop.value
+                    results[lane] = SimplexResult(np.array(x), fun, converged, iterations, n_evaluations)
                     running -= 1
     return results

@@ -656,19 +656,29 @@ class TestFitAll:
 
     def test_gumbel_fit_anchors_gev(self, monkeypatch):
         # Every search is a lane of _search: the Gumbel-type ones together, then the GEV's alone.
+        # Each run is the number of values its lane passed on, and what the search returned.
         runs = []
         lane = evtkit.fitting._search
 
         def counted_lane(*args, **kwargs):
-            runs.append((yield from lane(*args, **kwargs)))
-            return runs[-1]
+            search, received = lane(*args, **kwargs), 0
+            point = next(search)
+            try:
+                while True:
+                    value = yield point
+                    received += 1
+                    point = search.send(value)
+            except StopIteration as stop:
+                runs.append((received, stop.value))
+                return stop.value
 
         monkeypatch.setattr(evtkit.fitting, "_search", counted_lane)
         results = [o.result for o in fit_all(FIXTURE)]
         # one search per family, the GEV's from the fitted Gumbel at shape 0
         assert len(runs) == 4
-        assert sum(r.n_evaluations for r in results) == sum(r.n_evaluations for r in runs)
-        assert (results[3].iterations, results[3].n_evaluations) == (runs[3].iterations, runs[3].n_evaluations)
+        assert sum(r.n_evaluations for r in results) == sum(received for received, _ in runs)
+        gev_received, (_, _, _, gev_iterations) = runs[3]
+        assert (results[3].iterations, results[3].n_evaluations) == (gev_iterations, gev_received)
         gumbel = results[0].params
         assert results[3].initial_params == GEV(gumbel.location, gumbel.scale, 0.0)
         assert results[3] == fit_mle("gev", FIXTURE)

@@ -1,5 +1,7 @@
 """The simplex searches driven in fixed lanes: each lane is the search driven alone, to the bit."""
 
+import math
+
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -67,3 +69,36 @@ def test_no_searches_and_a_nan_lane():
     (lane,) = _lockstep(lambda points: [nan_hole(np.array(x)) for x in points], [_search([3.0])])
     alone = nelder_mead(nan_hole, [3.0])
     assert (lane.x.tobytes(), lane.fun, lane.n_evaluations) == (alone.x.tobytes(), alone.fun, alone.n_evaluations)
+
+
+def test_each_search_receives_floats_never_nan_and_counts_them():
+    # The driver makes each value a Python float, NaN as inf, and counts one evaluation per value
+    # sent. The objective returns numpy floats, and NaN in a hole at its minimum, which the 1-D and
+    # the 2-D search both meet at reflected, expanded, contracted and shrunk points.
+    received, nans = [[], []], [0, 0]
+
+    def objective(lane, x):
+        if abs(x[0] - 3.0) < 0.05:
+            nans[lane] += 1
+            return np.float64("nan")
+        return np.float64(np.sum((x - 3.0) ** 2))
+
+    def recorded(lane, search):
+        point = next(search)
+        try:
+            while True:
+                value = yield point
+                received[lane].append(value)
+                point = search.send(value)
+        except StopIteration as stop:
+            return stop.value
+
+    results = _lockstep(
+        lambda points: [objective(lane, np.array(x)) for lane, x in enumerate(points)],
+        [recorded(0, _search([0.0])), recorded(1, _search([0.0, 0.0]))],
+    )
+    assert all(nans)
+    for lane, values in enumerate(received):
+        assert all(type(value) is float for value in values), lane
+        assert not any(map(math.isnan, values)), lane
+        assert results[lane].n_evaluations == len(values), lane

@@ -14,17 +14,23 @@ evaluations and builds each :class:`SimplexResult`. Every search of a fit
 is such a lane, and :func:`nelder_mead` is that loop with one lane of an
 array objective. A lane is its search driven alone, to the bit.
 
-With one coordinate a search steps on two floats: the best and the worst
-vertex, with their values. With two or more, the simplex is one list of
-``(value, vertex)`` pairs, each vertex a list of Python floats: with at
-most 4 vertices of 3 coordinates, numpy's fixed cost per call would
-dominate the arithmetic, and so would Python's, so a step calls no
-function per evaluation and runs no generator expression. Each iteration
-starts with a stable sort of the vertices by value, so ties keep their
-order. The order of each floating-point operation is part of the contract
-(the centroid is summed in value order, then divided; a shrink evaluates
-the vertices in that order): it fixes every fit to the bit, and the two
-steps make the same points for one coordinate.
+A search takes one of three steps, chosen by its number of coordinates.
+With one (the Gumbel-type profile searches) it steps on two floats: the
+best and the worst vertex, with their values. With three (every GEV
+search) it steps on named floats: the four ``(value, vertex)`` pairs are
+unpacked by name, and the centroid, reflection, expansion, contractions
+and shrink are written out coordinate by coordinate. With two or four and
+more (only :func:`nelder_mead` runs those) the list loop steps on one list
+of ``(value, vertex)`` pairs. Every vertex, and every point a search
+yields, is a list of Python floats: with at most 4 vertices of 3
+coordinates, numpy's fixed cost per call would dominate the arithmetic,
+and so would Python's, so no step runs a generator expression. Each
+iteration starts with a stable sort of the vertices by value, so ties
+keep their order. The order of each floating-point operation is part of
+the contract (the centroid is summed in value order, then divided; a
+shrink evaluates the vertices in that order): it fixes every fit to the
+bit, and the one- and three-coordinate steps make the points that the
+list loop would.
 """
 
 from __future__ import annotations
@@ -91,9 +97,10 @@ def nelder_mead(
 
 def _search(x0, initial_steps=0.1, max_iterations: int = 10_000):
     """The search of :func:`nelder_mead` as a generator, driven by :func:`_lockstep`: it yields each point,
-    a list of floats, receives its value by ``send``, a Python float that is never NaN, and returns
-    ``(x, fun, converged, iterations)``. Its :class:`DomainError` comes before the first point. One
-    coordinate steps on two floats, and two or more on the list of vertices."""
+    a list of Python floats, receives its value by ``send``, a Python float that is never NaN, and returns
+    ``(x, fun, converged, iterations)``, ``x`` a list. Its :class:`DomainError` comes before the first
+    point. One coordinate steps on two floats, three on named floats, and two or four and more on the
+    list of vertices."""
     # Checked on lists: numpy's all and any cost microseconds each, a share of a short search.
     start = np.asarray(x0, dtype=float).ravel().tolist()
     ndim = len(start)
@@ -146,20 +153,54 @@ def _search(x0, initial_steps=0.1, max_iterations: int = 10_000):
                     f_worst = yield [worst]
         return [best], f_best, converged, iterations
 
+    if ndim == 3:
+        # The list loop's step on named floats, in the same order: the centroid ((b + p) + q) / 3 (3.0, the
+        # float that ndim becomes), then the reflection, expansion, contractions and shrink coordinate by
+        # coordinate. f_next is the second-worst value, which a reflected point must beat to be kept as is.
+        while True:
+            simplex.sort(key=_VALUE)
+            (f_best, best), (_, p), (f_next, q), (f_worst, worst) = simplex
+            (b0, b1, b2), (p0, p1, p2), (q0, q1, q2), (w0, w1, w2) = best, p, q, worst
+            # Each coordinate's |best - worst| first, and the full spread only when all pass: the spread
+            # rounds to at least |best - worst|, as rounding is monotone, and NaN fails both tests.
+            if (f_worst - f_best < _TOLERANCE and abs(b0 - w0) < _TOLERANCE and abs(b1 - w1) < _TOLERANCE
+                    and abs(b2 - w2) < _TOLERANCE and _collapsed((best, p, q, worst))):
+                converged = True
+                break
+            if iterations >= max_iterations:
+                break
+            iterations += 1
+
+            c0, c1, c2 = ((b0 + p0) + q0) / 3.0, ((b1 + p1) + q1) / 3.0, ((b2 + p2) + q2) / 3.0
+            d0, d1, d2 = c0 - w0, c1 - w1, c2 - w2
+            reflected = [c0 + d0, c1 + d1, c2 + d2]
+            f_reflected = yield reflected
+
+            if f_reflected < f_best:
+                x = [c0 + _EXPAND * d0, c1 + _EXPAND * d1, c2 + _EXPAND * d2]
+                value = yield x
+                simplex[3] = (value, x) if value < f_reflected else (f_reflected, reflected)
+            elif f_reflected < f_next:
+                simplex[3] = (f_reflected, reflected)
+            else:
+                t0, t1, t2 = reflected if f_reflected < f_worst else worst
+                x = [c0 + _CONTRACT * (t0 - c0), c1 + _CONTRACT * (t1 - c1), c2 + _CONTRACT * (t2 - c2)]
+                value = yield x
+                if value < f_worst and value <= f_reflected:
+                    simplex[3] = (value, x)
+                else:
+                    for i, (v0, v1, v2) in enumerate((p, q, worst), 1):
+                        x = [b0 + _SHRINK * (v0 - b0), b1 + _SHRINK * (v1 - b1), b2 + _SHRINK * (v2 - b2)]
+                        simplex[i] = ((yield x), x)
+        return best, f_best, converged, iterations
+
     while True:
         simplex.sort(key=_VALUE)  # stable, as argsort(kind="stable")
         (f_best, best), (f_worst, worst) = simplex[0], simplex[-1]
         vertices = list(map(_VERTEX, simplex))
-
-        # Rounding is monotone, so the widest pair of a coordinate rounds to its
-        # max - min; a coordinate holding NaN fails, as in numpy.
-        if f_worst - f_best < _TOLERANCE:
-            for col in zip(*vertices):
-                if not max(col) - min(col) < _TOLERANCE or any(map(math.isnan, col)):
-                    break
-            else:
-                converged = True
-                break
+        if f_worst - f_best < _TOLERANCE and _collapsed(vertices):
+            converged = True
+            break
         if iterations >= max_iterations:
             break
         iterations += 1
@@ -195,6 +236,18 @@ def _search(x0, initial_steps=0.1, max_iterations: int = 10_000):
 
     # The simplex was just sorted, so its first vertex is the first minimum.
     return best, f_best, converged, iterations
+
+
+def _collapsed(vertices) -> bool:
+    """Whether every coordinate spreads less than the tolerance over ``vertices``.
+
+    Rounding is monotone, so the widest pair of a coordinate rounds to its
+    max - min; a coordinate holding NaN fails, as in numpy.
+    """
+    for col in zip(*vertices):
+        if not max(col) - min(col) < _TOLERANCE or any(map(math.isnan, col)):
+            return False
+    return True
 
 
 def _lockstep(func, searches: list) -> list[SimplexResult]:

@@ -73,9 +73,9 @@ def test_no_searches_and_a_nan_lane():
 
 def test_each_search_receives_floats_never_nan_and_counts_them():
     # The driver makes each value a Python float, NaN as inf, and counts one evaluation per value
-    # sent. The objective returns numpy floats, and NaN in a hole at its minimum, which the 1-D and
-    # the 2-D search both meet at reflected, expanded, contracted and shrunk points.
-    received, nans = [[], []], [0, 0]
+    # sent. The objective returns numpy floats, and NaN in a hole at its minimum, which the 1-D, 2-D
+    # and 3-D searches each meet at reflected, expanded, contracted and shrunk points.
+    received, nans = [[], [], []], [0, 0, 0]
 
     def objective(lane, x):
         if abs(x[0] - 3.0) < 0.05:
@@ -95,7 +95,7 @@ def test_each_search_receives_floats_never_nan_and_counts_them():
 
     results = _lockstep(
         lambda points: [objective(lane, np.array(x)) for lane, x in enumerate(points)],
-        [recorded(0, _search([0.0])), recorded(1, _search([0.0, 0.0]))],
+        [recorded(0, _search([0.0])), recorded(1, _search([0.0, 0.0])), recorded(2, _search([0.0, 0.0, 0.0]))],
     )
     assert all(nans)
     for lane, values in enumerate(received):

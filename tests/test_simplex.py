@@ -1,15 +1,19 @@
 """Nelder-Mead minimizer behavior on standard objectives."""
 
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from evtkit import nelder_mead
+from evtkit import load_csv, nelder_mead
+from evtkit.fitting import _gev_objective
 from evtkit.simplex import SimplexResult, _search
 from evtkit.errors import DomainError
+
+FIXTURE_FILE = Path(__file__).resolve().parents[1] / "data" / "synthetic_annual_maxima.csv"
 
 
 def quadratic(x):
@@ -125,10 +129,12 @@ def test_huge_start_neither_raises_nor_warns():
     assert res.fun == np.inf and not res.converged and res.iterations == 20
 
 
-def test_objective_gets_a_fresh_float_vector():
+@pytest.mark.parametrize("x0", [[0.0], [0.0, 0.0], [0.0, 0.0, 0.0]], ids=["1-D", "2-D", "3-D"])
+def test_objective_gets_a_fresh_float_vector(x0):
+    # Each of the three steps: two floats, the list of vertices, and named floats.
     seen = []
-    nelder_mead(lambda x: seen.append(x) or quadratic(x), [0.0, 0.0], max_iterations=30)
-    assert all(x.dtype == np.float64 and x.ndim == 1 and x.base is None for x in seen)
+    nelder_mead(lambda x: seen.append(x) or quadratic(x), x0, max_iterations=30)
+    assert all(x.dtype == np.float64 and x.shape == (len(x0),) and x.base is None for x in seen)
     assert len({id(x) for x in seen}) == len(seen)
 
 
@@ -243,9 +249,19 @@ def wavy(x):
     return float(np.sum(x * x - np.cos(6.0 * x)))
 
 
+_FIXTURE_GEV_NLL = _gev_objective(load_csv(FIXTURE_FILE).sample.standardized()[3])
+
+
+def gev(x):
+    # The fits' three-coordinate objective: the GEV negative log-likelihood of the repository fixture's
+    # standardized values at (location, log(scale), shape); inf outside |shape| < 1 and off the support.
+    (value,) = _FIXTURE_GEV_NLL([x.tolist()])
+    return value
+
+
 # objective -> the dimensions it is drawn in
 ORACLE_OBJECTIVES = {quadratic: (1, 2, 3), rosenbrock: (2,), half_plane: (2, 3), nan_hole: (1, 2, 3),
-                     unbounded: (1, 2, 3), floored: (1, 2, 3), gumbel_profile: (1,), wavy: (1, 2)}
+                     unbounded: (1, 2, 3), floored: (1, 2, 3), gumbel_profile: (1,), wavy: (1, 2, 3), gev: (3,)}
 # objective -> the factor on its drawn start and steps, when not 1
 ORACLE_SCALES = {unbounded: 1e307, floored: 1e307}
 
@@ -282,6 +298,17 @@ def oracle_problems(draw):
 @example((nan_hole, [-1.0], -0.5, 1)).via("NaN at the expansion")
 @example((nan_hole, [-0.5], 1.0, 1)).via("NaN at the contraction")
 @example((gumbel_profile, [0.5], 0.1, 0)).via("budget 0")
+# One step of a three-coordinate search, for each way it can go.
+@example((gev, [0.0, 0.0, 0.5], 0.1, 1)).via("3-D reflection kept")
+@example((gev, [0.0, 0.0, 0.0], 0.1, 1)).via("3-D expansion kept")
+@example((gev, [0.0, -1.0, 0.0], 0.1, 1)).via("3-D expansion refused")
+@example((gev, [2.0, 1.5, 0.0], 0.5, 1)).via("3-D outside contraction")
+@example((gev, [0.0, -1.5, 0.0], 0.1, 1)).via("3-D inside contraction")
+@example((gev, [0.0, 0.0, -0.5], 0.1, 1)).via("3-D shrink after an inside contraction")
+@example((wavy, [0.5, 0.5, 3.0], 0.1, 1)).via("3-D shrink after an outside contraction")
+@example((nan_hole, [1.0, 0.0, 0.0], 0.5, 1)).via("3-D NaN at the expansion")
+@example((nan_hole, [-0.5, 0.0, -0.5], 1.0, 1)).via("3-D NaN at the contraction")
+@example((gev, [0.0, 0.0, 0.0], 0.1, 0)).via("3-D budget 0")
 def test_matches_the_numpy_reference_bit_for_bit(problem):
     func, x0, steps, budget = problem
     points = {}

@@ -239,11 +239,8 @@ def _search(x0, initial_steps=0.1, max_iterations: int = 10_000):
 
 
 def _collapsed(vertices) -> bool:
-    """Whether every coordinate spreads less than the tolerance over ``vertices``.
-
-    Rounding is monotone, so the widest pair of a coordinate rounds to its
-    max - min; a coordinate holding NaN fails, as in numpy.
-    """
+    """Whether each coordinate spreads less than the tolerance over ``vertices``; NaN fails, as in numpy."""
+    # Rounding is monotone, so the widest pair of a coordinate rounds to its max - min.
     for col in zip(*vertices):
         if not max(col) - min(col) < _TOLERANCE or any(map(math.isnan, col)):
             return False

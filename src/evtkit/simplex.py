@@ -14,30 +14,39 @@ evaluations and builds each :class:`SimplexResult`. Every search of a fit
 is such a lane, and :func:`nelder_mead` is that loop with one lane of an
 array objective. A lane is its search driven alone, to the bit.
 
-A search takes one of three steps, chosen by its number of coordinates.
-With one (the Gumbel-type profile searches) it steps on two floats: the
-best and the worst vertex, with their values. With three (every GEV
-search) it steps on named floats: the four ``(value, vertex)`` pairs are
-unpacked by name, and the centroid, reflection, expansion, contractions
-and shrink are written out coordinate by coordinate. With two or four and
-more (only :func:`nelder_mead` runs those) the list loop steps on one list
-of ``(value, vertex)`` pairs. Every vertex, and every point a search
-yields, is a list of Python floats: with at most 4 vertices of 3
-coordinates, numpy's fixed cost per call would dominate the arithmetic,
-and so would Python's, so no step runs a generator expression. Each
-iteration starts with a stable sort of the vertices by value, so ties
-keep their order. The order of each floating-point operation is part of
-the contract (the centroid is summed in value order, then divided; a
-shrink evaluates the vertices in that order): it fixes every fit to the
-bit, and the one- and three-coordinate steps make the points that the
-list loop would.
+Every search steps by one template. :func:`_step_source` writes the search
+generator for n coordinates as Python source, and :func:`_search` compiles
+it once per n. The source names each vertex's value and coordinates
+(``f0, x0_0, x0_1, ...`` for the best vertex, ``fn, xn_0, ...`` for the
+worst) as local variables, and writes the stable sort, the convergence
+test, the centroid, reflection, expansion, contractions and shrink out
+coordinate by coordinate. Naming is what makes the step fast: on at most 4
+vertices of 3 coordinates, the fixed costs of a loop over a list of
+vertices, or of a numpy call, dominate the arithmetic. Per evaluation, with
+the objective's own time taken out, a two-coordinate search steps in about
+0.5 µs written out and in about 1.8 µs as a loop over a list of
+``(value, vertex)`` pairs (Python 3.11, one pinned core of a shared x86
+host). What naming costs: the step is read as a template, not as code.
+Tracebacks show its lines, as the source is registered in
+:mod:`linecache`, but coverage, and any line tracer that maps lines to
+files, cannot see inside it: no file holds those lines. And :func:`_search`
+checks its arguments before it makes the generator, so its
+:class:`DomainError` comes from the call itself. Each process writes and
+compiles the step of each number of coordinates on its first search of
+that size, about 0.4 ms for one coordinate and 1.5 ms for three.
+
+Every point a search yields is a fresh list of Python floats. Each
+iteration starts with a stable sort of the vertices by value, so ties keep
+their order. The order of each floating-point operation is part of the
+contract (the centroid is summed in value order, then divided; a shrink
+evaluates the vertices in that order): it fixes every fit to the bit.
 """
 
 from __future__ import annotations
 
+import linecache
 import math
 from dataclasses import dataclass
-from operator import add, itemgetter, sub
 from typing import Callable
 
 import numpy as np
@@ -49,7 +58,8 @@ _CONTRACT = 0.5
 _SHRINK = 0.5
 # Converged when the vertex values and every coordinate agree to within this.
 _TOLERANCE = 1e-8
-_VALUE, _VERTEX = itemgetter(0), itemgetter(1)
+# The compiled search generator of each number of coordinates, by that number.
+_SEARCHES: dict = {}
 
 
 @dataclass(frozen=True)
@@ -98,9 +108,9 @@ def nelder_mead(
 def _search(x0, initial_steps=0.1, max_iterations: int = 10_000):
     """The search of :func:`nelder_mead` as a generator, driven by :func:`_lockstep`: it yields each point,
     a list of Python floats, receives its value by ``send``, a Python float that is never NaN, and returns
-    ``(x, fun, converged, iterations)``, ``x`` a list. Its :class:`DomainError` comes before the first
-    point. One coordinate steps on two floats, three on named floats, and two or four and more on the
-    list of vertices."""
+    ``(x, fun, converged, iterations)``, ``x`` a list. The arguments are checked here, so a
+    :class:`DomainError` is raised by this call, before the generator exists. The generator runs the step
+    that :func:`_step_source` writes for the start's number of coordinates, compiled on first use."""
     # Checked on lists: numpy's all and any cost microseconds each, a share of a short search.
     start = np.asarray(x0, dtype=float).ravel().tolist()
     ndim = len(start)
@@ -114,128 +124,98 @@ def _search(x0, initial_steps=0.1, max_iterations: int = 10_000):
         raise DomainError("initial simplex steps must be finite and nonzero")
     if not all(map(math.isfinite, start)):
         raise DomainError("starting point must be finite")
+    search = _SEARCHES.get(ndim)
+    if search is None:
+        source, filename = _step_source(ndim), f"<evtkit.simplex search, {ndim} coordinates>"
+        # Registered so that a traceback shows the generated lines; no file backs them, so none is reread.
+        linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+        namespace = {"_collapsed": _collapsed}
+        exec(compile(source, filename, "exec"), namespace)
+        search = _SEARCHES[ndim] = namespace["search"]
+    return search(start, steps, max_iterations)
 
-    simplex = []
-    for x in [start] + [start[:i] + [start[i] + step] + start[i + 1 :] for i, step in enumerate(steps)]:
-        simplex.append(((yield x), x))
 
-    converged, iterations = False, 0
-    if ndim == 1:
-        # The steps below on two floats, in the same order: the centroid is the best vertex (c / 1 is c),
-        # no reflected value is below the second vertex's without being below the best's, a shrink moves
-        # the worst, and |b - w| is the spread max - min, NaN when a coordinate is.
-        (f_best, (best,)), (f_worst, (worst,)) = simplex
-        while True:
-            if f_worst < f_best:  # the stable sort of two
-                f_best, best, f_worst, worst = f_worst, worst, f_best, best
-            if f_worst - f_best < _TOLERANCE and abs(best - worst) < _TOLERANCE:
-                converged = True
-                break
-            if iterations >= max_iterations:
-                break
-            iterations += 1
+def _step_source(n: int) -> str:
+    """The Python source of ``search(start, steps, max_iterations)``, the search generator for ``n``
+    coordinates, with its step written out coordinate by coordinate.
 
-            away = best - worst
-            reflected = best + away
-            f_reflected = yield [reflected]
+    Vertex ``j`` of the sorted simplex is its value ``fj`` and its coordinates ``xj_0`` to ``xj_{n-1}``:
+    vertex 0 is the best, vertex ``n`` the worst. The operations are those of a loop over a list of
+    vertices, in its order: the centroid is the left fold of vertices 0 to n - 1 divided by ``float(n)``
+    (one vertex is its own centroid), and a shrink moves and evaluates vertices 1 to n in turn.
+    """
 
-            if f_reflected < f_best:
-                x = best + _EXPAND * away
-                value = yield [x]
-                f_worst, worst = (value, x) if value < f_reflected else (f_reflected, reflected)
-            else:
-                x = best + _CONTRACT * ((reflected if f_reflected < f_worst else worst) - best)
-                value = yield [x]
-                if value < f_worst and value <= f_reflected:
-                    f_worst, worst = value, x
-                else:
-                    worst = best + _SHRINK * (worst - best)
-                    f_worst = yield [worst]
-        return [best], f_best, converged, iterations
+    def each(fmt, **values):  # fmt once per coordinate k: each("x{j}_{k}", j=2) is "x2_0, x2_1" at n = 2
+        return ", ".join(fmt.format(k=k, **values) for k in range(n))
 
-    if ndim == 3:
-        # The list loop's step on named floats, in the same order: the centroid ((b + p) + q) / 3 (3.0, the
-        # float that ndim becomes), then the reflection, expansion, contractions and shrink coordinate by
-        # coordinate. f_next is the second-worst value, which a reflected point must beat to be kept as is.
-        while True:
-            simplex.sort(key=_VALUE)
-            (f_best, best), (_, p), (f_next, q), (f_worst, worst) = simplex
-            (b0, b1, b2), (p0, p1, p2), (q0, q1, q2), (w0, w1, w2) = best, p, q, worst
-            # Each coordinate's |best - worst| first, and the full spread only when all pass: the spread
-            # rounds to at least |best - worst|, as rounding is monotone, and NaN fails both tests.
-            if (f_worst - f_best < _TOLERANCE and abs(b0 - w0) < _TOLERANCE and abs(b1 - w1) < _TOLERANCE
-                    and abs(b2 - w2) < _TOLERANCE and _collapsed((best, p, q, worst))):
-                converged = True
-                break
-            if iterations >= max_iterations:
-                break
-            iterations += 1
+    def xs(j):  # vertex j's coordinates
+        return each("x{j}_{k}", j=j)
 
-            c0, c1, c2 = ((b0 + p0) + q0) / 3.0, ((b1 + p1) + q1) / 3.0, ((b2 + p2) + q2) / 3.0
-            d0, d1, d2 = c0 - w0, c1 - w1, c2 - w2
-            reflected = [c0 + d0, c1 + d1, c2 + d2]
-            f_reflected = yield reflected
+    def keep(value, point):  # the worst vertex becomes point, of that value
+        return f"f{n}, {xs(n)}, = {value}, {each(point)},"
 
-            if f_reflected < f_best:
-                x = [c0 + _EXPAND * d0, c1 + _EXPAND * d1, c2 + _EXPAND * d2]
-                value = yield x
-                simplex[3] = (value, x) if value < f_reflected else (f_reflected, reflected)
-            elif f_reflected < f_next:
-                simplex[3] = (f_reflected, reflected)
-            else:
-                t0, t1, t2 = reflected if f_reflected < f_worst else worst
-                x = [c0 + _CONTRACT * (t0 - c0), c1 + _CONTRACT * (t1 - c1), c2 + _CONTRACT * (t2 - c2)]
-                value = yield x
-                if value < f_worst and value <= f_reflected:
-                    simplex[3] = (value, x)
-                else:
-                    for i, (v0, v1, v2) in enumerate((p, q, worst), 1):
-                        x = [b0 + _SHRINK * (v0 - b0), b1 + _SHRINK * (v1 - b1), b2 + _SHRINK * (v2 - b2)]
-                        simplex[i] = ((yield x), x)
-        return best, f_best, converged, iterations
-
-    while True:
-        simplex.sort(key=_VALUE)  # stable, as argsort(kind="stable")
-        (f_best, best), (f_worst, worst) = simplex[0], simplex[-1]
-        vertices = list(map(_VERTEX, simplex))
-        if f_worst - f_best < _TOLERANCE and _collapsed(vertices):
-            converged = True
-            break
-        if iterations >= max_iterations:
-            break
-        iterations += 1
-
-        centroid = vertices[0]
-        for vertex in vertices[1:-1]:
-            centroid = list(map(add, centroid, vertex))
-        centroid = [c / ndim for c in centroid]
+    # Each line is (indent level, text).
+    lines = [(0, "def search(start, steps, max_iterations):"), (1, f"{xs(0)}, = start"),
+             (1, f"{each('s{k}')}, = steps"), (1, f"f0 = yield [{xs(0)}]")]
+    for j in range(1, n + 1):
+        moved = ", ".join(f"x0_{k} + s{k}" if k == j - 1 else f"x0_{k}" for k in range(n))
+        lines += [(1, f"{xs(j)}, = {moved},"), (1, f"f{j} = yield [{xs(j)}]")]
+    lines += [(1, "converged, iterations = False, 0"), (1, "while True:")]
+    # The stable sort of list.sort by insertion: vertex i moves down past each worse vertex, and no further.
+    # The vertices before it are in order already, so only a vertex that moves costs more than one test.
+    for i in range(1, n + 1):
+        for depth, j in enumerate(range(i - 1, -1, -1)):
+            lines += [(2 + depth, f"if f{j + 1} < f{j}:"),
+                      (3 + depth, f"f{j}, {xs(j)}, f{j + 1}, {xs(j + 1)} = f{j + 1}, {xs(j + 1)}, f{j}, {xs(j)}")]
+    # Each coordinate's |best - worst| before the full spread: the spread rounds to at least |best - worst|,
+    # as rounding is monotone, and NaN fails both tests. With two vertices the two tests are one.
+    collapsed = [f"abs(x0_{k} - x{n}_{k}) < {_TOLERANCE}" for k in range(n)]
+    if n > 1:
+        collapsed.append("_collapsed((" + " ".join(f"({xs(j)},)," for j in range(n + 1)) + "))")
+    fold = " + ".join(f"x{j}_{{k}}" for j in range(n))
+    centroid = each(f"({fold}) / {float(n)}" if n > 1 else fold)
+    lines += [
+        (2, f"if f{n} - f0 < {_TOLERANCE} and " + " and ".join(collapsed) + ":"),
+        (3, "converged = True"),
+        (3, "break"),
+        (2, "if iterations >= max_iterations:"),
+        (3, "break"),
+        (2, "iterations += 1"),
+        (2, f"{each('c{k}')}, = {centroid},"),
         # The reflection c + 1.0 * (c - w) is c + (c - w): the multiply by 1.0 is exact.
-        away = list(map(sub, centroid, worst))
-        reflected = list(map(add, centroid, away))
-        f_reflected = yield reflected
-
-        if f_reflected < f_best:
-            x = [c + _EXPAND * d for c, d in zip(centroid, away)]
-            value = yield x
-            simplex[-1] = (value, x) if value < f_reflected else (f_reflected, reflected)
-        elif f_reflected < simplex[-2][0]:
-            simplex[-1] = (f_reflected, reflected)
-        else:
-            # Contract toward the reflected point when it beats the worst vertex
-            # (outside), else toward the worst vertex (inside); c + 0.5 * (w - c)
-            # is the same float as c - 0.5 * (c - w), as negation is exact.
-            toward = reflected if f_reflected < f_worst else worst
-            x = [c + _CONTRACT * (t - c) for c, t in zip(centroid, toward)]
-            value = yield x
-            if value < f_worst and value <= f_reflected:
-                simplex[-1] = (value, x)
-            else:
-                for i in range(1, ndim + 1):
-                    x = [b + _SHRINK * (v - b) for b, v in zip(best, vertices[i])]
-                    simplex[i] = ((yield x), x)
-
-    # The simplex was just sorted, so its first vertex is the first minimum.
-    return best, f_best, converged, iterations
+        (2, f"{each('d{k}')}, = {each('c{k} - x{j}_{k}', j=n)},"),
+        (2, f"{each('r{k}')}, = {each('c{k} + d{k}')},"),
+        (2, f"fr = yield [{each('r{k}')}]"),
+        (2, "if fr < f0:"),
+        (3, f"{each('e{k}')}, = {each('c{k} + {a} * d{k}', a=_EXPAND)},"),
+        (3, f"fe = yield [{each('e{k}')}]"),
+        (3, "if fe < fr:"),
+        (4, keep("fe", "e{k}")),
+        (3, "else:"),
+        (4, keep("fr", "r{k}")),
+    ]
+    if n > 1:  # with one vertex, a reflected value below the second-worst is below the best's
+        lines += [(2, f"elif fr < f{n - 1}:"), (3, keep("fr", "r{k}"))]
+    # Contract toward the reflected point when it beats the worst vertex (outside), else toward the worst
+    # vertex (inside); c + 0.5 * (w - c) is the same float as c - 0.5 * (c - w), as negation is exact.
+    lines += [
+        (2, "else:"),
+        (3, f"if fr < f{n}:"),
+        (4, f"{each('t{k}')}, = {each('r{k}')},"),
+        (3, "else:"),
+        (4, f"{each('t{k}')}, = {xs(n)},"),
+        (3, f"{each('k{k}')}, = {each('c{k} + {a} * (t{k} - c{k})', a=_CONTRACT)},"),
+        (3, f"fk = yield [{each('k{k}')}]"),
+        (3, f"if fk < f{n} and fk <= fr:"),
+        (4, keep("fk", "k{k}")),
+        (3, "else:"),
+    ]
+    for j in range(1, n + 1):
+        lines += [(4, f"{xs(j)}, = {each('x0_{k} + {a} * (x{j}_{k} - x0_{k})', j=j, a=_SHRINK)},"),
+                  (4, f"f{j} = yield [{xs(j)}]")]
+    # The simplex was just sorted, so vertex 0 is the first minimum.
+    lines.append((1, f"return [{xs(0)}], f0, converged, iterations"))
+    return "".join("    " * depth + text + "\n" for depth, text in lines)
 
 
 def _collapsed(vertices) -> bool:

@@ -29,7 +29,7 @@ PROBLEMS = [
 @given(st.lists(oracle_problems(), min_size=1, max_size=4))
 @example(PROBLEMS)
 def test_each_lane_is_its_search_driven_alone(problems):
-    # The oracle problems of the simplex tests: 1 to 3 coordinates, budgets of 0 to 300,
+    # The oracle problems of the simplex tests: 1 to 6 coordinates, budgets of 0 to 300,
     # and objectives that are inf or NaN on part of the plane or past the float range.
     calls = []  # the points of every call, each as its bytes
 

@@ -1,5 +1,6 @@
 """Nelder-Mead minimizer behavior on standard objectives."""
 
+import linecache
 import warnings
 from pathlib import Path
 
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from evtkit import load_csv, nelder_mead
 from evtkit.fitting import _gev_objective
-from evtkit.simplex import SimplexResult, _search
+from evtkit.simplex import SimplexResult, _search, _step_source
 from evtkit.errors import DomainError
 
 FIXTURE_FILE = Path(__file__).resolve().parents[1] / "data" / "synthetic_annual_maxima.csv"
@@ -129,13 +130,22 @@ def test_huge_start_neither_raises_nor_warns():
     assert res.fun == np.inf and not res.converged and res.iterations == 20
 
 
-@pytest.mark.parametrize("x0", [[0.0], [0.0, 0.0], [0.0, 0.0, 0.0]], ids=["1-D", "2-D", "3-D"])
+@pytest.mark.parametrize("x0", [[0.0], [0.0, 0.0], [0.0, 0.0, 0.0], [0.0] * 4], ids=["1-D", "2-D", "3-D", "4-D"])
 def test_objective_gets_a_fresh_float_vector(x0):
-    # Each of the three steps: two floats, the list of vertices, and named floats.
+    # The step written for each of these numbers of coordinates.
     seen = []
-    nelder_mead(lambda x: seen.append(x) or quadratic(x), x0, max_iterations=30)
+    nelder_mead(lambda x: seen.append(x) or wavy(x), x0, max_iterations=30)
     assert all(x.dtype == np.float64 and x.shape == (len(x0),) and x.base is None for x in seen)
     assert len({id(x) for x in seen}) == len(seen)
+
+
+@pytest.mark.parametrize("ndim", range(1, 7))
+def test_a_traceback_shows_the_generated_step(ndim):
+    search = _search([0.0] * ndim)
+    next(search)  # now at its first yield
+    frame = search.gi_frame
+    line = linecache.getline(frame.f_code.co_filename, frame.f_lineno)
+    assert line == _step_source(ndim).splitlines(True)[frame.f_lineno - 1] and "f0 = yield" in line
 
 
 def _reference_nelder_mead(func, x0, initial_steps=0.1, max_iterations=10_000,
@@ -260,8 +270,9 @@ def gev(x):
 
 
 # objective -> the dimensions it is drawn in
-ORACLE_OBJECTIVES = {quadratic: (1, 2, 3), rosenbrock: (2,), half_plane: (2, 3), nan_hole: (1, 2, 3),
-                     unbounded: (1, 2, 3), floored: (1, 2, 3), gumbel_profile: (1,), wavy: (1, 2, 3), gev: (3,)}
+ORACLE_OBJECTIVES = {quadratic: (1, 2, 3), rosenbrock: (2,), half_plane: (2, 3), nan_hole: (1, 2, 3, 4),
+                     unbounded: (1, 2, 3, 4), floored: (1, 2, 3, 6), gumbel_profile: (1,), wavy: (1, 2, 3, 4, 5, 6),
+                     gev: (3,)}
 # objective -> the factor on its drawn start and steps, when not 1
 ORACLE_SCALES = {unbounded: 1e307, floored: 1e307}
 
@@ -298,6 +309,17 @@ def oracle_problems(draw):
 @example((nan_hole, [-1.0], -0.5, 1)).via("NaN at the expansion")
 @example((nan_hole, [-0.5], 1.0, 1)).via("NaN at the contraction")
 @example((gumbel_profile, [0.5], 0.1, 0)).via("budget 0")
+# One step of a two-coordinate search, for each way it can go.
+@example((quadratic, [1.0, -1.0], -0.5, 1)).via("2-D reflection kept")
+@example((quadratic, [-1.0, -1.0], 0.1, 1)).via("2-D expansion kept")
+@example((quadratic, [-1.0, -1.0], 1.0, 1)).via("2-D expansion refused")
+@example((rosenbrock, [-1.0, 0.0], 1.0, 1)).via("2-D outside contraction")
+@example((rosenbrock, [-1.0, 0.5], 0.5, 1)).via("2-D inside contraction")
+@example((wavy, [-0.5, 2.0], -0.5, 1)).via("2-D shrink after an inside contraction")
+@example((wavy, [-1.0, 0.0], 1.0, 1)).via("2-D shrink after an outside contraction")
+@example((nan_hole, [-1.0, 0.0], -0.5, 1)).via("2-D NaN at the expansion")
+@example((nan_hole, [-0.5, -1.0], 1.0, 1)).via("2-D NaN at the contraction")
+@example((rosenbrock, [-1.2, 1.0], 0.1, 0)).via("2-D budget 0")
 # One step of a three-coordinate search, for each way it can go.
 @example((gev, [0.0, 0.0, 0.5], 0.1, 1)).via("3-D reflection kept")
 @example((gev, [0.0, 0.0, 0.0], 0.1, 1)).via("3-D expansion kept")

@@ -20,20 +20,20 @@ it once per n. The source names each vertex's value and coordinates
 (``f0, x0_0, x0_1, ...`` for the best vertex, ``fn, xn_0, ...`` for the
 worst) as local variables, and writes the stable sort, the convergence
 test, the centroid, reflection, expansion, contractions and shrink out
-coordinate by coordinate. Naming is what makes the step fast: on at most 4
-vertices of 3 coordinates, the fixed costs of a loop over a list of
-vertices, or of a numpy call, dominate the arithmetic. Per evaluation, with
-the objective's own time taken out, a two-coordinate search steps in about
-0.5 µs written out and in about 1.8 µs as a loop over a list of
-``(value, vertex)`` pairs (Python 3.11, one pinned core of a shared x86
-host). What naming costs: the step is read as a template, not as code.
-Tracebacks show its lines, as the source is registered in
+coordinate by coordinate. Naming is what makes the step fast: on a few
+vertices of a few coordinates, the fixed costs of a loop over a list of
+vertices, or of a numpy call, dominate the arithmetic. Up to
+``_WRITTEN_SORT`` coordinates the sort is a written-out insertion sort, in
+which a vertex that stays put costs one comparison; above that it is one
+call of ``sorted``, so the source grows as the square of n and its nesting
+not at all. What naming costs: the step is read as a template, not as
+code. Tracebacks show its lines, as the source is registered in
 :mod:`linecache`, but coverage, and any line tracer that maps lines to
-files, cannot see inside it: no file holds those lines. And :func:`_search`
+files, cannot see inside it: no file holds those lines. :func:`_search`
 checks its arguments before it makes the generator, so its
-:class:`DomainError` comes from the call itself. Each process writes and
-compiles the step of each number of coordinates on its first search of
-that size, about 0.4 ms for one coordinate and 1.5 ms for three.
+:class:`DomainError` comes from the call itself. And each process writes
+and compiles the step of each number of coordinates on its first search
+of that size.
 
 Every point a search yields is a fresh list of Python floats. Each
 iteration starts with a stable sort of the vertices by value, so ties keep
@@ -47,6 +47,7 @@ from __future__ import annotations
 import linecache
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable
 
 import numpy as np
@@ -58,6 +59,8 @@ _CONTRACT = 0.5
 _SHRINK = 0.5
 # Converged when the vertex values and every coordinate agree to within this.
 _TOLERANCE = 1e-8
+# Up to this many coordinates the written step sorts its vertices by a written-out insertion sort.
+_WRITTEN_SORT = 4
 # The compiled search generator of each number of coordinates, by that number.
 _SEARCHES: dict = {}
 
@@ -101,6 +104,11 @@ def nelder_mead(
     DomainError
         Empty or non-finite ``x0``; steps that are zero, non-finite, or
         neither a scalar nor one per coordinate.
+
+    Notes
+    -----
+    The first search of each number of coordinates in a process writes and
+    compiles its step, whose source grows as the square of that number.
     """
     return _lockstep(lambda points: [func(np.array(points[0]))], [_search(x0, initial_steps, max_iterations)])[0]
 
@@ -129,7 +137,7 @@ def _search(x0, initial_steps=0.1, max_iterations: int = 10_000):
         source, filename = _step_source(ndim), f"<evtkit.simplex search, {ndim} coordinates>"
         # Registered so that a traceback shows the generated lines; no file backs them, so none is reread.
         linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
-        namespace = {"_collapsed": _collapsed}
+        namespace = {"_collapsed": _collapsed, "_value": itemgetter(0)}
         exec(compile(source, filename, "exec"), namespace)
         search = _SEARCHES[ndim] = namespace["search"]
     return search(start, steps, max_iterations)
@@ -142,7 +150,8 @@ def _step_source(n: int) -> str:
     Vertex ``j`` of the sorted simplex is its value ``fj`` and its coordinates ``xj_0`` to ``xj_{n-1}``:
     vertex 0 is the best, vertex ``n`` the worst. The operations are those of a loop over a list of
     vertices, in its order: the centroid is the left fold of vertices 0 to n - 1 divided by ``float(n)``
-    (one vertex is its own centroid), and a shrink moves and evaluates vertices 1 to n in turn.
+    (one vertex is its own centroid), and a shrink moves and evaluates vertices 1 to n in turn. The sort
+    is stable, as ``list.sort``: by insertion up to ``_WRITTEN_SORT`` coordinates, else by ``sorted``.
     """
 
     def each(fmt, **values):  # fmt once per coordinate k: each("x{j}_{k}", j=2) is "x2_0, x2_1" at n = 2
@@ -161,12 +170,17 @@ def _step_source(n: int) -> str:
         moved = ", ".join(f"x0_{k} + s{k}" if k == j - 1 else f"x0_{k}" for k in range(n))
         lines += [(1, f"{xs(j)}, = {moved},"), (1, f"f{j} = yield [{xs(j)}]")]
     lines += [(1, "converged, iterations = False, 0"), (1, "while True:")]
-    # The stable sort of list.sort by insertion: vertex i moves down past each worse vertex, and no further.
-    # The vertices before it are in order already, so only a vertex that moves costs more than one test.
-    for i in range(1, n + 1):
-        for depth, j in enumerate(range(i - 1, -1, -1)):
-            lines += [(2 + depth, f"if f{j + 1} < f{j}:"),
-                      (3 + depth, f"f{j}, {xs(j)}, f{j + 1}, {xs(j + 1)} = f{j + 1}, {xs(j + 1)}, f{j}, {xs(j)}")]
+    if n <= _WRITTEN_SORT:
+        # The stable sort of list.sort by insertion: vertex i moves down past each worse vertex, and no
+        # further. The vertices before it are in order already, so only a vertex that moves costs more than
+        # one test. Its nesting grows as n and its source as n cubed, hence the bound.
+        for i in range(1, n + 1):
+            for depth, j in enumerate(range(i - 1, -1, -1)):
+                lines += [(2 + depth, f"if f{j + 1} < f{j}:"),
+                          (3 + depth, f"f{j}, {xs(j)}, f{j + 1}, {xs(j + 1)} = f{j + 1}, {xs(j + 1)}, f{j}, {xs(j)}")]
+    else:  # one flat line, as the rest of the step, and sorted is stable too
+        vertices = ", ".join(f"(f{j}, {xs(j)})" for j in range(n + 1))
+        lines.append((2, f"{vertices}, = sorted(({vertices},), key=_value)"))
     # Each coordinate's |best - worst| before the full spread: the spread rounds to at least |best - worst|,
     # as rounding is monotone, and NaN fails both tests. With two vertices the two tests are one.
     collapsed = [f"abs(x0_{k} - x{n}_{k}) < {_TOLERANCE}" for k in range(n)]

@@ -148,6 +148,17 @@ def test_a_traceback_shows_the_generated_step(ndim):
     assert line == _step_source(ndim).splitlines(True)[frame.f_lineno - 1] and "f0 = yield" in line
 
 
+
+def test_a_search_of_many_coordinates_matches_the_numpy_reference():
+    # A sort written out as nested tests, one level per vertex, would pass Python's 100 indentation levels here.
+    x0 = [(-1.0) ** k * 0.01 * k for k in range(120)]
+    with np.errstate(all="ignore"):
+        res = nelder_mead(wavy, x0, max_iterations=2)
+        ref = _reference_nelder_mead(wavy, x0, max_iterations=2)
+    assert res.x.tobytes() == ref.x.tobytes()
+    assert (res.fun, res.converged, res.iterations, res.n_evaluations) == (
+        ref.fun, ref.converged, ref.iterations, ref.n_evaluations)
+
 def _reference_nelder_mead(func, x0, initial_steps=0.1, max_iterations=10_000,
                            function_tolerance=1e-8, parameter_tolerance=1e-8):
     """The numpy-array Nelder-Mead that ``nelder_mead`` must reproduce bit for bit."""
@@ -269,7 +280,7 @@ def gev(x):
     return value
 
 
-# objective -> the dimensions it is drawn in
+# objective -> the dimensions it is drawn in; 5 and 6 coordinates sort by sorted, not by insertion
 ORACLE_OBJECTIVES = {quadratic: (1, 2, 3), rosenbrock: (2,), half_plane: (2, 3), nan_hole: (1, 2, 3, 4),
                      unbounded: (1, 2, 3, 4), floored: (1, 2, 3, 6), gumbel_profile: (1,), wavy: (1, 2, 3, 4, 5, 6),
                      gev: (3,)}

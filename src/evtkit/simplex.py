@@ -59,7 +59,8 @@ _CONTRACT = 0.5
 _SHRINK = 0.5
 # Converged when the vertex values and every coordinate agree to within this.
 _TOLERANCE = 1e-8
-# Up to this many coordinates the written step sorts its vertices by a written-out insertion sort.
+# Up to this many coordinates the step sorts its vertices by a written-out insertion sort, cheaper than a
+# call of sorted; as its nesting grows as n and its source as n cubed, larger steps call sorted.
 _WRITTEN_SORT = 4
 # The compiled search generator of each number of coordinates, by that number.
 _SEARCHES: dict = {}
@@ -173,7 +174,7 @@ def _step_source(n: int) -> str:
     if n <= _WRITTEN_SORT:
         # The stable sort of list.sort by insertion: vertex i moves down past each worse vertex, and no
         # further. The vertices before it are in order already, so only a vertex that moves costs more than
-        # one test. Its nesting grows as n and its source as n cubed, hence the bound.
+        # one test.
         for i in range(1, n + 1):
             for depth, j in enumerate(range(i - 1, -1, -1)):
                 lines += [(2 + depth, f"if f{j + 1} < f{j}:"),

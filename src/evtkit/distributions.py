@@ -61,11 +61,11 @@ class _EvdFamily:
     Records validate, rescale and serialize over ``__match_args__``, the tuple of
     field names that ``dataclass`` makes once per class, in declaration order.
 
-    Each family says once, for its density and its fit, how it is a Gumbel:
-    ``_gumbel_values(x)`` is x, log x or -log x (+-inf off the support and
-    at nan), which is Gumbel or GEV (Coles 2001, section
-    3.1), and ``_from_gumbel(unit, location, scale[, shape])`` is the record
-    of ``unit * x`` for the x whose Gumbel values have that Gumbel or GEV.
+    Each family says once, for its density and its fit, how it is a Gumbel
+    (Coles 2001, section 3.1). The Gumbel and the GEV are fitted on x itself,
+    the Frechet and the Weibull on ``_gumbel_values(x)``, log x and -log x
+    (+-inf off the support and at nan), which are Gumbel; ``_from_gumbel(unit,
+    location, scale[, shape])`` is the record of ``unit * x`` when those have that Gumbel or GEV.
     ``_in_unit(unit)`` is the record of ``x / unit``, and ``_logarithmic``
     says whether the family's unit is the one for logarithms (see
     :func:`~evtkit.sample.binary_unit`). The one likelihood kernel, the
@@ -236,10 +236,6 @@ class _GevForms(_EvdFamily):
         u = self.shape * y
         w = _gumbel_limit(self.shape, np.expm1(u, u), y)
         return np.add(np.multiply(w, self.scale, w), self.location, w)
-
-    @classmethod
-    def _gumbel_values(cls, x):
-        return x
 
 
 @dataclass(frozen=True)

@@ -95,6 +95,21 @@ def test_evaluation_counter():
     assert res.n_evaluations >= res.iterations
 
 
+@pytest.mark.parametrize("budget", [np.nan, np.inf, None, 1.5, -1])
+def test_rejects_an_iteration_budget_that_is_not_a_whole_number_of_at_least_0(budget):
+    # NaN never stopped a search that does not converge, and None raised TypeError from inside the driver.
+    calls = []
+    with pytest.raises(DomainError, match="max_iterations"):
+        nelder_mead(lambda x: calls.append(x) or -float(x[0]), [0.0], max_iterations=budget)
+    assert not calls
+
+
+@pytest.mark.parametrize("budget", [0, 2.0])
+def test_a_whole_iteration_budget_runs(budget):
+    res = nelder_mead(lambda x: -float(x[0]), [0.0], max_iterations=budget)
+    assert res.iterations == budget and not res.converged
+
+
 def test_rejects_step_count_mismatch():
     with pytest.raises(DomainError):
         nelder_mead(quadratic, [0.0, 0.0], initial_steps=[0.1, 0.1, 0.1])
@@ -148,9 +163,17 @@ def test_a_traceback_shows_the_generated_step(ndim):
     assert line == _step_source(ndim).splitlines(True)[frame.f_lineno - 1] and "f0 = yield" in line
 
 
+def test_the_step_nests_as_deep_at_every_number_of_coordinates():
+    # Python allows 100 indentation levels; a sort written as nested tests, one per vertex, went one level
+    # deeper with each coordinate.
+    def deepest(n):
+        return max(len(line) - len(line.lstrip(" ")) for line in _step_source(n).splitlines())
+
+    assert {deepest(n) for n in (1, 2, 3, 4, 5, 6, 50)} == {deepest(1)}
+
 
 def test_a_search_of_many_coordinates_matches_the_numpy_reference():
-    # A sort written out as nested tests, one level per vertex, would pass Python's 100 indentation levels here.
+    # 120 coordinates: a step whose nesting grew with the number of coordinates would not compile here.
     x0 = [(-1.0) ** k * 0.01 * k for k in range(120)]
     with np.errstate(all="ignore"):
         res = nelder_mead(wavy, x0, max_iterations=2)
@@ -158,6 +181,7 @@ def test_a_search_of_many_coordinates_matches_the_numpy_reference():
     assert res.x.tobytes() == ref.x.tobytes()
     assert (res.fun, res.converged, res.iterations, res.n_evaluations) == (
         ref.fun, ref.converged, ref.iterations, ref.n_evaluations)
+
 
 def _reference_nelder_mead(func, x0, initial_steps=0.1, max_iterations=10_000,
                            function_tolerance=1e-8, parameter_tolerance=1e-8):
@@ -280,10 +304,10 @@ def gev(x):
     return value
 
 
-# objective -> the dimensions it is drawn in; 5 and 6 coordinates sort by sorted, not by insertion
+# objective -> the dimensions it is drawn in; wavy's larger sizes shrink often, so both sorts run there
 ORACLE_OBJECTIVES = {quadratic: (1, 2, 3), rosenbrock: (2,), half_plane: (2, 3), nan_hole: (1, 2, 3, 4),
-                     unbounded: (1, 2, 3, 4), floored: (1, 2, 3, 6), gumbel_profile: (1,), wavy: (1, 2, 3, 4, 5, 6),
-                     gev: (3,)}
+                     unbounded: (1, 2, 3, 4), floored: (1, 2, 3, 6), gumbel_profile: (1,),
+                     wavy: (1, 2, 3, 4, 5, 6, 8, 12), gev: (3,)}
 # objective -> the factor on its drawn start and steps, when not 1
 ORACLE_SCALES = {unbounded: 1e307, floored: 1e307}
 
@@ -342,6 +366,9 @@ def oracle_problems(draw):
 @example((nan_hole, [1.0, 0.0, 0.0], 0.5, 1)).via("3-D NaN at the expansion")
 @example((nan_hole, [-0.5, 0.0, -0.5], 1.0, 1)).via("3-D NaN at the contraction")
 @example((gev, [0.0, 0.0, 0.0], 0.1, 0)).via("3-D budget 0")
+# Signed zeros, which an infeasible search can walk down to through the subnormals.
+@example((half_plane, [-0.0, 0.0], -2.225073858507203e-309, 51)).via("centroid of -0.0 coordinates")
+@example((half_plane, [0.0] * 4, [0.5, 5e-324, 5e-324, 5e-324], 12)).via("inside contraction at -0.0")
 def test_matches_the_numpy_reference_bit_for_bit(problem):
     func, x0, steps, budget = problem
     points = {}

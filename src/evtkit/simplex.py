@@ -108,9 +108,10 @@ def nelder_mead(
     -----
     The first search of each number of coordinates in a process writes and
     compiles its step, whose source grows as the square of that number: about
-    2.3 MB and 0.7 s to compile at 120 coordinates, 6.8 MB and 2.2 s at 200.
-    From about 3 000 coordinates ``compile`` raises ``RecursionError``, as each
-    centroid coordinate is one left fold n names deep.
+    2.3 MB and 1 s to compile at 120 coordinates, 6.8 MB and 2 to 3 s at 200
+    (Python 3.11, one core of an Intel Xeon). From about 3 000 coordinates
+    ``compile`` raises ``RecursionError``, as each centroid coordinate is one
+    left fold n names deep.
     """
     return _lockstep(lambda points: [func(np.array(points[0]))], [_search(x0, initial_steps, max_iterations)])[0]
 
@@ -227,7 +228,7 @@ def _step_source(n: int) -> str:
         lines += [(4, f"{xs(j)}, = {each('x0_{k} + {a} * (x{j}_{k} - x0_{k})', j=j, a=_SHRINK)},"),
                   (4, f"f{j} = yield [{xs(j)}]")]
     lines += [(4, sort), (4, "continue")]
-    # Any other step replaced only the worst vertex: list.sort's stable order moves it past each worse one.
+    # Any other step replaced only the worst vertex: list.sort's stable order moves it past each strictly worse one.
     for j in range(n - 1, -1, -1):
         lines.append((2, f"if f{j + 1} < f{j}: {vertex(j)}, {vertex(j + 1)} = {vertex(j + 1)}, {vertex(j)}"))
     # The simplex is in order at the top of the loop, so vertex 0 is the first minimum.

@@ -97,7 +97,7 @@ def test_evaluation_counter():
 
 @pytest.mark.parametrize("budget", [np.nan, np.inf, None, 1.5, -1])
 def test_rejects_an_iteration_budget_that_is_not_a_whole_number_of_at_least_0(budget):
-    # NaN never stopped a search that does not converge, and None raised TypeError from inside the driver.
+    # A NaN budget would never stop a search that does not converge.
     calls = []
     with pytest.raises(DomainError, match="max_iterations"):
         nelder_mead(lambda x: calls.append(x) or -float(x[0]), [0.0], max_iterations=budget)
@@ -164,8 +164,7 @@ def test_a_traceback_shows_the_generated_step(ndim):
 
 
 def test_the_step_nests_as_deep_at_every_number_of_coordinates():
-    # Python allows 100 indentation levels; a sort written as nested tests, one per vertex, went one level
-    # deeper with each coordinate.
+    # Python allows 100 indentation levels, so the nesting must not grow with the number of coordinates.
     def deepest(n):
         return max(len(line) - len(line.lstrip(" ")) for line in _step_source(n).splitlines())
 
@@ -304,7 +303,8 @@ def gev(x):
     return value
 
 
-# objective -> the dimensions it is drawn in; wavy's larger sizes shrink often, so both sorts run there
+# objective -> the dimensions it is drawn in; at 8 and 12 coordinates wavy's searches run for hundreds of
+# iterations, with a few shrinks
 ORACLE_OBJECTIVES = {quadratic: (1, 2, 3), rosenbrock: (2,), half_plane: (2, 3), nan_hole: (1, 2, 3, 4),
                      unbounded: (1, 2, 3, 4), floored: (1, 2, 3, 6), gumbel_profile: (1,),
                      wavy: (1, 2, 3, 4, 5, 6, 8, 12), gev: (3,)}
@@ -369,6 +369,7 @@ def oracle_problems(draw):
 # Signed zeros, which an infeasible search can walk down to through the subnormals.
 @example((half_plane, [-0.0, 0.0], -2.225073858507203e-309, 51)).via("centroid of -0.0 coordinates")
 @example((half_plane, [0.0] * 4, [0.5, 5e-324, 5e-324, 5e-324], 12)).via("inside contraction at -0.0")
+@example((wavy, [0.5] * 12, 0.6, 300)).via("12-D, 300 iterations and 3 shrinks")
 def test_matches_the_numpy_reference_bit_for_bit(problem):
     func, x0, steps, budget = problem
     points = {}
